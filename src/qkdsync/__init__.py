@@ -21,8 +21,6 @@ from .timebase import (
     ClockConfigError,
     ClockModel,
     EdgeTrain,
-    Instant,
-    generate_edges,
     local_time,
     ps_to_seconds,
     quantize,
@@ -47,17 +45,11 @@ from .classical_link import (
 from .quantum_link import (
     ChannelConfigError,
     ChannelParams,
-    DetectionEvent,
     DetectionSet,
-    EmissionSet,
-    QubitEmission,
     QubitPattern,
-    apply_doppler,
     detector_basis,
-    generate_qubits,
     measure_polarization,
     time_tag,
-    transmit,
 )
 from .sync_recovery import (
     ArrivalHistogram,
@@ -68,11 +60,11 @@ from .sync_recovery import (
     SweepTable,
     decimation_sweep,
     fit_gaussian,
-    fit_or_direct,
+    fit_or_equivalent,
     fold,
-    fwhm_direct,
     fwhm_equivalent,
     histogram,
+    require_peak,
     rescale,
 )
 from .qkd_analysis import (
@@ -97,6 +89,7 @@ from .simulate import (
     DopplerResult,
     build_clocks,
     channel_from_config,
+    detections_from_config,
     make_sync_train,
     pattern_from_config,
     run_arrival_experiment,

@@ -15,14 +15,15 @@ Two levels of fidelity coexist here:
 * `synthesize_sync_train` produces only the divided-down pulses (10 kHz
   scale), placing each pulse on the transmitter chain's true symbol
   boundary as read through the receiver clock, plus a configurable
-  residual tracking jitter standing in for the CDR loop noise.  Its
-  output matches `cdr_track` + `derive_sync_pulses` on spans short
-  enough to run both (see tests), and scales to minutes.
+  residual tracking jitter standing in for the CDR loop noise, and
+  scales to minutes.  It is meant to match `cdr_track` +
+  `derive_sync_pulses` on spans short enough to run both, but no test
+  compares the two yet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

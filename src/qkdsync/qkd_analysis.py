@@ -12,7 +12,7 @@ QBER in each basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,11 +34,9 @@ from .sync_recovery import (
     DEFAULT_DELTA_Q_S,
     DEFAULT_TDC_RESOLUTION_S,
     ArrivalHistogram,
-    FitError,
     FoldedArrivals,
     GaussianFit,
     fit_gaussian,
-    fold,
     histogram,
     rescale,
 )
@@ -141,6 +139,13 @@ class MatchedPairs:
 
     def __len__(self) -> int:
         return int(self.slot.size)
+
+    @classmethod
+    def concat(cls, parts) -> "MatchedPairs":
+        """All pairs of `parts` (e.g. matched bin by bin) as one set."""
+        arrays = {f.name: np.concatenate([getattr(p, f.name) for p in parts] or [np.empty(0)])
+                  for f in fields(cls) if f.name != "n_unmatched"}
+        return cls(**arrays, n_unmatched=sum(p.n_unmatched for p in parts))
 
 
 def match_detections(

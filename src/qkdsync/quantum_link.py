@@ -1,27 +1,28 @@
-"""Qubit train generation, optical channel effects, and detection.
+"""Qubit states, channel parameters, measurement, and time-tagging.
 
 The source emits one polarization-encoded photon candidate per 20 ns
 slot (50 MHz), locked to the same master clock as the classical stream.
 The channel thins the train (transmittance x detector efficiency) and
-adds background/dark events; the receiver measures in a random basis
-(passive beam-splitter), adds detection-chain jitter, and time-tags with
-a TDC on a fixed-resolution grid.
+adds background/dark events — both sampled by `simulate.sample_detections`
+from the `ChannelParams` defined here; the receiver measures in a random
+basis (passive beam-splitter), adds detection-chain jitter, and
+time-tags with a TDC on a fixed-resolution grid.
 
 States are drawn per slot with a counter-based generator keyed from the
 scenario seed, so any slot's transmitted state can be recomputed in O(1)
-— this is what lets the matching stage (and the sparse scenario sampler
-in `simulate`) look up the sent pattern for arbitrary slot indices
-without materializing 5e8 emissions.
+— this is what lets the matching stage and the sparse detection sampler
+look up the sent pattern for arbitrary slot indices without
+materializing 5e8 emissions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .timebase import ClockModel, EdgeTrain, Instant, local_time, quantize
+from .timebase import quantize
 
 # detector / state channel codes; H and V span the Z basis, D and A the X basis
 H, V, D, A = 0, 1, 2, 3
@@ -32,8 +33,6 @@ Z, X = 0, 1
 ORIGIN_SIGNAL, ORIGIN_BACKGROUND, ORIGIN_DARK, ORIGIN_UNKNOWN = 0, 1, 2, 3
 
 MAX_DOPPLER_BETA = 1e-4
-
-DEFAULT_QUBIT_RATE_HZ = 50e6
 
 # transmitted-state ensemble over (H, V, D)
 DEFAULT_STATE_PROBS = (0.25, 0.25, 0.5)
@@ -76,7 +75,7 @@ class QubitPattern:
     """Random access to the transmitted state of any slot index.
 
     The state of slot k is a deterministic function of (key, k); the
-    same key drives emission generation and post-processing matching.
+    same key drives detection sampling and post-processing matching.
     """
 
     key: int
@@ -93,124 +92,6 @@ class QubitPattern:
         """Transmitted state codes (H/V/D) for the given slot indices."""
         return rng.choice_at(self.key, slot_index, self.probabilities)
 
-
-@dataclass(frozen=True)
-class QubitEmission:
-    """One emitted qubit: its slot, transmitter-local time, and state."""
-
-    slot_index: int
-    emission_time: Instant
-    state: str
-
-
-@dataclass(frozen=True)
-class EmissionSet:
-    """A contiguous run of slots with their transmitted states.
-
-    Emission times are computed on demand (slot_index * 20 ns through
-    the transmitter clock, with per-slot jitter) rather than stored, so
-    second-long trains stay cheap.
-    """
-
-    states: np.ndarray
-    tx_clock: ClockModel
-    qubit_rate_hz: float = DEFAULT_QUBIT_RATE_HZ
-    first_slot: int = 0
-
-    def __len__(self) -> int:
-        return int(self.states.size)
-
-    @property
-    def slot_index(self) -> np.ndarray:
-        return self.first_slot + np.arange(len(self), dtype=np.int64)
-
-    def emission_times_s(self, slots=None) -> np.ndarray:
-        if slots is None:
-            slots = self.slot_index
-        slots = np.asarray(slots, dtype=np.int64)
-        return np.asarray(
-            local_time(
-                self.tx_clock,
-                slots / self.qubit_rate_hz,
-                jitter_index=slots,
-                jitter_stream="qubit-emit",
-            )
-        )
-
-    def __getitem__(self, i: int) -> QubitEmission:
-        slot = int(self.first_slot + i)
-        t = self.emission_times_s(np.asarray([slot]))[0]
-        return QubitEmission(slot, Instant(t), CHANNEL_LABELS[self.states[i]])
-
-
-def generate_qubits(
-    tx_clock: ClockModel,
-    duration_s: float,
-    distribution,
-    *,
-    seed: int,
-    qubit_rate_hz: float = DEFAULT_QUBIT_RATE_HZ,
-) -> EmissionSet:
-    """One emission per nominal slot over `duration_s` of schedule time.
-
-    States are i.i.d. over (H, V, D) with the given probabilities
-    (`distribution` may also be a prebuilt QubitPattern), deterministic
-    for a fixed seed.
-    """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if isinstance(distribution, QubitPattern):
-        pattern = distribution
-    else:
-        pattern = QubitPattern.from_seed(seed, distribution)
-    n = int(np.floor(duration_s * qubit_rate_hz))
-    states = pattern.states(np.arange(n, dtype=np.int64))
-    return EmissionSet(states=states, tx_clock=tx_clock, qubit_rate_hz=qubit_rate_hz)
-
-
-@dataclass(frozen=True)
-class TransmitResult:
-    """Channel output: which emissions survived, plus noise events."""
-
-    kept_index: np.ndarray     # indices into the input EmissionSet
-    noise_time_s: np.ndarray   # background + dark arrival times (receiver frame)
-    noise_detector: np.ndarray
-    noise_origin: np.ndarray
-
-
-def transmit(
-    emissions: EmissionSet,
-    params: ChannelParams,
-    duration_s: float,
-    generator: np.random.Generator,
-) -> TransmitResult:
-    """Thin the train and draw Poisson background/dark events per detector."""
-    p = params.transmittance * params.detector_efficiency
-    kept = np.flatnonzero(generator.random(len(emissions)) < p)
-
-    noise_t = []
-    noise_det = []
-    noise_orig = []
-    for rate, origin in (
-        (params.background_rate_hz, ORIGIN_BACKGROUND),
-        (params.dark_rate_hz, ORIGIN_DARK),
-    ):
-        if rate <= 0:
-            continue
-        for det in (H, V, D, A):
-            k = generator.poisson(rate * duration_s)
-            noise_t.append(generator.random(k) * duration_s)
-            noise_det.append(np.full(k, det, dtype=np.int8))
-            noise_orig.append(np.full(k, origin, dtype=np.int8))
-    if noise_t:
-        t = np.concatenate(noise_t)
-        det = np.concatenate(noise_det)
-        orig = np.concatenate(noise_orig)
-    else:
-        t = np.empty(0)
-        det = np.empty(0, dtype=np.int8)
-        orig = np.empty(0, dtype=np.int8)
-    return TransmitResult(kept, t, det, orig)
 
 
 def measure_polarization(state, generator: np.random.Generator, basis=None):
@@ -255,15 +136,6 @@ def detector_basis(detector) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DetectionEvent:
-    """One time-tagged click: channel, TDC ticks, and true origin."""
-
-    detector: str
-    ticks: int
-    origin: str = "unknown"
-
-
-@dataclass(frozen=True)
 class DetectionSet:
     """Time-tagged detections (struct of arrays, sorted by ticks).
 
@@ -283,12 +155,6 @@ class DetectionSet:
 
     def __len__(self) -> int:
         return int(self.ticks.size)
-
-    def __getitem__(self, i: int) -> DetectionEvent:
-        origin = "unknown"
-        if self.origin is not None:
-            origin = ("signal", "background", "dark", "unknown")[self.origin[i]]
-        return DetectionEvent(CHANNEL_LABELS[self.detector[i]], int(self.ticks[i]), origin)
 
     def times_s(self, tdc_resolution_s: float) -> np.ndarray:
         return self.ticks * tdc_resolution_s
@@ -349,27 +215,3 @@ def time_tag(
         origin=None if origin is None else np.asarray(origin, dtype=np.int8)[keep][order],
         slot=None if slot is None else np.asarray(slot, dtype=np.int64)[keep][order],
     )
-
-
-def apply_doppler(stream, beta: float):
-    """Scale every timestamp by (1 + beta) — a common relative-motion shift.
-
-    Must be applied identically to the classical and quantum streams of
-    a scenario; accepts a time array, EdgeTrain, OokStream, or
-    SyncPulseTrain and returns the same kind.
-    """
-    if abs(beta) >= MAX_DOPPLER_BETA:
-        raise ValueError(f"|beta| must be < {MAX_DOPPLER_BETA}, got {beta}")
-    from .classical_link import OokStream, SyncPulseTrain  # local import to avoid a cycle
-
-    if isinstance(stream, OokStream):
-        return OokStream(
-            EdgeTrain(stream.edges.times_s * (1.0 + beta), label=stream.edges.label),
-            stream.symbol_rate_hz,
-        )
-    if isinstance(stream, EdgeTrain):
-        return EdgeTrain(stream.times_s * (1.0 + beta), label=stream.label)
-    if isinstance(stream, SyncPulseTrain):
-        scaled = EdgeTrain(stream.times_s * (1.0 + beta), label=stream.pulses.label)
-        return replace(stream, pulses=scaled)
-    return np.asarray(stream, dtype=np.float64) * (1.0 + beta)

@@ -4,15 +4,16 @@ Two kinds of generators are used throughout the simulator:
 
 * Stream generators (`generator`) are numpy Philox generators, one per
   named sub-stream of a run seed.  Used where draws are consumed
-  sequentially (Poisson noise counts, dense thinning, ...).
+  sequentially (thinning gaps, Poisson noise counts, measurement, ...).
 
 * Counter-based draws (`uniform_at`, `normal_at`, `choice_at`) map an
   (key, index) pair straight to a variate via a splitmix64 hash.  These
   give random access: the value attached to qubit slot ``m`` can be
   recomputed for any sparse subset of slots without generating the
   slots in between.  The transmitted state pattern and all per-event
-  jitters are keyed this way, so sparse and dense event generation see
-  the same underlying randomness.
+  jitters are keyed this way, so the sparse detection sampler gives each
+  slot exactly the state and timing of a dense pass over every slot
+  (`tests/dense_reference.py`, checked in `tests/test_sampling.py`).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ it also writes the plot-data CSVs.  Everything is deterministic in
 Detections are sampled sparsely: surviving slots are drawn as a
 Bernoulli process via geometric gaps, so a 60 s run touches only the
 ~10^6 detected slots out of 3x10^9 emitted ones.  The per-slot state
-and jitter lookups use the same counter-based keying as the dense
-op-level path, so both see identical physics.
+and jitter lookups are counter-based, so they equal those of a dense
+pass that thins every slot; `tests/dense_reference.py` is that pass and
+`tests/test_sampling.py` checks the two against each other.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import numpy as np
 from . import rng
 from .classical_link import SyncPulseTrain, synthesize_sync_train
 from .qkd_analysis import (
+    MatchedPairs,
     PhaseOffset,
     QberSeries,
+    compute_qber,
     match_detections,
     recover_phase,
     refine_anchor,
-    sift,
 )
 from .quantum_link import (
     ChannelParams,
@@ -44,13 +46,13 @@ from .quantum_link import (
 from .sync_recovery import (
     ArrivalHistogram,
     FitError,
-    fit_gaussian,
-    fit_or_direct,
+    SweepTable,
+    fit_or_equivalent,
     fold,
-    fwhm_equivalent,
     histogram,
     rescale,
     decimation_sweep,
+    require_peak,
 )
 from .timebase import ClockModel, local_time, reading_time
 
@@ -179,6 +181,20 @@ def sample_detections(
     )
 
 
+def detections_from_config(tx_clock: ClockModel, rx_clock: ClockModel,
+                           cfg: dict) -> DetectionSet:
+    """`sample_detections` with every channel and detector setting from `cfg`."""
+    return sample_detections(
+        tx_clock, rx_clock, pattern_from_config(cfg), channel_from_config(cfg),
+        cfg["duration_s"],
+        seed=cfg["seed"],
+        qubit_rate_hz=cfg["qubit_rate_hz"],
+        chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
+        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
+        propagation_delay_s=cfg["propagation_delay_s"],
+    )
+
+
 def make_sync_train(
     tx_clock: ClockModel,
     rx_clock: ClockModel,
@@ -260,22 +276,15 @@ class ArrivalResult:
 
 def _arrival_variant(name, detections, sync, cfg) -> ArrivalVariant:
     h = _fold_and_bin(detections, sync, cfg)
-    fwhm, resid, ok, mu = fit_or_direct(h)
+    require_peak(h)  # a fold with no peak has no arrival time to compare
+    fwhm, resid, ok, mu = fit_or_equivalent(h)
     return ArrivalVariant(name, h, fwhm, mu, resid, ok)
 
 
 def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
     """Folded arrival peak with CDR sync and with ideal cable sync."""
     tx, rx = build_clocks(cfg)
-    det = sample_detections(
-        tx, rx, pattern_from_config(cfg), channel_from_config(cfg),
-        cfg["duration_s"],
-        seed=cfg["seed"],
-        qubit_rate_hz=cfg["qubit_rate_hz"],
-        chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
-        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
-        propagation_delay_s=cfg["propagation_delay_s"],
-    )
+    det = detections_from_config(tx, rx, cfg)
     cdr = _arrival_variant("cdr", det, make_sync_train(tx, rx, cfg, variant="cdr"), cfg)
     cable = _arrival_variant("cable", det, make_sync_train(tx, rx, cfg, variant="cable"), cfg)
     result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, len(det))
@@ -288,7 +297,7 @@ def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
 class DecimationResult:
     """FWHM vs sync decimation N, plus the first drastic-growth point."""
 
-    table: "np.ndarray | object"
+    table: SweepTable
     growth_n: int | None
 
     def write(self, out_dir) -> None:
@@ -301,15 +310,7 @@ class DecimationResult:
 def run_decimation_experiment(cfg: dict, out_dir=None, n_list=None) -> DecimationResult:
     """FWHM-vs-N sweep of the same detections at increasing decimation."""
     tx, rx = build_clocks(cfg)
-    det = sample_detections(
-        tx, rx, pattern_from_config(cfg), channel_from_config(cfg),
-        cfg["duration_s"],
-        seed=cfg["seed"],
-        qubit_rate_hz=cfg["qubit_rate_hz"],
-        chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
-        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
-        propagation_delay_s=cfg["propagation_delay_s"],
-    )
+    det = detections_from_config(tx, rx, cfg)
     sync = make_sync_train(tx, rx, cfg, variant="cdr")
     table = decimation_sweep(
         det, sync, cfg["n_values"] if n_list is None else list(n_list),
@@ -332,24 +333,14 @@ class DopplerResult:
     control_fwhm_s: np.ndarray
     fwhm_beta0_s: float
 
-    def _rows(self, fwhm):
-        return zip(self.betas, fwhm)
-
     def write(self, out_dir) -> None:
         for fname, fwhm in (("doppler.csv", self.fwhm_s),
                             ("doppler_control.csv", self.control_fwhm_s)):
             with open(f"{out_dir}/{fname}", "w", newline="") as fh:
                 fh.write("beta,fwhm_ps,delta_vs_beta0_ps\n")
-                for beta, w in self._rows(fwhm):
+                for beta, w in zip(self.betas, fwhm):
                     delta = (w - self.fwhm_beta0_s) * 1e12
                     fh.write(f"{beta:.9g},{w * 1e12:.3f},{delta:.3f}\n")
-
-
-def _width_any(h: ArrivalHistogram) -> float:
-    try:
-        return fit_gaussian(h).fwhm_s
-    except FitError:
-        return fwhm_equivalent(h)
 
 
 def run_doppler_check(cfg: dict, out_dir=None, beta_list=None) -> DopplerResult:
@@ -363,25 +354,13 @@ def run_doppler_check(cfg: dict, out_dir=None, beta_list=None) -> DopplerResult:
     """
     betas = [float(b) for b in (cfg["beta_values"] if beta_list is None else beta_list)]
     tx, rx = build_clocks(cfg)
-    pattern = pattern_from_config(cfg)
-    base_channel = channel_from_config(cfg)
-
-    sync0 = make_sync_train(tx, rx, cfg, variant="cdr", doppler_beta=0.0)
 
     def detections_at(beta: float) -> DetectionSet:
-        return sample_detections(
-            tx, rx, pattern, replace(base_channel, doppler_beta=beta),
-            cfg["duration_s"],
-            seed=cfg["seed"],
-            qubit_rate_hz=cfg["qubit_rate_hz"],
-            chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
-            tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
-            propagation_delay_s=cfg["propagation_delay_s"],
-        )
+        return detections_from_config(tx, rx, {**cfg, "doppler_beta": beta})
 
+    sync0 = make_sync_train(tx, rx, cfg, variant="cdr", doppler_beta=0.0)
     det0 = detections_at(0.0)
-    h0 = _fold_and_bin(det0, sync0, cfg)
-    fwhm0 = fit_or_direct(h0)[0]
+    fwhm0 = fit_or_equivalent(_fold_and_bin(det0, sync0, cfg))[0]
 
     fwhm = np.empty(len(betas))
     control = np.empty(len(betas))
@@ -392,8 +371,8 @@ def run_doppler_check(cfg: dict, out_dir=None, beta_list=None) -> DopplerResult:
         else:
             det_b = detections_at(beta)
             sync_b = make_sync_train(tx, rx, cfg, variant="cdr", doppler_beta=beta)
-        fwhm[i] = fit_or_direct(_fold_and_bin(det_b, sync_b, cfg))[0]
-        control[i] = _width_any(_fold_and_bin(det_b, sync0, cfg))
+        fwhm[i] = fit_or_equivalent(_fold_and_bin(det_b, sync_b, cfg))[0]
+        control[i] = fit_or_equivalent(_fold_and_bin(det_b, sync0, cfg))[0]
     result = DopplerResult(np.asarray(betas), fwhm, control, fwhm0)
     if out_dir is not None:
         result.write(out_dir)
@@ -432,26 +411,15 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     tx, rx = build_clocks(cfg)
     pattern = pattern_from_config(cfg)
     sync = make_sync_train(tx, rx, cfg, variant="cdr", blocks=blocks)
-    det = sample_detections(
-        tx, rx, pattern, channel_from_config(cfg),
-        cfg["duration_s"],
-        seed=cfg["seed"],
-        qubit_rate_hz=cfg["qubit_rate_hz"],
-        chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
-        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
-        propagation_delay_s=cfg["propagation_delay_s"],
-    )
+    det = detections_from_config(tx, rx, cfg)
     res_s = cfg["tdc_resolution_ps"] * 1e-12
     times = det.ticks * res_s
     dq = _delta_q_s(cfg)
     bin_s = cfg["qber_bin_s"]
     n_bins = int(math.ceil(cfg["duration_s"] / bin_s))
 
-    n_z = np.zeros(n_bins, dtype=np.int64)
-    n_x = np.zeros(n_bins, dtype=np.int64)
-    e_z = np.zeros(n_bins, dtype=np.int64)
-    e_x = np.zeros(n_bins, dtype=np.int64)
     phase_ok = np.zeros(n_bins, dtype=bool)
+    matched: list[MatchedPairs] = []
 
     phase: PhaseOffset | None = None
     slot_origin: int | None = None
@@ -484,31 +452,16 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
                 pass  # washed-out fold: keep the last good phase
         if phase is None:
             continue
-        pairs = match_detections(
+        matched.append(match_detections(
             sub, sync, phase, pattern,
             qubit_rate_hz=cfg["qubit_rate_hz"],
             symbol_rate_hz=cfg["symbol_rate_hz"],
             window_s=cfg["match_window_s"],
             delta_q_s=dq,
             tdc_resolution_s=res_s,
-        )
-        z_keep, z_err, x_keep, x_err = sift(pairs)
-        n_z[b] = int(np.count_nonzero(z_keep))
-        e_z[b] = int(np.count_nonzero(z_err))
-        n_x[b] = int(np.count_nonzero(x_keep))
-        e_x[b] = int(np.count_nonzero(x_err))
+        ))
 
-    with np.errstate(invalid="ignore"):
-        qber_z = np.where(n_z > 0, e_z / np.maximum(n_z, 1), np.nan)
-        qber_x = np.where(n_x > 0, e_x / np.maximum(n_x, 1), np.nan)
-    series = QberSeries(
-        t_bin_s=np.arange(n_bins) * bin_s,
-        bin_width_s=bin_s,
-        qber_z=qber_z,
-        qber_x=qber_x,
-        n_z=n_z,
-        n_x=n_x,
-    )
+    series = compute_qber(MatchedPairs.concat(matched), cfg["duration_s"], bin_s)
     result = BlockingResult(series, bs, be, phase_ok, slot_origin, len(det))
     if out_dir is not None:
         result.write(out_dir)

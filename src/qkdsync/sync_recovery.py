@@ -194,6 +194,18 @@ def _gaussian(x, amplitude, mu, sigma, baseline):
     return amplitude * np.exp(-((x - mu) ** 2) / (2.0 * sigma * sigma)) + baseline
 
 
+def require_peak(h: ArrivalHistogram) -> None:
+    """Raise FitError unless the highest bin stands clear of counting
+    noise above the baseline (the 25th-percentile count)."""
+    counts = np.asarray(h.counts, dtype=np.float64)
+    baseline, peak = float(np.percentile(counts, 25)), float(counts.max())
+    if peak - baseline < 5.0 * np.sqrt(max(peak, 1.0)):
+        raise FitError(
+            f"peak exceeds baseline by {peak - baseline:.0f} counts, within "
+            "counting noise; no significant peak"
+        )
+
+
 def fit_gaussian(h: ArrivalHistogram) -> GaussianFit:
     """Damped least-squares Gaussian fit with circular pre-centering.
 
@@ -214,11 +226,7 @@ def fit_gaussian(h: ArrivalHistogram) -> GaussianFit:
         raise FitError(
             f"peak-to-baseline ratio {peak / max(baseline0, 1.0):.2f} below 3; no clear peak"
         )
-    if peak - baseline0 < 5.0 * np.sqrt(max(peak, 1.0)):
-        raise FitError(
-            f"peak exceeds baseline by {peak - baseline0:.0f} counts, within "
-            "counting noise; no significant peak"
-        )
+    require_peak(h)
     shift = n // 2 - int(np.argmax(counts))
     y = np.roll(counts, shift)
     half_level = baseline0 + (peak - baseline0) / 2.0
@@ -252,37 +260,6 @@ def fit_gaussian(h: ArrivalHistogram) -> GaussianFit:
     )
 
 
-def fwhm_direct(h: ArrivalHistogram) -> float:
-    """Half-maximum crossing width straight off the (rotated) histogram.
-
-    Fallback width estimate for peaks the Gaussian fit refuses (too few
-    bins, strongly non-Gaussian); raises FitError when no significant
-    peak stands above the baseline.
-    """
-    counts = np.asarray(h.counts, dtype=np.float64)
-    n = h.n_bins
-    peak = counts.max()
-    if peak <= 0:
-        raise FitError("empty histogram")
-    baseline = float(np.percentile(counts, 25))
-    if peak - baseline < 5.0 * np.sqrt(max(peak, 1.0)):
-        raise FitError("no significant peak above baseline")
-    y = np.roll(counts, n // 2 - int(np.argmax(counts)))
-    half = baseline + (peak - baseline) / 2.0
-    c = n // 2
-    lo = 0.0
-    for i in range(c, -1, -1):
-        if y[i] <= half:
-            lo = i + (half - y[i]) / max(y[i + 1] - y[i], 1e-12)
-            break
-    hi = float(n)
-    for i in range(c, n):
-        if y[i] <= half:
-            hi = i - 1 + (y[i - 1] - half) / max(y[i - 1] - y[i], 1e-12) + 1.0
-            break
-    return (hi - lo) * h.bin_width_s
-
-
 def fwhm_equivalent(h: ArrivalHistogram) -> float:
     """Gaussian-equivalent width 2*sqrt(2 ln 2)*std of the rotated histogram.
 
@@ -304,14 +281,14 @@ def fwhm_equivalent(h: ArrivalHistogram) -> float:
     return FWHM_SIGMA * np.sqrt(var)
 
 
-def fit_or_direct(h: ArrivalHistogram):
-    """(fwhm_s, residual, fit_ok, mu_s or nan): fit first, fall back to
-    the direct width when the histogram does not support a fit."""
+def fit_or_equivalent(h: ArrivalHistogram):
+    """(fwhm_s, residual, fit_ok, mu_s or nan): the Gaussian fit, or the
+    Gaussian-equivalent width when the histogram does not support a fit."""
     try:
         g = fit_gaussian(h)
         return g.fwhm_s, g.fit_residual, True, g.mu_s
     except FitError:
-        return fwhm_direct(h), float("nan"), False, float("nan")
+        return fwhm_equivalent(h), float("nan"), False, float("nan")
 
 
 @dataclass(frozen=True)
@@ -356,8 +333,8 @@ def decimation_sweep(
 ) -> SweepTable:
     """Rescale/fold/fit the same detections at each sync decimation N.
 
-    Rows where the Gaussian fit fails fall back to the direct
-    half-maximum width and are flagged fit_ok=false, never dropped.
+    Rows where the Gaussian fit fails fall back to the Gaussian-equivalent
+    width and are flagged fit_ok=false, never dropped.
     """
     n_values = [int(v) for v in n_values]
     if any(v < 1 for v in n_values):
@@ -376,7 +353,7 @@ def decimation_sweep(
         r = rescale(detections, sync_n, delta_s_nominal, tdc_resolution_s)
         h = histogram(fold(r, delta_q_s), bin_width)
         try:
-            fwhm[k], resid[k], ok[k], _ = fit_or_direct(h)
+            fwhm[k], resid[k], ok[k], _ = fit_or_equivalent(h)
         except FitError:
             fwhm[k], resid[k], ok[k] = float("nan"), float("nan"), False
     return SweepTable(

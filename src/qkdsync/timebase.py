@@ -18,7 +18,7 @@ transform, keyed by edge index so it is reproducible and random access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,25 +31,6 @@ MAX_FRACTIONAL_OFFSET = 1e-3
 
 class ClockConfigError(ValueError):
     """A clock parameter violates its sanity bounds."""
-
-
-@dataclass(frozen=True)
-class Instant:
-    """A point in time, non-negative, exact to 1 ps across file I/O."""
-
-    seconds: float
-
-    def __post_init__(self):
-        if self.seconds < 0:
-            raise ValueError(f"Instant must be non-negative, got {self.seconds}")
-
-    @property
-    def picoseconds(self) -> int:
-        return int(round(self.seconds * PS_PER_S))
-
-    @classmethod
-    def from_picoseconds(cls, ps: int) -> "Instant":
-        return cls(ps / PS_PER_S)
 
 
 def seconds_to_ps(t) -> np.ndarray:
@@ -246,24 +227,6 @@ class EdgeTrain:
                 ticks.append(int(tick))
         label = labels[0] if labels else "edges"
         return cls(ps_to_seconds(np.asarray(ticks, dtype=np.int64)), label=label)
-
-
-def generate_edges(clock: ClockModel, duration_s: float, divisor: int) -> EdgeTrain:
-    """Every `divisor`-th cycle of the clock over `duration_s` of schedule time.
-
-    Edge k sits at local_time(clock, k * divisor / nominal_frequency); the
-    count is floor(duration * frequency / divisor).  Models PLL integer
-    division of a reference clock.
-    """
-    if divisor < 1:
-        raise ValueError("divisor must be a positive integer")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    count = int(np.floor(duration_s * clock.nominal_frequency_hz / divisor))
-    k = np.arange(count, dtype=np.int64)
-    sched = k * (divisor / clock.nominal_frequency_hz)
-    times = local_time(clock, sched, jitter_index=k)
-    return EdgeTrain(np.asarray(times, dtype=np.float64), label=f"div{divisor}")
 
 
 def quantize(t, resolution_s: float):

@@ -4,9 +4,11 @@ import filecmp
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qkdsync
 from qkdsync.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 
 
@@ -124,9 +126,11 @@ def test_no_peak_is_runtime_error(tmp_path, capsys):
 
 
 def test_console_script_help():
+    # run from the directory holding the package under test, so the child
+    # imports it whether or not it is installed
     proc = subprocess.run(
         [sys.executable, "-m", "qkdsync.cli", "arrival", "--help"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=Path(qkdsync.__file__).parents[1])
     assert proc.returncode == 0
     assert "--config" in proc.stdout
 

@@ -1,9 +1,7 @@
-"""Qubit train generation, channel effects, measurement, time-tagging."""
+"""Qubit states, channel parameters, measurement, time-tagging."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qkdsync.quantum_link import (
     A,
@@ -16,29 +14,12 @@ from qkdsync.quantum_link import (
     ChannelParams,
     DetectionSet,
     QubitPattern,
-    apply_doppler,
     detector_basis,
-    generate_qubits,
     measure_polarization,
     time_tag,
-    transmit,
     ORIGIN_BACKGROUND,
     ORIGIN_SIGNAL,
 )
-from qkdsync.timebase import ClockModel, EdgeTrain
-
-QUBIT_RATE = 50e6
-
-
-def make_clock(seed=1, offset=0.0, jitter=0.0):
-    return ClockModel(
-        nominal_frequency_hz=1.25e9,
-        fractional_offset=offset,
-        drift_rate_per_s=0.0,
-        white_jitter_sigma_s=jitter,
-        seed=seed,
-    )
-
 
 # ----------------------------------------------------------------- validation
 
@@ -75,23 +56,6 @@ def test_pattern_is_seed_deterministic():
     c = QubitPattern.from_seed(2).states(np.arange(1000))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_generate_qubits_count_and_spacing():
-    clk = make_clock(offset=1e-6)
-    em = generate_qubits(clk, 1e-3, (0.25, 0.25, 0.5), seed=3, qubit_rate_hz=QUBIT_RATE)
-    assert len(em) == 50_000
-    t = em.emission_times_s()
-    assert np.all(np.diff(t) > 0)
-    assert np.mean(np.diff(t)) == pytest.approx(20e-9 * (1 + 1e-6), rel=1e-9)
-    ev = em[3]
-    assert ev.slot_index == 3
-    assert ev.state in "HVD"
-
-
-def test_generate_qubits_rejects_nonpositive_duration():
-    with pytest.raises(ValueError):
-        generate_qubits(make_clock(), 0.0, (0.25, 0.25, 0.5), seed=1)
 
 
 # ---------------------------------------------------------------- measurement
@@ -137,32 +101,6 @@ def test_detector_basis_mapping():
     assert detector_basis(np.array([H, V, D, A])).tolist() == [Z, Z, X, X]
 
 
-# -------------------------------------------------------------------- channel
-
-
-def test_transmit_thinning_statistics():
-    clk = make_clock()
-    em = generate_qubits(clk, 2e-3, (0.25, 0.25, 0.5), seed=5)
-    params = ChannelParams(transmittance=0.1, detector_efficiency=0.5)
-    gen = np.random.default_rng(11)
-    res = transmit(em, params, 2e-3, gen)
-    expect = len(em) * 0.05
-    assert abs(len(res.kept_index) - expect) < 5 * np.sqrt(expect)
-    assert res.noise_time_s.size == 0  # no noise configured
-
-
-def test_transmit_noise_rates():
-    clk = make_clock()
-    em = generate_qubits(clk, 1e-3, (0.25, 0.25, 0.5), seed=5)
-    params = ChannelParams(transmittance=1e-6, background_rate_hz=2e6, dark_rate_hz=1e6)
-    gen = np.random.default_rng(13)
-    res = transmit(em, params, 1e-3, gen)
-    # 3 MHz total per detector x 4 detectors x 1 ms = 12000 expected
-    assert abs(res.noise_time_s.size - 12_000) < 5 * np.sqrt(12_000)
-    assert set(np.unique(res.noise_origin)) == {1, 2}
-    assert np.all((res.noise_time_s >= 0) & (res.noise_time_s < 1e-3))
-
-
 # ------------------------------------------------------------------ time tags
 
 
@@ -203,7 +141,6 @@ def test_time_tag_carries_ground_truth():
     assert ds.detector.tolist() == [H, D]
     assert ds.origin.tolist() == [ORIGIN_BACKGROUND, ORIGIN_SIGNAL]
     assert ds.slot.tolist() == [-1, 7]
-    assert ds[1].origin == "signal"
 
 
 def test_detection_set_csv_round_trip_strips_truth(tmp_path):
@@ -225,41 +162,3 @@ def test_detection_set_csv_round_trip_strips_truth(tmp_path):
 def test_detection_set_rejects_negative_ticks():
     with pytest.raises(ValueError):
         DetectionSet(ticks=np.array([-1]), detector=np.array([0], dtype=np.int8))
-
-
-# -------------------------------------------------------------------- doppler
-
-
-def test_apply_doppler_scales_every_stream_kind():
-    beta = 2e-5
-    arr = np.array([1e-6, 2e-6])
-    assert np.allclose(apply_doppler(arr, beta), arr * (1 + beta))
-
-    train = EdgeTrain(arr, label="x")
-    out = apply_doppler(train, beta)
-    assert isinstance(out, EdgeTrain)
-    assert np.allclose(out.times_s, arr * (1 + beta))
-
-    from qkdsync.classical_link import OokStream, SyncPulseTrain
-
-    ook = apply_doppler(OokStream(train, 1.25e9), beta)
-    assert isinstance(ook, OokStream)
-    assert np.allclose(ook.edges.times_s, arr * (1 + beta))
-
-    sp = SyncPulseTrain(EdgeTrain(np.arange(1, 30) * 1e-4), 1e-4)
-    sp2 = apply_doppler(sp, beta)
-    assert isinstance(sp2, SyncPulseTrain)
-    assert np.allclose(sp2.times_s, sp.times_s * (1 + beta))
-
-
-def test_apply_doppler_rejects_large_beta():
-    with pytest.raises(ValueError):
-        apply_doppler(np.array([1.0]), 1e-4)
-
-
-@given(st.floats(min_value=-9e-5, max_value=9e-5))
-@settings(max_examples=50, deadline=None)
-def test_apply_doppler_is_linear(beta):
-    arr = np.array([0.0, 1e-3, 2.5e-3])
-    out = apply_doppler(arr, beta)
-    assert np.allclose(out, arr * (1 + beta), rtol=1e-15, atol=0)

@@ -72,6 +72,17 @@ def test_blocking_block_at_stream_start_leaves_qber_undefined():
     assert result.slot_origin is not None
 
 
+def test_blocking_link_blocked_throughout_leaves_every_bin_undefined():
+    cfg = defaults("blocking", seed=3, duration_s=4.0,
+                   block_start_s=0.0, block_end_s=4.0)
+    result = run_blocking_experiment(cfg)
+    s = result.series
+    # no bin ever has a phase, so nothing is matched
+    assert np.all(np.isnan(s.qber_z)) and np.all(np.isnan(s.qber_x))
+    assert np.all(s.n_z == 0) and np.all(s.n_x == 0)
+    assert result.slot_origin is None and not result.phase_ok.any()
+
+
 def test_doppler_beta0_row_is_the_baseline():
     cfg = defaults("doppler", seed=5, duration_s=0.2,
                    beta_values=(0.0, 1e-5))

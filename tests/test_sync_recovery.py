@@ -15,9 +15,8 @@ from qkdsync.sync_recovery import (
     SweepTable,
     decimation_sweep,
     fit_gaussian,
-    fit_or_direct,
+    fit_or_equivalent,
     fold,
-    fwhm_direct,
     fwhm_equivalent,
     histogram,
     rescale,
@@ -215,20 +214,6 @@ def test_fit_rejects_single_bin_spike():
         fit_gaussian(h)
 
 
-def test_fwhm_direct_agrees_with_fit():
-    h = _gaussian_hist(435e-12)
-    fit = fit_gaussian(h)
-    direct = fwhm_direct(h)
-    assert abs(direct - fit.fwhm_s) / fit.fwhm_s < 0.1
-
-
-def test_fwhm_direct_on_single_bin_spike():
-    counts = np.zeros(247, dtype=np.int64)
-    counts[100] = 10_000
-    h = ArrivalHistogram(counts, DELTA_Q / 247, DELTA_Q)
-    assert fwhm_direct(h) <= 2 * h.bin_width_s
-
-
 def test_fwhm_equivalent_matches_fit_on_gaussian():
     h = _gaussian_hist(435e-12)
     fit = fit_gaussian(h)
@@ -244,14 +229,14 @@ def test_fwhm_equivalent_on_uniform_fold():
 
 def test_fit_or_direct_flags_fallback():
     good = _gaussian_hist(435e-12)
-    fwhm, resid, ok, mu = fit_or_direct(good)
+    fwhm, resid, ok, mu = fit_or_equivalent(good)
     assert ok and fwhm > 0 and np.isfinite(mu)
     counts = np.zeros(247, dtype=np.int64)
     counts[100] = 10_000
     spike = ArrivalHistogram(counts, DELTA_Q / 247, DELTA_Q)
-    fwhm, resid, ok, mu = fit_or_direct(spike)
+    fwhm, resid, ok, mu = fit_or_equivalent(spike)
     assert not ok
-    assert fwhm <= 2 * spike.bin_width_s
+    assert fwhm == fwhm_equivalent(spike) <= 2 * spike.bin_width_s
     assert np.isnan(mu)
 
 

@@ -9,8 +9,6 @@ from qkdsync.timebase import (
     ClockConfigError,
     ClockModel,
     EdgeTrain,
-    Instant,
-    generate_edges,
     local_time,
     ps_to_seconds,
     quantize,
@@ -31,18 +29,7 @@ def make_clock(**kw):
     return ClockModel(**base)
 
 
-# ---------------------------------------------------------------- instants
-
-
-def test_instant_round_trip_ps():
-    t = Instant(1.25e-4)
-    assert t.picoseconds == 125_000_000
-    assert ps_to_seconds(seconds_to_ps(1.25e-4)) == pytest.approx(1.25e-4, abs=1e-15)
-
-
-def test_instant_rejects_negative():
-    with pytest.raises(ValueError):
-        Instant(-1e-12)
+# ------------------------------------------------------------- picoseconds
 
 
 @given(st.integers(min_value=0, max_value=10**15))
@@ -171,21 +158,6 @@ def test_edge_train_csv_round_trip(tmp_path):
     )
     header = path.read_text().splitlines()[0]
     assert header == "label,ticks_ps"
-
-
-def test_generate_edges_spacing_and_count():
-    clk = make_clock(fractional_offset=1e-6)
-    train = generate_edges(clk, duration_s=1e-3, divisor=1000)
-    # 1.25e9 / 1000 = 1.25 MHz -> 1250 edges in 1 ms
-    assert len(train) == 1250
-    spacing = np.diff(train.times_s)
-    assert np.allclose(spacing, 8e-7 * (1 + 1e-6), rtol=0, atol=1e-15)
-
-
-def test_generate_edges_rejects_bad_divisor():
-    clk = make_clock()
-    with pytest.raises(ValueError):
-        generate_edges(clk, duration_s=1e-3, divisor=0)
 
 
 # ---------------------------------------------------------------- quantize
