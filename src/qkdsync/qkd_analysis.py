@@ -12,7 +12,7 @@ QBER in each basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +33,7 @@ from .sync_recovery import (
     DEFAULT_BIN_COUNT,
     DEFAULT_DELTA_Q_S,
     DEFAULT_TDC_RESOLUTION_S,
-    ArrivalHistogram,
     FoldedArrivals,
-    GaussianFit,
     fit_gaussian,
     histogram,
     rescale,
@@ -56,30 +54,25 @@ class MatchingError(ValueError):
 class PhaseOffset:
     """Arrival phase within a slot plus the whole-slot anchor.
 
-    offset_s is the folded-peak center (delay modulo delta_q);
-    slot_origin shifts every assigned slot index by a constant to
-    absorb the whole-slot part of the delay.  confidence is the fitted
-    peak-to-baseline ratio (higher is better, 3 is the fit floor).
+    offset_s is the folded-peak center (delay modulo delta_q), one value
+    for all detections or one per detection; slot_origin shifts every
+    assigned slot index by a constant to absorb the whole-slot part of
+    the delay.  confidence is the fitted peak-to-baseline ratio (higher
+    is better, 3 is the fit floor).
     """
 
-    offset_s: float
+    offset_s: float | np.ndarray
     slot_origin: int = 0
     confidence: float = float("inf")
 
 
-def recover_phase(peak, delta_q: float = DEFAULT_DELTA_Q_S,
+def recover_phase(folded: FoldedArrivals,
                   bin_count: int = DEFAULT_BIN_COUNT) -> PhaseOffset:
-    """Phase offset from a fitted peak (or folded arrivals to fit here).
+    """Phase offset from a Gaussian fit of the folded arrivals.
 
-    Accepts a GaussianFit, an ArrivalHistogram, or FoldedArrivals;
-    raises FitError when no usable peak exists.
+    Raises FitError when no usable peak exists.
     """
-    if isinstance(peak, FoldedArrivals):
-        peak = histogram(peak, peak.delta_q_s / bin_count)
-    if isinstance(peak, ArrivalHistogram):
-        peak = fit_gaussian(peak)
-    if not isinstance(peak, GaussianFit):
-        raise TypeError(f"cannot recover a phase from {type(peak).__name__}")
+    peak = fit_gaussian(histogram(folded, folded.delta_q_s / bin_count))
     return PhaseOffset(offset_s=peak.mu_s, slot_origin=0,
                        confidence=peak.peak_to_baseline)
 
@@ -140,13 +133,6 @@ class MatchedPairs:
     def __len__(self) -> int:
         return int(self.slot.size)
 
-    @classmethod
-    def concat(cls, parts) -> "MatchedPairs":
-        """All pairs of `parts` (e.g. matched bin by bin) as one set."""
-        arrays = {f.name: np.concatenate([getattr(p, f.name) for p in parts] or [np.empty(0)])
-                  for f in fields(cls) if f.name != "n_unmatched"}
-        return cls(**arrays, n_unmatched=sum(p.n_unmatched for p in parts))
-
 
 def match_detections(
     detections,
@@ -158,28 +144,30 @@ def match_detections(
     symbol_rate_hz: float = DEFAULT_SYMBOL_RATE_HZ,
     window_s: float = DEFAULT_DELTA_Q_S,
     delta_q_s: float = DEFAULT_DELTA_Q_S,
-    delta_s_nominal: float | None = None,
     tdc_resolution_s: float = DEFAULT_TDC_RESOLUTION_S,
 ) -> MatchedPairs:
     """Assign each detection to a transmitted slot and look up its state.
 
     slot = slot_base(interval) + round_half_even((q' - offset)/delta_q)
-    + slot_origin; pairs farther than window_s/2 from the slot center
-    are rejected and counted in n_unmatched.
+    + slot_origin, with phase.offset_s one value or one per detection;
+    pairs farther than window_s/2 from the slot center are rejected and
+    counted in n_unmatched.
     """
     if not 0 < window_s <= delta_q_s:
         raise MatchingError(f"window must be in (0, {delta_q_s:g}] s, got {window_s:g}")
-    if delta_s_nominal is None:
-        delta_s_nominal = sync.nominal_spacing_s
-    if isinstance(detections, DetectionSet):
-        det_codes = detections.detector
-        times = detections.ticks * tdc_resolution_s
-    else:
+    if not isinstance(detections, DetectionSet):
         raise TypeError("match_detections needs a DetectionSet")
-    r = rescale(detections, sync, delta_s_nominal, tdc_resolution_s)
+    offset = np.asarray(phase.offset_s, dtype=np.float64)
+    if offset.shape not in ((), (len(detections),)):
+        raise MatchingError(
+            f"need one phase offset or one per detection ({len(detections)}), "
+            f"got shape {offset.shape}"
+        )
+    r = rescale(detections, sync, tdc_resolution_s)
     base = _slot_base(sync, qubit_rate_hz, symbol_rate_hz, delta_q_s)
 
-    k, resid = assign_slots(r.q_prime, phase.offset_s, delta_q_s)
+    k, resid = assign_slots(r.q_prime, offset[r.source_index] if offset.ndim else offset,
+                            delta_q_s)
     slot = base[r.interval_index] + k + phase.slot_origin
     inside = (np.abs(resid) <= window_s / 2.0) & (slot >= 0)
     n_unmatched = int(r.q_prime.size - np.count_nonzero(inside)) \
@@ -187,32 +175,36 @@ def match_detections(
 
     src = r.source_index[inside]
     slot = slot[inside]
-    det = np.asarray(det_codes)[src]
+    det = detections.detector[src]
     return MatchedPairs(
         slot=slot,
         detector=det,
         sent=pattern.states(slot),
         basis=detector_basis(det),
-        time_s=times[src],
+        time_s=detections.ticks[src] * tdc_resolution_s,
         residual_s=resid[inside],
         source_index=src,
         n_unmatched=n_unmatched,
     )
 
 
+def _incompatible(sent, detector) -> np.ndarray:
+    """Pairs impossible at zero error rate: sent H detected V, sent V
+    detected H, and sent D detected A."""
+    return ((sent == H) & (detector == V)) \
+        | ((sent == V) & (detector == H)) \
+        | ((sent == D) & (detector == A))
+
+
 def incompatible_fraction(pairs: MatchedPairs) -> float:
     """Fraction of pairs impossible at zero error rate.
 
-    Impossible combinations are sent H detected V, sent V detected H,
-    and sent D detected A; a correct slot assignment drives this to the
-    noise floor while a wrong one sits near 3/16.
+    A correct slot assignment drives this to the noise floor while a
+    wrong one sits near 3/16.
     """
     if len(pairs) == 0:
         return float("nan")
-    bad = ((pairs.sent == H) & (pairs.detector == V)) \
-        | ((pairs.sent == V) & (pairs.detector == H)) \
-        | ((pairs.sent == D) & (pairs.detector == A))
-    return float(np.count_nonzero(bad)) / len(pairs)
+    return float(np.count_nonzero(_incompatible(pairs.sent, pairs.detector))) / len(pairs)
 
 
 @dataclass(frozen=True)
@@ -240,7 +232,10 @@ def refine_anchor(
 
     Scans slot_origin over +-search_slots, scoring each shift by the
     state-incompatible fraction on a detection sample, and returns the
-    phase with slot_origin set to the minimizing shift.
+    phase with slot_origin set to the minimizing shift.  A shift moves
+    every slot index by the same constant, so it changes only which
+    pairs pass slot >= 0: one match at the largest shift holds the pairs
+    of every shift, and all shifts are scored from it at once.
     """
     if isinstance(detections, DetectionSet) and len(detections) > sample_size:
         step = len(detections) // sample_size
@@ -251,12 +246,14 @@ def refine_anchor(
     else:
         sample = detections
     shifts = np.arange(-search_slots, search_slots + 1, dtype=np.int64)
-    scores = np.empty(shifts.size)
-    for j, d in enumerate(shifts):
-        trial = replace(phase, slot_origin=phase.slot_origin + int(d))
-        pairs = match_detections(sample, sync, trial, pattern,
-                                 qubit_rate_hz=qubit_rate_hz, **match_kwargs)
-        scores[j] = incompatible_fraction(pairs)
+    widest = replace(phase, slot_origin=phase.slot_origin + search_slots)
+    pairs = match_detections(sample, sync, widest, pattern,
+                             qubit_rate_hz=qubit_rate_hz, **match_kwargs)
+    slot = pairs.slot[None, :] + (shifts - search_slots)[:, None]
+    kept = slot >= 0
+    bad = kept & _incompatible(pattern.states(np.maximum(slot, 0)), pairs.detector)
+    with np.errstate(invalid="ignore"):  # a shift that keeps no pair scores NaN
+        scores = np.count_nonzero(bad, axis=1) / np.count_nonzero(kept, axis=1)
     if np.all(np.isnan(scores)):
         raise MatchingError("no detections matched at any anchor shift")
     best = int(np.nanargmin(scores))

@@ -17,14 +17,13 @@ pass that thins every slot; `tests/dense_reference.py` is that pass and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .classical_link import SyncPulseTrain, synthesize_sync_train
 from .qkd_analysis import (
-    MatchedPairs,
     PhaseOffset,
     QberSeries,
     compute_qber,
@@ -234,8 +233,7 @@ def _delta_q_s(cfg: dict) -> float:
 
 
 def _fold_and_bin(detections, sync: SyncPulseTrain, cfg: dict) -> ArrivalHistogram:
-    r = rescale(detections, sync, sync.nominal_spacing_s,
-                cfg["tdc_resolution_ps"] * 1e-12)
+    r = rescale(detections, sync, cfg["tdc_resolution_ps"] * 1e-12)
     dq = _delta_q_s(cfg)
     return histogram(fold(r, dq), dq / cfg["histogram_bins"])
 
@@ -397,11 +395,13 @@ class BlockingResult:
 def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     """QBER trace before, during, and after blocking the classical link.
 
-    The receiver pipeline is run live, bin by bin: each QBER bin refits
-    the folded-arrival phase from its own detections, falling back to
-    the last good phase when the fold is washed out (as it is while the
-    sync free-runs during the block).  The whole-slot anchor is resolved
-    once, on the first bin with a usable fit.
+    The receiver fits the folded-arrival phase of each QBER bin from that
+    bin's own detections; a bin whose fold is washed out (as it is while
+    the sync free-runs during the block) has no phase of its own.  The
+    whole-slot anchor is resolved once, on the first bin with a good fit.
+    One match then pairs every detection from that bin on, each with its
+    own bin's phase or the last good one before it, and `compute_qber`
+    bins the pairs.
     """
     bs, be = cfg["block_start_s"], cfg["block_end_s"]
     if not 0.0 <= bs <= be <= cfg["duration_s"]:
@@ -413,55 +413,49 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     sync = make_sync_train(tx, rx, cfg, variant="cdr", blocks=blocks)
     det = detections_from_config(tx, rx, cfg)
     res_s = cfg["tdc_resolution_ps"] * 1e-12
-    times = det.ticks * res_s
     dq = _delta_q_s(cfg)
     bin_s = cfg["qber_bin_s"]
     n_bins = int(math.ceil(cfg["duration_s"] / bin_s))
+    match_kwargs = dict(
+        qubit_rate_hz=cfg["qubit_rate_hz"],
+        symbol_rate_hz=cfg["symbol_rate_hz"],
+        window_s=cfg["match_window_s"],
+        delta_q_s=dq,
+        tdc_resolution_s=res_s,
+    )
 
+    def detections_between(lo: int, hi: int) -> DetectionSet:
+        return DetectionSet(ticks=det.ticks[lo:hi], detector=det.detector[lo:hi])
+
+    # detection index at each bin edge
+    edges = np.searchsorted(det.ticks * res_s, np.arange(n_bins + 1) * bin_s)
+    offsets = np.full(n_bins, np.nan)
     phase_ok = np.zeros(n_bins, dtype=bool)
-    matched: list[MatchedPairs] = []
-
-    phase: PhaseOffset | None = None
     slot_origin: int | None = None
     for b in range(n_bins):
-        lo, hi = np.searchsorted(times, [b * bin_s, (b + 1) * bin_s])
-        sub = DetectionSet(ticks=det.ticks[lo:hi], detector=det.detector[lo:hi])
-        if len(sub) >= MIN_DETECTIONS_PER_FIT:
-            try:
-                fresh = recover_phase(
-                    fold(rescale(sub, sync, sync.nominal_spacing_s, res_s), dq),
-                    dq, cfg["histogram_bins"],
-                )
-                if slot_origin is None:
-                    refined, _scan = refine_anchor(
-                        sub, sync, fresh, pattern,
-                        qubit_rate_hz=cfg["qubit_rate_hz"],
-                        search_slots=cfg["anchor_search_slots"],
-                        symbol_rate_hz=cfg["symbol_rate_hz"],
-                        window_s=cfg["match_window_s"],
-                        delta_q_s=dq,
-                        tdc_resolution_s=res_s,
-                    )
-                    slot_origin = refined.slot_origin
-                    fresh = refined
-                else:
-                    fresh = replace(fresh, slot_origin=slot_origin)
-                phase = fresh
-                phase_ok[b] = True
-            except FitError:
-                pass  # washed-out fold: keep the last good phase
-        if phase is None:
+        sub = detections_between(edges[b], edges[b + 1])
+        if len(sub) < MIN_DETECTIONS_PER_FIT:
             continue
-        matched.append(match_detections(
-            sub, sync, phase, pattern,
-            qubit_rate_hz=cfg["qubit_rate_hz"],
-            symbol_rate_hz=cfg["symbol_rate_hz"],
-            window_s=cfg["match_window_s"],
-            delta_q_s=dq,
-            tdc_resolution_s=res_s,
-        ))
+        try:
+            phase = recover_phase(fold(rescale(sub, sync, res_s), dq), cfg["histogram_bins"])
+        except FitError:
+            continue  # washed-out fold: the bin keeps the last good phase
+        if slot_origin is None:
+            slot_origin = refine_anchor(sub, sync, phase, pattern,
+                                        search_slots=cfg["anchor_search_slots"],
+                                        **match_kwargs)[0].slot_origin
+        offsets[b] = phase.offset_s
+        phase_ok[b] = True
 
-    series = compute_qber(MatchedPairs.concat(matched), cfg["duration_s"], bin_s)
+    good = np.flatnonzero(phase_ok)
+    first = int(good[0]) if good.size else n_bins
+    last_good = good[np.searchsorted(good, np.arange(first, n_bins), side="right") - 1]
+    offset = np.repeat(offsets[last_good], np.diff(edges)[first:])
+    # with no good bin the match is empty and its slot origin is moot
+    pairs = match_detections(detections_between(edges[first], edges[-1]), sync,
+                             PhaseOffset(offset, slot_origin or 0), pattern, **match_kwargs)
+
+    series = compute_qber(pairs, cfg["duration_s"], bin_s)
     result = BlockingResult(series, bs, be, phase_ok, slot_origin, len(det))
     if out_dir is not None:
         result.write(out_dir)

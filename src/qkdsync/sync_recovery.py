@@ -59,12 +59,12 @@ class RescaledArrivals:
         return int(self.q_prime.size)
 
 
-def rescale(detections, sync: SyncPulseTrain, delta_s_nominal: float,
+def rescale(detections, sync: SyncPulseTrain,
             tdc_resolution_s: float = DEFAULT_TDC_RESOLUTION_S) -> RescaledArrivals:
     """Map each detection onto the nominal timeline of its sync interval.
 
     For q in [s_i, s_{i+1}): q' = (q - s_i)/(s_{i+1} - s_i) * delta_s,
-    with delta_s = decimation * delta_s_nominal.  Input may be a
+    with delta_s = decimation * sync.nominal_spacing_s.  Input may be a
     DetectionSet (TDC ticks are converted at tdc_resolution_s) or a
     sorted array of seconds.
     """
@@ -77,9 +77,7 @@ def rescale(detections, sync: SyncPulseTrain, delta_s_nominal: float,
     s = sync.times_s
     if s.size < 2:
         raise ValueError("rescaling needs at least 2 sync pulses")
-    if not delta_s_nominal > 0:
-        raise ValueError("delta_s_nominal must be > 0")
-    delta_s = sync.decimation * delta_s_nominal
+    delta_s = sync.decimation * sync.nominal_spacing_s
 
     i = np.searchsorted(s, q, side="right") - 1
     ok = (i >= 0) & (i <= s.size - 2)
@@ -326,7 +324,6 @@ def decimation_sweep(
     base_sync: SyncPulseTrain,
     n_values,
     *,
-    delta_s_nominal: float | None = None,
     delta_q_s: float = DEFAULT_DELTA_Q_S,
     bin_count: int = DEFAULT_BIN_COUNT,
     tdc_resolution_s: float = DEFAULT_TDC_RESOLUTION_S,
@@ -341,8 +338,6 @@ def decimation_sweep(
         raise ValueError("decimation values must be >= 1")
     if sorted(n_values) != n_values:
         raise ValueError("n_values must be sorted ascending")
-    if delta_s_nominal is None:
-        delta_s_nominal = base_sync.nominal_spacing_s
     bin_width = delta_q_s / bin_count
 
     fwhm = np.empty(len(n_values))
@@ -350,7 +345,7 @@ def decimation_sweep(
     ok = np.zeros(len(n_values), dtype=bool)
     for k, nv in enumerate(n_values):
         sync_n = base_sync.decimate(nv)
-        r = rescale(detections, sync_n, delta_s_nominal, tdc_resolution_s)
+        r = rescale(detections, sync_n, tdc_resolution_s)
         h = histogram(fold(r, delta_q_s), bin_width)
         try:
             fwhm[k], resid[k], ok[k], _ = fit_or_equivalent(h)
@@ -358,7 +353,7 @@ def decimation_sweep(
             fwhm[k], resid[k], ok[k] = float("nan"), float("nan"), False
     return SweepTable(
         n=np.asarray(n_values, dtype=np.int64),
-        delta_s_eff_s=np.asarray(n_values, dtype=np.float64) * delta_s_nominal,
+        delta_s_eff_s=np.asarray(n_values, dtype=np.float64) * base_sync.nominal_spacing_s,
         fwhm_s=fwhm,
         fit_residual=resid,
         fit_ok=ok,

@@ -18,6 +18,7 @@ transform, keyed by edge index so it is reproducible and random access.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,31 +95,24 @@ class ClockModel:
         return rng.derive_key(self.seed, f"clock-jitter:{stream}")
 
 
-# Cached phase tables for clocks with frequency walk, keyed by the fields
-# that determine the walk.  Tables are small (span/grid nodes).
-_WALK_TABLES: dict = {}
+@functools.lru_cache(maxsize=8)
+def _walk_table(seed: int, intensity: float, grid_s: float, span_s: float):
+    """(node times, phase) of a frequency walk; a few recent walks are cached."""
+    n_seg = int(np.ceil(span_s / grid_s)) + 2
+    gen = rng.generator(seed, "freq-walk")
+    dy = gen.normal(0.0, intensity * np.sqrt(grid_s), n_seg)
+    y = np.cumsum(dy)
+    nodes_t = np.arange(n_seg + 1) * grid_s
+    phase = np.concatenate([[0.0], np.cumsum(y * grid_s)])
+    # remove the net slope so the walk carries no average frequency offset
+    phase = phase - nodes_t * (phase[-1] - phase[0]) / nodes_t[-1]
+    nodes_t.flags.writeable = phase.flags.writeable = False
+    return nodes_t, phase
 
 
 def _walk_phase(clock: ClockModel, t: np.ndarray) -> np.ndarray:
-    key = (
-        clock.seed,
-        clock.freq_walk_per_sqrt_s,
-        clock.walk_grid_s,
-        clock.walk_span_s,
-    )
-    tab = _WALK_TABLES.get(key)
-    if tab is None:
-        n_seg = int(np.ceil(clock.walk_span_s / clock.walk_grid_s)) + 2
-        gen = rng.generator(clock.seed, "freq-walk")
-        dy = gen.normal(0.0, clock.freq_walk_per_sqrt_s * np.sqrt(clock.walk_grid_s), n_seg)
-        y = np.cumsum(dy)
-        nodes_t = np.arange(n_seg + 1) * clock.walk_grid_s
-        phase = np.concatenate([[0.0], np.cumsum(y * clock.walk_grid_s)])
-        # remove the net slope so the walk carries no average frequency offset
-        phase = phase - nodes_t * (phase[-1] - phase[0]) / nodes_t[-1]
-        tab = (nodes_t, phase)
-        _WALK_TABLES[key] = tab
-    nodes_t, phase = tab
+    nodes_t, phase = _walk_table(clock.seed, clock.freq_walk_per_sqrt_s,
+                                 clock.walk_grid_s, clock.walk_span_s)
     if np.any(t > nodes_t[-1]):
         raise ValueError(
             f"time {float(np.max(t)):g} s exceeds the clock's walk_span_s "

@@ -142,7 +142,7 @@ def test_criterion_5_rescaling_formula_oracle(report):
     sync = SyncPulseTrain(EdgeTrain(s), delta_s,
                           pulse_boundary_index=np.arange(n + 1) * 125_000,
                           locked=np.ones(n + 1, dtype=bool))
-    r = rescale(q, sync, delta_s)
+    r = rescale(q, sync)
     assert len(r.q_prime) == n
 
     mismatch = 0

@@ -210,6 +210,13 @@ def test_sync_train_spacing_invariant_enforced():
         SyncPulseTrain(EdgeTrain(bad[1:]), nominal)
 
 
+def test_sync_train_rejects_nonpositive_spacing():
+    # rescaling reads delta_s from the train, so the train must refuse a zero one
+    for nominal in (0.0, -1e-4):
+        with pytest.raises(ValueError):
+            SyncPulseTrain(EdgeTrain(np.arange(1, 10) * 1e-4), nominal)
+
+
 def test_sync_train_decimate_validates_factor():
     train = SyncPulseTrain(EdgeTrain(np.arange(1, 100) * 1e-4), 1e-4)
     with pytest.raises(ValueError):

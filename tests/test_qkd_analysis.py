@@ -141,6 +141,44 @@ def test_match_rejects_bad_window_and_rates():
                          **kwargs(qubit_rate_hz=SYMBOL_RATE * 3 / 7))
 
 
+def test_match_per_detection_offsets_equal_per_segment_calls():
+    pat = QubitPattern.from_seed(12)
+    gen = np.random.default_rng(4)
+    sync = ideal_sync()
+    first_slot = DIVISOR // 25
+    # three time-ordered segments, each at its own in-slot phase; the
+    # first starts before the first sync pulse, and some detections sit
+    # outside the 2 ns window
+    segments = []
+    for lo, phase in ((first_slot - 50, 4e-9), (first_slot + 20_000, 5.5e-9),
+                      (first_slot + 90_000, 7e-9)):
+        slots = np.sort(gen.choice(np.arange(lo, lo + 10_000), 300, replace=False))
+        jitter = np.where(gen.random(slots.size) < 0.1, 1.6e-9, 0.0)
+        segments.append(detections_for_slots(slots, pat.states(slots), phase + jitter))
+    whole = DetectionSet(ticks=np.concatenate([d.ticks for d in segments]),
+                         detector=np.concatenate([d.detector for d in segments]))
+    phases = (4e-9, 5.5e-9, 7e-9)
+    offset = np.repeat(phases, [len(d) for d in segments])
+    got = match_detections(whole, sync, PhaseOffset(offset, 3), pat, **kwargs(window_s=2e-9))
+
+    parts = [match_detections(d, sync, PhaseOffset(p, 3), pat, **kwargs(window_s=2e-9))
+             for d, p in zip(segments, phases)]
+    starts = np.cumsum([0] + [len(d) for d in segments[:-1]])
+    assert got.n_unmatched == sum(p.n_unmatched for p in parts) > 0
+    assert np.array_equal(got.source_index,
+                          np.concatenate([p.source_index + s for p, s in zip(parts, starts)]))
+    for name in ("slot", "detector", "sent", "basis", "time_s", "residual_s"):
+        assert np.array_equal(getattr(got, name),
+                              np.concatenate([getattr(p, name) for p in parts])), name
+
+
+def test_match_rejects_offsets_of_the_wrong_length():
+    pat = QubitPattern.from_seed(3)
+    ds = detections_for_slots(DIVISOR // 25 + np.arange(4), np.zeros(4))
+    with pytest.raises(MatchingError):
+        match_detections(ds, ideal_sync(), PhaseOffset(np.full(3, 5e-9)), pat, **kwargs())
+
+
 def test_match_rejects_misaligned_sync_boundaries():
     pat = QubitPattern.from_seed(3)
     b = 7 + np.arange(60) * DIVISOR  # boundaries off the qubit-slot grid
@@ -156,7 +194,7 @@ def test_match_rejects_misaligned_sync_boundaries():
 def test_recover_phase_from_folded_values():
     gen = np.random.default_rng(8)
     vals = np.mod(gen.normal(7e-9, 0.4e-9, 50_000), DELTA_Q)
-    phase = recover_phase(fold(vals, DELTA_Q), DELTA_Q)
+    phase = recover_phase(fold(vals, DELTA_Q))
     assert phase.offset_s == pytest.approx(7e-9, abs=30e-12)
     assert phase.slot_origin == 0
     assert phase.confidence > 3
@@ -166,7 +204,7 @@ def test_recover_phase_propagates_fit_failure():
     gen = np.random.default_rng(8)
     vals = gen.uniform(0, DELTA_Q, 10_000)
     with pytest.raises(FitError):
-        recover_phase(fold(vals, DELTA_Q), DELTA_Q)
+        recover_phase(fold(vals, DELTA_Q))
 
 
 def test_incompatible_fraction_of_random_pairs():
@@ -204,6 +242,25 @@ def test_refine_anchor_finds_planted_shift():
     assert scan.margin > 0.05
     pairs = match_detections(ds, sync, refined, pat, **kwargs())
     assert incompatible_fraction(pairs) == 0.0
+
+
+def test_refine_anchor_scores_equal_a_match_per_shift():
+    pat = QubitPattern.from_seed(44)
+    gen = np.random.default_rng(2)
+    sync = ideal_sync(start_boundary=0)
+    slots = np.arange(41)  # negative shifts push the early slots below 0
+    from qkdsync.quantum_link import measure_polarization
+    ds = detections_for_slots(slots, measure_polarization(pat.states(slots), gen))
+    phase = PhaseOffset(offset_s=5e-9)
+    _, scan = refine_anchor(ds, sync, phase, pat, search_slots=15, **kwargs())
+    per_shift = [
+        incompatible_fraction(match_detections(
+            ds, sync, PhaseOffset(5e-9, int(d)), pat, **kwargs()))
+        for d in scan.shifts
+    ]
+    assert scan.shifts.tolist() == list(range(-15, 16))
+    assert np.array_equal(scan.incompatibility, per_shift)
+    assert scan.best_shift == 0
 
 
 # -------------------------------------------------------------- sifting / QBER

@@ -38,7 +38,7 @@ def sync_train(n=51, scale=1.0, start=0.0):
 def test_rescale_matches_direct_formula():
     sync = sync_train(scale=1 + 3e-5)
     q = np.sort(np.random.default_rng(1).uniform(sync.times_s[0], sync.times_s[-1], 500))
-    r = rescale(q, sync, DELTA_S)
+    r = rescale(q, sync)
     s = sync.times_s
     for qi, ii, qp in zip(q[r.source_index], r.interval_index, r.q_prime):
         direct = (qi - s[ii]) / (s[ii + 1] - s[ii]) * DELTA_S
@@ -49,7 +49,7 @@ def test_rescale_drops_out_of_span_detections():
     sync = sync_train(n=10)
     s0, s9 = sync.times_s[0], sync.times_s[-1]
     q = np.array([s0 - 1e-5, s0 + 1e-5, s9 - 1e-5, s9 + 1e-5])
-    r = rescale(q, sync, DELTA_S)
+    r = rescale(q, sync)
     assert r.dropped_before == 1
     assert r.dropped_after == 1
     assert len(r) == 2
@@ -62,7 +62,7 @@ def test_rescale_accepts_detection_sets_in_tdc_ticks():
     q_s = sync.times_s[0] + np.array([1e-5, 3e-5])
     ds = DetectionSet(ticks=np.rint(q_s / res).astype(np.int64),
                       detector=np.zeros(2, dtype=np.int8))
-    r = rescale(ds, sync, DELTA_S, tdc_resolution_s=res)
+    r = rescale(ds, sync, tdc_resolution_s=res)
     assert len(r) == 2
     assert np.all((r.q_prime > 0.9e-5) & (r.q_prime < 3.1e-5))
 
@@ -70,19 +70,17 @@ def test_rescale_accepts_detection_sets_in_tdc_ticks():
 def test_rescale_rejects_unsorted_and_bad_inputs():
     sync = sync_train(n=5)
     with pytest.raises(ValueError):
-        rescale(np.array([2e-4, 1e-4]), sync, DELTA_S)
-    with pytest.raises(ValueError):
-        rescale(np.array([1e-4]), sync, 0.0)
+        rescale(np.array([2e-4, 1e-4]), sync)
     short = SyncPulseTrain(EdgeTrain(np.array([1e-4])), DELTA_S)
     with pytest.raises(ValueError):
-        rescale(np.array([1.5e-4]), short, DELTA_S)
+        rescale(np.array([1.5e-4]), short)
 
 
 def test_rescale_uses_decimation_for_effective_interval():
     base = sync_train(n=40)
     dec = base.decimate(4)
     q = np.array([base.times_s[0] + 2.5e-4])
-    r = rescale(q, dec, DELTA_S)
+    r = rescale(q, dec)
     assert r.delta_s_eff == pytest.approx(4 * DELTA_S)
     # 2.5e-4 into a 4e-4 interval -> q' = 2.5e-4 on the nominal axis
     assert r.q_prime[0] == pytest.approx(2.5e-4, rel=1e-9)

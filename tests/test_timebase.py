@@ -128,6 +128,21 @@ def test_walk_is_deterministic_per_seed():
     assert not np.array_equal(np.asarray(local_time(a, t)), np.asarray(local_time(c, t)))
 
 
+def test_walk_tables_stay_bounded_across_a_seed_sweep():
+    from qkdsync.timebase import _walk_table
+
+    t = np.linspace(0, 0.4, 100)
+    first = make_clock(freq_walk_per_sqrt_s=5e-6, walk_span_s=0.5, seed=100)
+    before = np.asarray(local_time(first, t))
+    for seed in range(20):
+        local_time(make_clock(freq_walk_per_sqrt_s=5e-6, walk_span_s=0.5, seed=seed), t)
+    info = _walk_table.cache_info()
+    assert info.currsize <= 8 and info.maxsize == 8
+    # the first clock's table was evicted; rebuilding it gives the same times
+    again = make_clock(freq_walk_per_sqrt_s=5e-6, walk_span_s=0.5, seed=100)
+    assert np.array_equal(np.asarray(local_time(again, t)), before)
+
+
 def test_walk_beyond_span_raises():
     clk = make_clock(freq_walk_per_sqrt_s=5e-6, walk_span_s=0.1, seed=3)
     with pytest.raises(ValueError):
