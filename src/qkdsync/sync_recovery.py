@@ -263,10 +263,11 @@ def fwhm_equivalent(h: ArrivalHistogram) -> float:
 
     Defined for any nonempty histogram, peak or not: the bin with the
     maximum count is rotated to mid-range (removing the fold wrap) and
-    the count-weighted standard deviation is scaled to an FWHM.  Matches
-    the fitted FWHM for clean Gaussian peaks and gives an honest spread
-    figure (delta_q/sqrt(12) scaled, ~0.68 delta_q) for washed-out,
-    near-uniform folds where no fit exists.
+    the count-weighted variance of the bin centers, plus the within-bin
+    variance w^2/12 of arrivals spread over each bin, is scaled to an
+    FWHM.  Matches the fitted FWHM for clean Gaussian peaks, never reads
+    below one bin's own spread (FWHM_SIGMA * w/sqrt(12)), and gives
+    FWHM_SIGMA * delta_q/sqrt(12) for a flat fold where no fit exists.
     """
     counts = np.asarray(h.counts, dtype=np.float64)
     total = counts.sum()
@@ -275,7 +276,7 @@ def fwhm_equivalent(h: ArrivalHistogram) -> float:
     y = np.roll(counts, h.n_bins // 2 - int(np.argmax(counts)))
     x = h.bin_centers_s
     mean = float(np.sum(x * y) / total)
-    var = float(np.sum((x - mean) ** 2 * y) / total)
+    var = float(np.sum((x - mean) ** 2 * y) / total) + h.bin_width_s ** 2 / 12.0
     return FWHM_SIGMA * np.sqrt(var)
 
 

@@ -225,6 +225,20 @@ def test_fwhm_equivalent_on_uniform_fold():
     assert fwhm_equivalent(h) == pytest.approx(expected, rel=0.05)
 
 
+def test_fwhm_equivalent_of_one_bin_spike_is_the_bin_spread():
+    counts = np.zeros(247, dtype=np.int64)
+    counts[100] = 10_000
+    h = ArrivalHistogram(counts, DELTA_Q / 247, DELTA_Q)
+    assert fwhm_equivalent(h) == pytest.approx(FWHM_SIGMA * h.bin_width_s / np.sqrt(12),
+                                               rel=1e-12)
+
+
+def test_fwhm_equivalent_of_flat_histogram_is_the_slot_spread():
+    h = ArrivalHistogram(np.full(247, 40, dtype=np.int64), DELTA_Q / 247, DELTA_Q)
+    assert fwhm_equivalent(h) == pytest.approx(FWHM_SIGMA * DELTA_Q / np.sqrt(12),
+                                               rel=1e-12)
+
+
 def test_fit_or_direct_flags_fallback():
     good = _gaussian_hist(435e-12)
     fwhm, resid, ok, mu = fit_or_equivalent(good)
