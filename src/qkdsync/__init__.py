@@ -100,5 +100,3 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,11 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config, simulate
-from .classical_link import NoLockError
 from .config import ConfigError
-from .qkd_analysis import MatchingError
 from .quantum_link import ChannelConfigError
-from .sync_recovery import FitError
 from .timebase import ClockConfigError
 
 EXIT_OK = 0
@@ -136,7 +133,7 @@ def main(argv=None) -> int:
         return _fail("config", str(exc), EXIT_CONFIG)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
-    except (NoLockError, FitError, MatchingError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         return _fail("runtime", f"{type(exc).__name__}: {exc}", EXIT_RUNTIME)
 
     print(f"[{args.scenario}] seed {cfg['seed']} -> {out_dir}")

@@ -162,6 +162,10 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("config key 'n_values' must be ascending integers >= 1")
     if any(abs(b) >= 1e-4 for b in cfg["beta_values"]):
         raise ConfigError("config key 'beta_values' entries must satisfy |beta| < 1e-4")
+    if cfg["match_window_s"] > 1.0 / cfg["qubit_rate_hz"]:
+        raise ConfigError(
+            f"config key 'match_window_s' must not exceed the qubit slot "
+            f"1/qubit_rate_hz = {1.0 / cfg['qubit_rate_hz']:g} s, got {cfg['match_window_s']}")
     slots_per_pulse = cfg["sync_divisor"] * cfg["qubit_rate_hz"] / cfg["symbol_rate_hz"]
     if abs(slots_per_pulse - round(slots_per_pulse)) > 1e-6:
         raise ConfigError(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .classical_link import SyncPulseTrain
 from .quantum_link import DetectionSet
@@ -33,6 +32,11 @@ DEFAULT_BIN_COUNT = 247
 FWHM_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))  # 2.3548...
 
 BIN_DIVISIBILITY_RTOL = 1e-9
+
+# the Gaussian fit ends once a step changes the cost or the parameters by
+# less than FIT_RTOL (relative), and fails after FIT_MAX_ITER steps
+FIT_RTOL = 1e-10
+FIT_MAX_ITER = 1000
 
 
 class FitError(RuntimeError):
@@ -192,6 +196,57 @@ def _gaussian(x, amplitude, mu, sigma, baseline):
     return amplitude * np.exp(-((x - mu) ** 2) / (2.0 * sigma * sigma)) + baseline
 
 
+def _gaussian_jacobian(x, amplitude, mu, sigma, baseline):
+    e = np.exp(-((x - mu) ** 2) / (2.0 * sigma * sigma))
+    u = (x - mu) / sigma
+    return np.column_stack(
+        [e, amplitude * e * u / sigma, amplitude * e * u * u / sigma, np.ones_like(x)])
+
+
+def _fit_least_squares(x, y, p):
+    """Levenberg-Marquardt fit of _gaussian to (x, y), starting from p.
+
+    Each step solves the damped normal equations scaled to unit column
+    norms (Marquardt 1963); a step that lowers the cost is taken and the
+    damping divided by 10, otherwise the damping grows tenfold.  Ends
+    once a taken step changes the cost or the parameters by less than
+    FIT_RTOL, or at the current point once a step that small still
+    cannot lower the cost.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    r = y - _gaussian(x, *p)
+    cost = r @ r
+    jac = _gaussian_jacobian(x, *p)
+    damping = 1e-3
+    with np.errstate(all="ignore"):  # trial steps may leave the finite range
+        for _ in range(FIT_MAX_ITER):
+            norms = np.sqrt(np.sum(jac * jac, axis=0))
+            scaled = jac / norms
+            try:
+                step = np.linalg.solve(scaled.T @ scaled + damping * np.eye(p.size),
+                                       scaled.T @ r) / norms
+            except np.linalg.LinAlgError as exc:
+                raise FitError(f"least-squares step has no solution: {exc}") from exc
+            small = np.linalg.norm(norms * step) <= FIT_RTOL * np.linalg.norm(norms * p)
+            trial = p + step
+            r_trial = y - _gaussian(x, *trial)
+            cost_trial = r_trial @ r_trial
+            if not cost_trial < cost:
+                if small:
+                    return p
+                damping *= 10.0
+                continue
+            small = small or cost - cost_trial <= FIT_RTOL * cost
+            p, r, cost = trial, r_trial, cost_trial
+            if small:
+                return p
+            jac = _gaussian_jacobian(x, *p)
+            damping /= 10.0
+    raise FitError(
+        f"least-squares fit did not converge in {FIT_MAX_ITER} steps "
+        f"(amplitude={p[0]:.3g}, sigma={p[2]:.3g} bins)")
+
+
 def require_peak(h: ArrivalHistogram) -> None:
     """Raise FitError unless the highest bin stands clear of counting
     noise above the baseline (the 25th-percentile count)."""
@@ -211,8 +266,9 @@ def fit_gaussian(h: ArrivalHistogram) -> GaussianFit:
     peak may wrap across the slot boundary), fitted, and the center
     rotated back modulo the slot.  Degenerate inputs — fewer than 5
     nonempty bins, peak-to-baseline below 3, a peak within counting
-    noise of the baseline, a peak narrower than 3 bins, or a diverging
-    fit — raise FitError with a diagnostic.
+    noise of the baseline, a peak narrower than 3 bins, a fit still
+    moving after FIT_MAX_ITER steps, or a degenerate result — raise
+    FitError with a diagnostic.
     """
     counts = np.asarray(h.counts, dtype=np.float64)
     n = h.n_bins
@@ -231,22 +287,17 @@ def fit_gaussian(h: ArrivalHistogram) -> GaussianFit:
     above = int(np.count_nonzero(y > half_level))
     if above < 3:
         raise FitError(f"peak spans only {above} bins at this binning; need at least 3")
-    x = h.bin_centers_s
-    sigma0 = above * h.bin_width_s / FWHM_SIGMA
-    p0 = [peak - baseline0, x[n // 2], sigma0, baseline0]
-    try:
-        popt, _ = curve_fit(
-            _gaussian, x, y, p0=p0, ftol=1e-10, xtol=1e-10, maxfev=200 * (len(p0) + 1)
-        )
-    except RuntimeError as exc:
-        raise FitError(f"least-squares fit did not converge: {exc}") from exc
+    # fit in bin units (x = bin index + 0.5), where the normal equations
+    # stay well conditioned, then scale mu and sigma by the bin width
+    x = np.arange(n) + 0.5
+    popt = _fit_least_squares(x, y, [peak - baseline0, x[n // 2], above / FWHM_SIGMA, baseline0])
     amplitude, mu_rot, sigma, baseline = popt
-    sigma = abs(float(sigma))
-    if amplitude <= 0 or sigma <= 0 or sigma > h.delta_q_s:
+    sigma = abs(float(sigma)) * h.bin_width_s
+    if not amplitude > 0 or not 0 < sigma <= h.delta_q_s:
         raise FitError(
             f"fit degenerated (amplitude={amplitude:.3g}, sigma={sigma:.3g} s)"
         )
-    mu = float(np.mod(mu_rot - shift * h.bin_width_s, h.delta_q_s))
+    mu = float(np.mod((mu_rot - shift) * h.bin_width_s, h.delta_q_s))
     resid = float(np.sqrt(np.mean((y - _gaussian(x, *popt)) ** 2)) / amplitude)
     return GaussianFit(
         mu_s=mu,

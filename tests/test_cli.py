@@ -135,6 +135,15 @@ def test_console_script_help():
     assert "--config" in proc.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qkdsync.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, cwd=Path(qkdsync.__file__).parents[1])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_scenario_is_required():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -8,7 +8,7 @@ change that alters output bytes on purpose re-records them with
     PYTHONPATH=src python tests/test_golden.py
 
 and says in CHANGES.md which files changed and why.  The digests depend
-on the numpy and scipy versions (recorded with numpy 2.4.6, scipy 1.17.1).
+on the numpy version only (recorded with numpy 2.4.6).
 """
 
 import hashlib

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsync import sync_recovery
 from qkdsync.classical_link import SyncPulseTrain
 from qkdsync.quantum_link import DetectionSet
 from qkdsync.sync_recovery import (
@@ -186,6 +187,39 @@ def test_fit_recovers_baseline():
     expected_baseline = 0.5 * 200_000 / DEFAULT_BIN_COUNT
     assert fit.baseline == pytest.approx(expected_baseline, rel=0.05)
     assert fit.peak_to_baseline > 3
+
+
+# curve_fit's (fwhm_s, mu_s) on the three histograms above, recorded when
+# the fit was scipy's (scipy 1.17.1, numpy 2.4.6); the numpy fit must
+# land within 0.1 ps of each
+CURVE_FIT_RESULTS = [
+    ({}, 1.0277894161200691e-09, 1.0002114706170826e-08),
+    ({"mu": 19.95e-9}, 1.027455505146292e-09, 1.9952036989184088e-08),
+    ({"baseline_rate": 0.5}, 1.027286394687713e-09, 1.0002294048138985e-08),
+]
+
+
+@pytest.mark.parametrize("kwargs,fwhm_s,mu_s", CURVE_FIT_RESULTS)
+def test_fit_matches_recorded_curve_fit(kwargs, fwhm_s, mu_s):
+    fit = fit_gaussian(_gaussian_hist(435e-12, **kwargs))
+    assert fit.fwhm_s == pytest.approx(fwhm_s, abs=0.1e-12)
+    assert fit.mu_s == pytest.approx(mu_s, abs=0.1e-12)
+
+
+def test_fit_raises_past_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(sync_recovery, "FIT_MAX_ITER", 1)
+    with pytest.raises(FitError, match="did not converge in 1 steps"):
+        fit_gaussian(_gaussian_hist(435e-12))
+
+
+def test_fit_on_scattered_spikes_raises_fit_error():
+    # one-bin spikes pass every gate, then drive sigma below a bin until
+    # the normal equations are singular; that must surface as FitError
+    counts = np.zeros(247, dtype=np.int64)
+    counts[[3, 18, 28, 31, 35, 61, 107, 154, 171, 211, 238]] = [
+        279, 377, 314, 486, 135, 305, 452, 24, 247, 410, 433]
+    with pytest.raises(FitError, match="no solution"):
+        fit_gaussian(ArrivalHistogram(counts, DELTA_Q / 247, DELTA_Q))
 
 
 def test_fit_rejects_uniform_histogram():
