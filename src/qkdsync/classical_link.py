@@ -288,17 +288,18 @@ class SyncPulseTrain:
 
     nominal_spacing_s is the base (decimation 1) pulse spacing; the
     stored pulses are decimation * nominal_spacing_s apart.  The
-    pulse_boundary_index array carries, for each pulse, the symbol
-    boundary count it corresponds to (the receiver's own count of
-    recovered boundaries); locked is False for pulses generated while
-    the recovery loop was free-running on the local oscillator.
+    pulse_boundary_index array carries, for each pulse, the absolute
+    symbol boundary count it corresponds to (the receiver's own count of
+    recovered boundaries), from which slot matching and decimation work;
+    locked is False for pulses generated while the recovery loop was
+    free-running on the local oscillator.
     """
 
     pulses: EdgeTrain
     nominal_spacing_s: float
+    pulse_boundary_index: np.ndarray
+    locked: np.ndarray
     decimation: int = 1
-    pulse_boundary_index: np.ndarray | None = None
-    locked: np.ndarray | None = None
 
     def __post_init__(self):
         if self.decimation < 1:
@@ -306,9 +307,9 @@ class SyncPulseTrain:
         if not self.nominal_spacing_s > 0:
             raise ValueError("nominal_spacing_s must be > 0")
         n = len(self.pulses)
-        if self.pulse_boundary_index is not None and len(self.pulse_boundary_index) != n:
+        if len(self.pulse_boundary_index) != n:
             raise ValueError("pulse_boundary_index length mismatch")
-        if self.locked is not None and len(self.locked) != n:
+        if len(self.locked) != n:
             raise ValueError("locked length mismatch")
         if n >= 2:
             target = self.decimation * self.nominal_spacing_s
@@ -327,61 +328,43 @@ class SyncPulseTrain:
         return len(self.pulses)
 
     def decimate(self, factor: int) -> "SyncPulseTrain":
-        """Keep every factor-th pulse, widening the effective interval.
-
-        When boundary indices are known, pulses are kept by divisibility
-        of the boundary count (so decimating a train gives exactly the
-        train that direct derivation at the larger decimation would);
-        otherwise every factor-th stored pulse is kept.
-        """
-        if factor < 1:
-            raise ValueError("decimation factor must be >= 1")
+        """Keep the pulses whose boundary count is a multiple of factor
+        times the boundary step between pulses, widening the effective
+        interval factor times."""
+        if factor < 1 or len(self) < 2:
+            raise ValueError("decimation needs a factor >= 1 and at least 2 pulses")
         if factor == 1:
             return self
-        if self.pulse_boundary_index is not None and len(self) >= 2:
-            step = int(self.pulse_boundary_index[1] - self.pulse_boundary_index[0])
-            keep = self.pulse_boundary_index % (factor * step) == 0
-        else:
-            keep = np.zeros(len(self), dtype=bool)
-            keep[::factor] = True
+        step = int(self.pulse_boundary_index[1] - self.pulse_boundary_index[0])
+        keep = self.pulse_boundary_index % (factor * step) == 0
         return SyncPulseTrain(
             pulses=EdgeTrain(self.times_s[keep], label=self.pulses.label),
             nominal_spacing_s=self.nominal_spacing_s,
+            pulse_boundary_index=self.pulse_boundary_index[keep],
+            locked=self.locked[keep],
             decimation=self.decimation * factor,
-            pulse_boundary_index=None
-            if self.pulse_boundary_index is None
-            else self.pulse_boundary_index[keep],
-            locked=None if self.locked is None else self.locked[keep],
         )
 
-    def to_csv(self, path) -> None:
-        self.pulses.to_csv(path)
 
-    @classmethod
-    def from_csv(cls, path, nominal_spacing_s: float, decimation: int = 1) -> "SyncPulseTrain":
-        return cls(EdgeTrain.from_csv(path), nominal_spacing_s, decimation)
-
-
-def derive_sync_pulses(rc: RecoveredClock, divisor: int, decimation: int = 1) -> SyncPulseTrain:
-    """Every (divisor * decimation)-th recovered symbol boundary, as pulses.
+def derive_sync_pulses(rc: RecoveredClock, divisor: int) -> SyncPulseTrain:
+    """Every divisor-th recovered symbol boundary, as pulses.
 
     Pulse times are interpolated from the tracked boundary phase and
     period at the nearest preceding edge.  All requested pulses must lie
     in locked spans; asking for pulses where the loop was not locked
     raises NoLockError rather than returning extrapolated guesses.
     """
-    if divisor < 1 or decimation < 1:
-        raise ValueError("divisor and decimation must be >= 1")
+    if divisor < 1:
+        raise ValueError("divisor must be >= 1")
     if not rc.has_lock:
         raise NoLockError("clock recovery never locked; no sync pulses available")
-    step = divisor * decimation
     b_first = int(rc.boundary_index[rc.lock_index])
     b_last = int(rc.boundary_index[-1])
-    k_first = -(-b_first // step)  # ceil
-    k_last = b_last // step
+    k_first = -(-b_first // divisor)  # ceil
+    k_last = b_last // divisor
     if k_last < k_first:
         raise NoLockError("locked span too short to contain a single sync pulse")
-    targets = np.arange(k_first, k_last + 1, dtype=np.int64) * step
+    targets = np.arange(k_first, k_last + 1, dtype=np.int64) * divisor
     j = np.searchsorted(rc.boundary_index, targets, side="right") - 1
     j_next = np.minimum(j + 1, rc.boundary_index.size - 1)
     if not np.all(rc.locked[j] & rc.locked[j_next]):
@@ -390,7 +373,6 @@ def derive_sync_pulses(rc: RecoveredClock, divisor: int, decimation: int = 1) ->
     return SyncPulseTrain(
         pulses=EdgeTrain(times, label="sync"),
         nominal_spacing_s=divisor * rc.symbol_period_nominal_s,
-        decimation=decimation,
         pulse_boundary_index=targets,
         locked=np.ones(targets.size, dtype=bool),
     )
@@ -402,7 +384,6 @@ def synthesize_sync_train(
     duration_s: float,
     symbol_rate_hz: float,
     divisor: int,
-    decimation: int = 1,
     *,
     seed: int,
     cdr_residual_sigma_s: float = 90e-12,
@@ -415,20 +396,19 @@ def synthesize_sync_train(
     """Scenario-scale sync train without per-symbol simulation.
 
     Each pulse is the transmitter chain's true symbol boundary (every
-    divisor * decimation symbols) propagated, Doppler-scaled, and read
-    through the receiver clock, plus Gaussian residual jitter standing
-    in for the CDR tracking noise.  While the channel is blocked (and
-    for relock_delay_s after it clears) the receiver free-runs: pulses
+    divisor symbols) propagated, Doppler-scaled, and read through the
+    receiver clock, plus Gaussian residual jitter standing in for the
+    CDR tracking noise.  While the channel is blocked (and for
+    relock_delay_s after it clears) the receiver free-runs: pulses
     continue at exactly the nominal spacing of its own reading frame,
     extrapolated from the last locked pulse.  Residual jitter is keyed
-    by the absolute boundary index, so a train synthesized at decimation
-    N is bit-identical to the decimation-1 train decimated by N.
+    by the absolute boundary index, which every pulse carries, so
+    `SyncPulseTrain.decimate` keeps each pulse's own timing.
     """
-    step = divisor * decimation
-    n_pulses = int(np.floor(duration_s * symbol_rate_hz / step))
+    n_pulses = int(np.floor(duration_s * symbol_rate_hz / divisor))
     if n_pulses < 2:
         raise ValueError("duration too short for two sync pulses")
-    boundary = np.arange(n_pulses, dtype=np.int64) * step
+    boundary = np.arange(n_pulses, dtype=np.int64) * divisor
     sched = boundary / symbol_rate_hz
     emit = np.asarray(
         local_time(tx_clock, sched, jitter_index=boundary, jitter_stream="sync-emit")
@@ -449,7 +429,7 @@ def synthesize_sync_train(
         reading = reading + cdr_residual_sigma_s * rng.normal_at(key, boundary)
 
     if not locked.all():
-        spacing_nom = step / symbol_rate_hz
+        spacing_nom = divisor / symbol_rate_hz
         idx = np.arange(n_pulses, dtype=np.int64)
         anchor = np.maximum.accumulate(np.where(locked, idx, -1))
         free = ~locked
@@ -464,7 +444,6 @@ def synthesize_sync_train(
     return SyncPulseTrain(
         pulses=EdgeTrain(reading, label="sync"),
         nominal_spacing_s=divisor / symbol_rate_hz,
-        decimation=decimation,
         pulse_boundary_index=boundary,
         locked=locked,
     )

@@ -31,15 +31,11 @@ from .quantum_link import (
 )
 from .sync_recovery import (
     DEFAULT_BIN_COUNT,
-    DEFAULT_DELTA_Q_S,
-    DEFAULT_TDC_RESOLUTION_S,
     FoldedArrivals,
     fit_gaussian,
     histogram,
     rescale,
 )
-
-DEFAULT_SYMBOL_RATE_HZ = 1.25e9
 
 # fraction of random (wrong-slot) pairs that are state-incompatible for
 # the (1/4, 1/4, 1/2) H/V/D ensemble: P(H)P(det V) + P(V)P(det H) + P(D)P(det A)
@@ -88,22 +84,13 @@ def _slots_per_symbol(qubit_rate_hz: float, symbol_rate_hz: float) -> Fraction:
 
 
 def _slot_base(sync: SyncPulseTrain, qubit_rate_hz: float,
-               symbol_rate_hz: float, delta_q: float) -> np.ndarray:
-    """Absolute qubit-slot count at each sync pulse."""
-    if sync.pulse_boundary_index is not None:
-        frac = _slots_per_symbol(qubit_rate_hz, symbol_rate_hz)
-        b = np.asarray(sync.pulse_boundary_index, dtype=np.int64)
-        num = b * frac.numerator
-        if np.any(num % frac.denominator):
-            raise MatchingError("sync pulse boundaries do not land on qubit slots")
-        return num // frac.denominator
-    per_interval = sync.decimation * sync.nominal_spacing_s / delta_q
-    m = int(round(per_interval))
-    if abs(per_interval - m) > 1e-6:
-        raise MatchingError(
-            f"sync interval holds a non-integer number of slots ({per_interval:g})"
-        )
-    return np.arange(len(sync), dtype=np.int64) * m
+               symbol_rate_hz: float) -> np.ndarray:
+    """Absolute qubit-slot count at each sync pulse, from its boundary count."""
+    frac = _slots_per_symbol(qubit_rate_hz, symbol_rate_hz)
+    num = np.asarray(sync.pulse_boundary_index, dtype=np.int64) * frac.numerator
+    if np.any(num % frac.denominator):
+        raise MatchingError("sync pulse boundaries do not land on qubit slots")
+    return num // frac.denominator
 
 
 def assign_slots(q_prime, offset_s: float, delta_q: float):
@@ -141,20 +128,19 @@ def match_detections(
     pattern: QubitPattern,
     *,
     qubit_rate_hz: float,
-    symbol_rate_hz: float = DEFAULT_SYMBOL_RATE_HZ,
-    window_s: float = DEFAULT_DELTA_Q_S,
-    delta_q_s: float = DEFAULT_DELTA_Q_S,
-    tdc_resolution_s: float = DEFAULT_TDC_RESOLUTION_S,
+    symbol_rate_hz: float,
+    window_s: float,
 ) -> MatchedPairs:
     """Assign each detection to a transmitted slot and look up its state.
 
     slot = slot_base(interval) + round_half_even((q' - offset)/delta_q)
-    + slot_origin, with phase.offset_s one value or one per detection;
-    pairs farther than window_s/2 from the slot center are rejected and
-    counted in n_unmatched.
+    + slot_origin, with delta_q = 1/qubit_rate_hz and phase.offset_s one
+    value or one per detection; pairs farther than window_s/2 from the
+    slot center are rejected and counted in n_unmatched.
     """
-    if not 0 < window_s <= delta_q_s:
-        raise MatchingError(f"window must be in (0, {delta_q_s:g}] s, got {window_s:g}")
+    delta_q = 1.0 / qubit_rate_hz
+    if not 0 < window_s <= delta_q:
+        raise MatchingError(f"window must be in (0, {delta_q:g}] s, got {window_s:g}")
     if not isinstance(detections, DetectionSet):
         raise TypeError("match_detections needs a DetectionSet")
     offset = np.asarray(phase.offset_s, dtype=np.float64)
@@ -163,11 +149,11 @@ def match_detections(
             f"need one phase offset or one per detection ({len(detections)}), "
             f"got shape {offset.shape}"
         )
-    r = rescale(detections, sync, tdc_resolution_s)
-    base = _slot_base(sync, qubit_rate_hz, symbol_rate_hz, delta_q_s)
+    r = rescale(detections.times_s, sync)
+    base = _slot_base(sync, qubit_rate_hz, symbol_rate_hz)
 
     k, resid = assign_slots(r.q_prime, offset[r.source_index] if offset.ndim else offset,
-                            delta_q_s)
+                            delta_q)
     slot = base[r.interval_index] + k + phase.slot_origin
     inside = (np.abs(resid) <= window_s / 2.0) & (slot >= 0)
     n_unmatched = int(r.q_prime.size - np.count_nonzero(inside)) \
@@ -181,7 +167,7 @@ def match_detections(
         detector=det,
         sent=pattern.states(slot),
         basis=detector_basis(det),
-        time_s=detections.ticks[src] * tdc_resolution_s,
+        time_s=detections.select(src).times_s,  # only the matched ticks become seconds
         residual_s=resid[inside],
         source_index=src,
         n_unmatched=n_unmatched,
@@ -237,14 +223,8 @@ def refine_anchor(
     pairs pass slot >= 0: one match at the largest shift holds the pairs
     of every shift, and all shifts are scored from it at once.
     """
-    if isinstance(detections, DetectionSet) and len(detections) > sample_size:
-        step = len(detections) // sample_size
-        sample = DetectionSet(
-            ticks=detections.ticks[::step],
-            detector=detections.detector[::step],
-        )
-    else:
-        sample = detections
+    step = max(len(detections) // sample_size, 1)
+    sample = detections.select(slice(None, None, step))
     shifts = np.arange(-search_slots, search_slots + 1, dtype=np.int64)
     widest = replace(phase, slot_origin=phase.slot_origin + search_slots)
     pairs = match_detections(sample, sync, widest, pattern,

@@ -30,7 +30,7 @@ CHANNEL_LABELS = ("H", "V", "D", "A")
 Z, X = 0, 1
 
 # origin codes (simulation ground truth, stripped on export)
-ORIGIN_SIGNAL, ORIGIN_BACKGROUND, ORIGIN_DARK, ORIGIN_UNKNOWN = 0, 1, 2, 3
+ORIGIN_SIGNAL, ORIGIN_BACKGROUND, ORIGIN_DARK = 0, 1, 2
 
 MAX_DOPPLER_BETA = 1e-4
 
@@ -49,7 +49,6 @@ class ChannelParams:
     transmittance: float = 1.0
     background_rate_hz: float = 0.0   # per detector
     dark_rate_hz: float = 0.0         # per detector
-    detector_jitter_sigma_s: float = 0.0
     detector_efficiency: float = 1.0
     doppler_beta: float = 0.0
 
@@ -62,8 +61,6 @@ class ChannelParams:
             )
         if self.background_rate_hz < 0 or self.dark_rate_hz < 0:
             raise ChannelConfigError("noise rates must be >= 0")
-        if self.detector_jitter_sigma_s < 0:
-            raise ChannelConfigError("detector_jitter_sigma_s must be >= 0")
         if abs(self.doppler_beta) >= MAX_DOPPLER_BETA:
             raise ChannelConfigError(
                 f"|doppler_beta| must be < {MAX_DOPPLER_BETA}, got {self.doppler_beta}"
@@ -139,25 +136,35 @@ def detector_basis(detector) -> np.ndarray:
 class DetectionSet:
     """Time-tagged detections (struct of arrays, sorted by ticks).
 
-    `origin` and `slot` are simulation-only ground truth (noise events
-    carry slot -1); both are stripped when exporting, matching what real
-    hardware would produce.
+    Ticks count TDC bins of tdc_resolution_s seconds.  `origin` and
+    `slot` are simulation-only ground truth (noise events carry slot -1);
+    both are stripped when exporting, matching what real hardware would
+    produce.
     """
 
     ticks: np.ndarray
     detector: np.ndarray
+    tdc_resolution_s: float
     origin: np.ndarray | None = None
     slot: np.ndarray | None = None
 
     def __post_init__(self):
+        if not self.tdc_resolution_s > 0:
+            raise ValueError(f"TDC resolution must be > 0, got {self.tdc_resolution_s}")
         if np.any(np.asarray(self.ticks) < 0):
             raise ValueError("TDC ticks must be non-negative")
 
     def __len__(self) -> int:
         return int(self.ticks.size)
 
-    def times_s(self, tdc_resolution_s: float) -> np.ndarray:
-        return self.ticks * tdc_resolution_s
+    @property
+    def times_s(self) -> np.ndarray:
+        return self.ticks * self.tdc_resolution_s
+
+    def select(self, index) -> "DetectionSet":
+        """The detections at index (a slice or an index array), without ground truth."""
+        return DetectionSet(ticks=self.ticks[index], detector=self.detector[index],
+                            tdc_resolution_s=self.tdc_resolution_s)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -166,7 +173,7 @@ class DetectionSet:
                 fh.write(f"{CHANNEL_LABELS[d]},{int(t)}\n")
 
     @classmethod
-    def from_csv(cls, path) -> "DetectionSet":
+    def from_csv(cls, path, tdc_resolution_s: float) -> "DetectionSet":
         dets = []
         ticks = []
         with open(path) as fh:
@@ -183,6 +190,7 @@ class DetectionSet:
         return cls(
             ticks=np.asarray(ticks, dtype=np.int64),
             detector=np.asarray(dets, dtype=np.int8),
+            tdc_resolution_s=tdc_resolution_s,
         )
 
 
@@ -193,7 +201,6 @@ def time_tag(
     chain_jitter_sigma_s: float,
     tdc_resolution_s: float,
     generator: np.random.Generator,
-    propagation_delay_s: float = 0.0,
     origin=None,
     slot=None,
 ) -> DetectionSet:
@@ -201,7 +208,9 @@ def time_tag(
 
     No dead time: events closer than one tick may share a tick value.
     """
-    t = np.asarray(arrival_time_s, dtype=np.float64) + propagation_delay_s
+    if chain_jitter_sigma_s < 0:
+        raise ValueError(f"chain_jitter_sigma_s must be >= 0, got {chain_jitter_sigma_s}")
+    t = np.asarray(arrival_time_s, dtype=np.float64)
     if chain_jitter_sigma_s > 0:
         t = t + generator.normal(0.0, chain_jitter_sigma_s, t.size)
     keep = t >= 0  # jitter can push the earliest events before the TDC epoch
@@ -212,6 +221,7 @@ def time_tag(
     return DetectionSet(
         ticks=ticks[order],
         detector=det[order],
+        tdc_resolution_s=tdc_resolution_s,
         origin=None if origin is None else np.asarray(origin, dtype=np.int8)[keep][order],
         slot=None if slot is None else np.asarray(slot, dtype=np.int64)[keep][order],
     )

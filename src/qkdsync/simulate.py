@@ -85,7 +85,6 @@ def channel_from_config(cfg: dict) -> ChannelParams:
         transmittance=cfg["transmittance"],
         background_rate_hz=cfg["background_rate_hz"],
         dark_rate_hz=cfg["dark_rate_hz"],
-        detector_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
         detector_efficiency=cfg["detector_efficiency"],
         doppler_beta=cfg["doppler_beta"],
     )
@@ -233,7 +232,7 @@ def _delta_q_s(cfg: dict) -> float:
 
 
 def _fold_and_bin(detections, sync: SyncPulseTrain, cfg: dict) -> ArrivalHistogram:
-    r = rescale(detections, sync, cfg["tdc_resolution_ps"] * 1e-12)
+    r = rescale(detections.times_s, sync)
     dq = _delta_q_s(cfg)
     return histogram(fold(r, dq), dq / cfg["histogram_bins"])
 
@@ -311,10 +310,9 @@ def run_decimation_experiment(cfg: dict, out_dir=None, n_list=None) -> Decimatio
     det = detections_from_config(tx, rx, cfg)
     sync = make_sync_train(tx, rx, cfg, variant="cdr")
     table = decimation_sweep(
-        det, sync, cfg["n_values"] if n_list is None else list(n_list),
+        det.times_s, sync, cfg["n_values"] if n_list is None else list(n_list),
         delta_q_s=_delta_q_s(cfg),
         bin_count=cfg["histogram_bins"],
-        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
     )
     result = DecimationResult(table, table.growth_point(2.0))
     if out_dir is not None:
@@ -412,7 +410,6 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     pattern = pattern_from_config(cfg)
     sync = make_sync_train(tx, rx, cfg, variant="cdr", blocks=blocks)
     det = detections_from_config(tx, rx, cfg)
-    res_s = cfg["tdc_resolution_ps"] * 1e-12
     dq = _delta_q_s(cfg)
     bin_s = cfg["qber_bin_s"]
     n_bins = int(math.ceil(cfg["duration_s"] / bin_s))
@@ -420,24 +417,19 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
         qubit_rate_hz=cfg["qubit_rate_hz"],
         symbol_rate_hz=cfg["symbol_rate_hz"],
         window_s=cfg["match_window_s"],
-        delta_q_s=dq,
-        tdc_resolution_s=res_s,
     )
 
-    def detections_between(lo: int, hi: int) -> DetectionSet:
-        return DetectionSet(ticks=det.ticks[lo:hi], detector=det.detector[lo:hi])
-
     # detection index at each bin edge
-    edges = np.searchsorted(det.ticks * res_s, np.arange(n_bins + 1) * bin_s)
+    edges = np.searchsorted(det.times_s, np.arange(n_bins + 1) * bin_s)
     offsets = np.full(n_bins, np.nan)
     phase_ok = np.zeros(n_bins, dtype=bool)
     slot_origin: int | None = None
     for b in range(n_bins):
-        sub = detections_between(edges[b], edges[b + 1])
+        sub = det.select(slice(edges[b], edges[b + 1]))
         if len(sub) < MIN_DETECTIONS_PER_FIT:
             continue
         try:
-            phase = recover_phase(fold(rescale(sub, sync, res_s), dq), cfg["histogram_bins"])
+            phase = recover_phase(fold(rescale(sub.times_s, sync), dq), cfg["histogram_bins"])
         except FitError:
             continue  # washed-out fold: the bin keeps the last good phase
         if slot_origin is None:
@@ -452,7 +444,7 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     last_good = good[np.searchsorted(good, np.arange(first, n_bins), side="right") - 1]
     offset = np.repeat(offsets[last_good], np.diff(edges)[first:])
     # with no good bin the match is empty and its slot origin is moot
-    pairs = match_detections(detections_between(edges[first], edges[-1]), sync,
+    pairs = match_detections(det.select(slice(edges[first], edges[-1])), sync,
                              PhaseOffset(offset, slot_origin or 0), pattern, **match_kwargs)
 
     series = compute_qber(pairs, cfg["duration_s"], bin_s)

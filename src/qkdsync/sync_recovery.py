@@ -21,10 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_link import SyncPulseTrain
-from .quantum_link import DetectionSet
 
-DEFAULT_DELTA_Q_S = 20e-9
-DEFAULT_TDC_RESOLUTION_S = 81e-12
 # finest bin count that divides the 20 ns slot while staying within one
 # TDC tick of 81 ps: 20 ns / 247 = 80.97 ps
 DEFAULT_BIN_COUNT = 247
@@ -63,19 +60,14 @@ class RescaledArrivals:
         return int(self.q_prime.size)
 
 
-def rescale(detections, sync: SyncPulseTrain,
-            tdc_resolution_s: float = DEFAULT_TDC_RESOLUTION_S) -> RescaledArrivals:
-    """Map each detection onto the nominal timeline of its sync interval.
+def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
+    """Map each detection time onto the nominal timeline of its sync interval.
 
     For q in [s_i, s_{i+1}): q' = (q - s_i)/(s_{i+1} - s_i) * delta_s,
-    with delta_s = decimation * sync.nominal_spacing_s.  Input may be a
-    DetectionSet (TDC ticks are converted at tdc_resolution_s) or a
-    sorted array of seconds.
+    with delta_s = decimation * sync.nominal_spacing_s.  times_s is a
+    sorted array of receiver seconds, such as `DetectionSet.times_s`.
     """
-    if isinstance(detections, DetectionSet):
-        q = detections.ticks * tdc_resolution_s
-    else:
-        q = np.asarray(detections, dtype=np.float64)
+    q = np.asarray(times_s, dtype=np.float64)
     if q.size > 1 and np.any(np.diff(q) < 0):
         raise ValueError("detections must be time-sorted")
     s = sync.times_s
@@ -112,7 +104,7 @@ class FoldedArrivals:
         return int(self.values.size)
 
 
-def fold(q_prime, delta_q: float = DEFAULT_DELTA_Q_S) -> FoldedArrivals:
+def fold(q_prime, delta_q: float) -> FoldedArrivals:
     """Fold rescaled arrivals into one nominal qubit slot."""
     if not delta_q > 0:
         raise ValueError("delta_q must be > 0")
@@ -166,11 +158,9 @@ class ArrivalHistogram:
 
 
 def histogram(folded: FoldedArrivals, bin_width_s: float) -> ArrivalHistogram:
-    """Count folded arrivals into uniform bins covering [0, delta_q)."""
+    """Count folded arrivals into uniform bins, which must tile [0, delta_q)."""
     dq = folded.delta_q_s
-    n = int(round(dq / bin_width_s))
-    if n < 1 or abs(n * bin_width_s - dq) > BIN_DIVISIBILITY_RTOL * dq:
-        raise ValueError(f"bin width {bin_width_s:g} s does not evenly divide the slot {dq:g} s")
+    n = max(int(round(dq / bin_width_s)), 1)
     counts, _ = np.histogram(folded.values, bins=n, range=(0.0, dq))
     return ArrivalHistogram(counts.astype(np.int64), bin_width_s, dq)
 
@@ -266,9 +256,9 @@ def fit_gaussian(h: ArrivalHistogram) -> GaussianFit:
     peak may wrap across the slot boundary), fitted, and the center
     rotated back modulo the slot.  Degenerate inputs — fewer than 5
     nonempty bins, peak-to-baseline below 3, a peak within counting
-    noise of the baseline, a peak narrower than 3 bins, a fit still
-    moving after FIT_MAX_ITER steps, or a degenerate result — raise
-    FitError with a diagnostic.
+    noise of the baseline, a run above half height around the maximum
+    narrower than 3 bins, a fit still moving after FIT_MAX_ITER steps,
+    or a degenerate result — raise FitError with a diagnostic.
     """
     counts = np.asarray(h.counts, dtype=np.float64)
     n = h.n_bins
@@ -283,14 +273,21 @@ def fit_gaussian(h: ArrivalHistogram) -> GaussianFit:
     require_peak(h)
     shift = n // 2 - int(np.argmax(counts))
     y = np.roll(counts, shift)
-    half_level = baseline0 + (peak - baseline0) / 2.0
-    above = int(np.count_nonzero(y > half_level))
-    if above < 3:
-        raise FitError(f"peak spans only {above} bins at this binning; need at least 3")
+    above = y > baseline0 + (peak - baseline0) / 2.0
+    # width of the contiguous run above half height around the maximum at
+    # n // 2, up to the nearest bin on each side that is not above it,
+    # circularly; the quarter of the bins at or below baseline0 ensure one
+    below = np.flatnonzero(~above)
+    right = np.min((below - n // 2) % n)
+    left = np.min((n // 2 - below) % n)
+    run = int(right + left) - 1
+    if run < 3:
+        raise FitError(f"peak spans only {run} bins at this binning; need at least 3")
     # fit in bin units (x = bin index + 0.5), where the normal equations
     # stay well conditioned, then scale mu and sigma by the bin width
     x = np.arange(n) + 0.5
-    popt = _fit_least_squares(x, y, [peak - baseline0, x[n // 2], above / FWHM_SIGMA, baseline0])
+    popt = _fit_least_squares(
+        x, y, [peak - baseline0, x[n // 2], np.count_nonzero(above) / FWHM_SIGMA, baseline0])
     amplitude, mu_rot, sigma, baseline = popt
     sigma = abs(float(sigma)) * h.bin_width_s
     if not amplitude > 0 or not 0 < sigma <= h.delta_q_s:
@@ -372,15 +369,14 @@ class SweepTable:
 
 
 def decimation_sweep(
-    detections,
+    times_s,
     base_sync: SyncPulseTrain,
     n_values,
     *,
-    delta_q_s: float = DEFAULT_DELTA_Q_S,
+    delta_q_s: float,
     bin_count: int = DEFAULT_BIN_COUNT,
-    tdc_resolution_s: float = DEFAULT_TDC_RESOLUTION_S,
 ) -> SweepTable:
-    """Rescale/fold/fit the same detections at each sync decimation N.
+    """Rescale/fold/fit the same detection times at each sync decimation N.
 
     Rows where the Gaussian fit fails fall back to the Gaussian-equivalent
     width and are flagged fit_ok=false, never dropped.
@@ -397,7 +393,7 @@ def decimation_sweep(
     ok = np.zeros(len(n_values), dtype=bool)
     for k, nv in enumerate(n_values):
         sync_n = base_sync.decimate(nv)
-        r = rescale(detections, sync_n, tdc_resolution_s)
+        r = rescale(times_s, sync_n)
         h = histogram(fold(r, delta_q_s), bin_width)
         try:
             fwhm[k], resid[k], ok[k], _ = fit_or_equivalent(h)

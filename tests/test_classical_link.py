@@ -25,6 +25,14 @@ SYMBOL_RATE = 1.25e7  # reduced rate keeps edge-level loop tests fast
 DIVISOR = 1250        # keeps the sync spacing at the usual 100 us
 
 
+def pulse_train(times, nominal):
+    """A locked train whose pulses sit DIVISOR boundaries apart."""
+    n = len(times)
+    return SyncPulseTrain(EdgeTrain(times), nominal,
+                          pulse_boundary_index=np.arange(1, n + 1) * DIVISOR,
+                          locked=np.ones(n, dtype=bool))
+
+
 def make_clock(offset=0.0, jitter=0.0, seed=1, rate=SYMBOL_RATE, **kw):
     return ClockModel(
         nominal_frequency_hz=rate,
@@ -185,12 +193,16 @@ def test_derive_sync_pulses_spacing():
     assert np.all(np.diff(sp.pulse_boundary_index) == DIVISOR)
 
 
-def test_derive_sync_pulses_decimation_identity():
-    rc = _tracked(symbols=400_000)
-    direct = derive_sync_pulses(rc, DIVISOR, decimation=4)
-    decimated = derive_sync_pulses(rc, DIVISOR).decimate(4)
-    assert np.array_equal(direct.pulse_boundary_index, decimated.pulse_boundary_index)
-    assert np.allclose(direct.times_s, decimated.times_s, rtol=0, atol=1e-15)
+def test_decimate_derived_train_keeps_boundary_multiples():
+    sp = derive_sync_pulses(_tracked(symbols=400_000), DIVISOR)
+    b = sp.pulse_boundary_index
+    assert b[0] % (4 * DIVISOR) != 0  # every 4th stored pulse would be the wrong set
+    dec = sp.decimate(4)
+    keep = b % (4 * DIVISOR) == 0
+    assert np.array_equal(dec.pulse_boundary_index, b[keep])
+    assert np.array_equal(dec.times_s, sp.times_s[keep])
+    assert np.array_equal(dec.locked, sp.locked[keep])
+    assert dec.decimation == 4 and dec.nominal_spacing_s == sp.nominal_spacing_s
 
 
 def test_derive_sync_pulses_needs_lock():
@@ -204,31 +216,23 @@ def test_derive_sync_pulses_needs_lock():
 def test_sync_train_spacing_invariant_enforced():
     nominal = 1e-4
     good = np.arange(50) * nominal * (1 + 5e-5)   # 50 ppm off: fine
-    SyncPulseTrain(EdgeTrain(good[1:]), nominal)
+    pulse_train(good[1:], nominal)
     bad = np.arange(50) * nominal * (1 + 5e-4)    # 500 ppm off: rejected
     with pytest.raises(ValueError):
-        SyncPulseTrain(EdgeTrain(bad[1:]), nominal)
+        pulse_train(bad[1:], nominal)
 
 
 def test_sync_train_rejects_nonpositive_spacing():
     # rescaling reads delta_s from the train, so the train must refuse a zero one
     for nominal in (0.0, -1e-4):
         with pytest.raises(ValueError):
-            SyncPulseTrain(EdgeTrain(np.arange(1, 10) * 1e-4), nominal)
+            pulse_train(np.arange(1, 10) * 1e-4, nominal)
 
 
 def test_sync_train_decimate_validates_factor():
-    train = SyncPulseTrain(EdgeTrain(np.arange(1, 100) * 1e-4), 1e-4)
+    train = pulse_train(np.arange(1, 100) * 1e-4, 1e-4)
     with pytest.raises(ValueError):
         train.decimate(0)
-
-
-def test_sync_train_csv_round_trip(tmp_path):
-    train = SyncPulseTrain(EdgeTrain(np.arange(1, 40) * 1e-4), 1e-4)
-    path = tmp_path / "sync.csv"
-    train.to_csv(path)
-    back = SyncPulseTrain.from_csv(path, nominal_spacing_s=1e-4)
-    assert np.allclose(back.times_s, train.times_s, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------- synthesized sync (scenario)
@@ -256,17 +260,6 @@ def test_synthesize_ideal_chain_reproduces_boundaries():
     expected = np.arange(len(sp)) * FULL_DIVISOR / FULL_RATE
     assert np.allclose(sp.times_s, expected, rtol=0, atol=1e-12)
     assert np.all(sp.locked)
-
-
-def test_synthesize_decimation_identity():
-    tx = _ideal_full_clock(1, offset=5e-7)
-    rx = _ideal_full_clock(2, offset=-5e-7)
-    full = synthesize_sync_train(tx, rx, 0.05, FULL_RATE, FULL_DIVISOR, seed=5)
-    direct = synthesize_sync_train(tx, rx, 0.05, FULL_RATE, FULL_DIVISOR,
-                                   decimation=5, seed=5)
-    assert np.array_equal(full.decimate(5).pulse_boundary_index,
-                          direct.pulse_boundary_index)
-    assert np.allclose(full.decimate(5).times_s, direct.times_s, rtol=0, atol=1e-15)
 
 
 def test_synthesize_block_free_runs_at_nominal_spacing():

@@ -46,6 +46,7 @@ def detections_for_slots(slots, detector, offset_in_slot=5e-9):
     return DetectionSet(
         ticks=np.rint(t[order] / RES).astype(np.int64),
         detector=np.asarray(detector, dtype=np.int8)[order],
+        tdc_resolution_s=RES,
     )
 
 
@@ -54,8 +55,6 @@ def kwargs(**over):
         qubit_rate_hz=QUBIT_RATE,
         symbol_rate_hz=SYMBOL_RATE,
         window_s=DELTA_Q,
-        delta_q_s=DELTA_Q,
-        tdc_resolution_s=RES,
     )
     base.update(over)
     return base
@@ -108,7 +107,7 @@ def test_match_window_rejects_outliers():
     slots = first_slot + np.array([10, 20, 30])
     t = slots * DELTA_Q + np.array([5e-9, 5e-9, 8e-9])  # last one 3 ns off-center
     ds = DetectionSet(ticks=np.rint(t / RES).astype(np.int64),
-                      detector=np.zeros(3, dtype=np.int8))
+                      detector=np.zeros(3, dtype=np.int8), tdc_resolution_s=RES)
     phase = PhaseOffset(offset_s=5e-9)
     pairs = match_detections(ds, sync, phase, pat, **kwargs(window_s=2e-9))
     assert len(pairs) == 2
@@ -130,15 +129,15 @@ def test_match_rejects_bad_window_and_rates():
     pat = QubitPattern.from_seed(3)
     sync = ideal_sync()
     ds = detections_for_slots(np.array([DIVISOR // 25 + 5]), [0])
-    with pytest.raises(MatchingError):
+    with pytest.raises(MatchingError, match="window must be in"):
         match_detections(ds, sync, PhaseOffset(0.0), pat, **kwargs(window_s=0.0))
-    with pytest.raises(MatchingError):
+    with pytest.raises(MatchingError, match="window must be in"):
         match_detections(ds, sync, PhaseOffset(0.0), pat, **kwargs(window_s=3 * DELTA_Q))
-    with pytest.raises(MatchingError):
+    with pytest.raises(MatchingError, match="do not land on qubit slots"):
         # 3/7 of the symbol rate: 125000-symbol sync intervals then hold a
-        # non-integer number of qubit slots
+        # non-integer number of qubit slots; the window fits the 1.87 ns slot
         match_detections(ds, sync, PhaseOffset(0.0), pat,
-                         **kwargs(qubit_rate_hz=SYMBOL_RATE * 3 / 7))
+                         **kwargs(qubit_rate_hz=SYMBOL_RATE * 3 / 7, window_s=1e-9))
 
 
 def test_match_per_detection_offsets_equal_per_segment_calls():
@@ -156,7 +155,8 @@ def test_match_per_detection_offsets_equal_per_segment_calls():
         jitter = np.where(gen.random(slots.size) < 0.1, 1.6e-9, 0.0)
         segments.append(detections_for_slots(slots, pat.states(slots), phase + jitter))
     whole = DetectionSet(ticks=np.concatenate([d.ticks for d in segments]),
-                         detector=np.concatenate([d.detector for d in segments]))
+                         detector=np.concatenate([d.detector for d in segments]),
+                         tdc_resolution_s=RES)
     phases = (4e-9, 5.5e-9, 7e-9)
     offset = np.repeat(phases, [len(d) for d in segments])
     got = match_detections(whole, sync, PhaseOffset(offset, 3), pat, **kwargs(window_s=2e-9))
@@ -172,6 +172,22 @@ def test_match_per_detection_offsets_equal_per_segment_calls():
                               np.concatenate([getattr(p, name) for p in parts])), name
 
 
+def test_match_after_a_missing_sync_pulse_keeps_slots():
+    pat = QubitPattern.from_seed(5)
+    # long enough that one missing pulse keeps the mean spacing nominal
+    full = ideal_sync(n_pulses=20_001)
+    keep = np.arange(len(full)) != 3
+    gapped = SyncPulseTrain(EdgeTrain(full.times_s[keep]), DELTA_S,
+                            pulse_boundary_index=full.pulse_boundary_index[keep],
+                            locked=full.locked[keep])
+    # slots from the pulse after the gap on
+    slots = DIVISOR // 25 + 4 * SLOTS_PER_INTERVAL + np.arange(0, 3 * SLOTS_PER_INTERVAL, 7)
+    ds = detections_for_slots(slots, pat.states(slots))
+    for sync in (full, gapped):
+        pairs = match_detections(ds, sync, PhaseOffset(5e-9), pat, **kwargs())
+        assert np.array_equal(pairs.slot, slots)
+
+
 def test_match_rejects_offsets_of_the_wrong_length():
     pat = QubitPattern.from_seed(3)
     ds = detections_for_slots(DIVISOR // 25 + np.arange(4), np.zeros(4))
@@ -182,7 +198,8 @@ def test_match_rejects_offsets_of_the_wrong_length():
 def test_match_rejects_misaligned_sync_boundaries():
     pat = QubitPattern.from_seed(3)
     b = 7 + np.arange(60) * DIVISOR  # boundaries off the qubit-slot grid
-    sync = SyncPulseTrain(EdgeTrain(b / SYMBOL_RATE), DELTA_S, pulse_boundary_index=b)
+    sync = SyncPulseTrain(EdgeTrain(b / SYMBOL_RATE), DELTA_S, pulse_boundary_index=b,
+                          locked=np.ones(b.size, dtype=bool))
     ds = detections_for_slots(np.array([DIVISOR // 25 + 5]), [0])
     with pytest.raises(MatchingError):
         match_detections(ds, sync, PhaseOffset(0.0), pat, **kwargs())

@@ -111,9 +111,15 @@ def test_time_tag_jitter_and_quantization():
     det = np.zeros(n, dtype=np.int8)
     ds = time_tag(truth, det, chain_jitter_sigma_s=425e-12,
                   tdc_resolution_s=81e-12, generator=gen)
-    t = ds.times_s(81e-12)
+    t = ds.times_s
     assert abs(t.std() - 425e-12) / 425e-12 < 0.03
     assert np.all(np.diff(ds.ticks) >= 0)  # sorted
+
+
+def test_time_tag_rejects_negative_jitter():
+    with pytest.raises(ValueError, match="chain_jitter_sigma_s"):
+        time_tag(np.array([1e-3]), np.zeros(1, dtype=np.int8), chain_jitter_sigma_s=-1e-12,
+                 tdc_resolution_s=81e-12, generator=np.random.default_rng(3))
 
 
 def test_time_tag_drops_pre_epoch_events():
@@ -149,16 +155,37 @@ def test_detection_set_csv_round_trip_strips_truth(tmp_path):
         detector=np.array([H, A], dtype=np.int8),
         origin=np.array([0, 1], dtype=np.int8),
         slot=np.array([2, -1], dtype=np.int64),
+        tdc_resolution_s=81e-12,
     )
     path = tmp_path / "det.csv"
     ds.to_csv(path)
     assert path.read_text().splitlines()[0] == "detector,ticks"
-    back = DetectionSet.from_csv(path)
+    back = DetectionSet.from_csv(path, tdc_resolution_s=81e-12)
+    assert np.array_equal(back.times_s, ds.times_s)
     assert np.array_equal(back.ticks, ds.ticks)
     assert np.array_equal(back.detector, ds.detector)
     assert back.origin is None and back.slot is None
 
 
+def test_detection_set_select_keeps_resolution_and_drops_truth():
+    ds = DetectionSet(ticks=np.array([5, 9, 12], dtype=np.int64),
+                      detector=np.array([H, A, D], dtype=np.int8), tdc_resolution_s=81e-12,
+                      origin=np.zeros(3, dtype=np.int8), slot=np.arange(3))
+    for index in (slice(1, 3), np.array([1, 2])):
+        sub = ds.select(index)
+        assert sub.ticks.tolist() == [9, 12] and sub.detector.tolist() == [A, D]
+        assert np.array_equal(sub.times_s, ds.times_s[1:])
+        assert sub.origin is None and sub.slot is None
+
+
 def test_detection_set_rejects_negative_ticks():
     with pytest.raises(ValueError):
-        DetectionSet(ticks=np.array([-1]), detector=np.array([0], dtype=np.int8))
+        DetectionSet(ticks=np.array([-1]), detector=np.array([0], dtype=np.int8),
+                     tdc_resolution_s=81e-12)
+
+
+def test_detection_set_rejects_nonpositive_resolution():
+    for res in (0.0, -81e-12):
+        with pytest.raises(ValueError, match="TDC resolution"):
+            DetectionSet(ticks=np.array([1]), detector=np.array([0], dtype=np.int8),
+                         tdc_resolution_s=res)

@@ -30,7 +30,9 @@ DELTA_Q = 20e-9
 
 def sync_train(n=51, scale=1.0, start=0.0):
     times = start + np.arange(1, n + 1) * DELTA_S * scale
-    return SyncPulseTrain(EdgeTrain(times), DELTA_S)
+    return SyncPulseTrain(EdgeTrain(times), DELTA_S,
+                          pulse_boundary_index=np.arange(1, n + 1) * 125_000,
+                          locked=np.ones(n, dtype=bool))
 
 
 # ------------------------------------------------------------------- rescale
@@ -57,13 +59,13 @@ def test_rescale_drops_out_of_span_detections():
     assert np.array_equal(r.source_index, [1, 2])
 
 
-def test_rescale_accepts_detection_sets_in_tdc_ticks():
+def test_rescale_of_detection_set_times():
     sync = sync_train(n=5)
     res = 81e-12
     q_s = sync.times_s[0] + np.array([1e-5, 3e-5])
     ds = DetectionSet(ticks=np.rint(q_s / res).astype(np.int64),
-                      detector=np.zeros(2, dtype=np.int8))
-    r = rescale(ds, sync, tdc_resolution_s=res)
+                      detector=np.zeros(2, dtype=np.int8), tdc_resolution_s=res)
+    r = rescale(ds.times_s, sync)
     assert len(r) == 2
     assert np.all((r.q_prime > 0.9e-5) & (r.q_prime < 3.1e-5))
 
@@ -72,7 +74,7 @@ def test_rescale_rejects_unsorted_and_bad_inputs():
     sync = sync_train(n=5)
     with pytest.raises(ValueError):
         rescale(np.array([2e-4, 1e-4]), sync)
-    short = SyncPulseTrain(EdgeTrain(np.array([1e-4])), DELTA_S)
+    short = sync_train(n=1)
     with pytest.raises(ValueError):
         rescale(np.array([1.5e-4]), short)
 
@@ -80,7 +82,7 @@ def test_rescale_rejects_unsorted_and_bad_inputs():
 def test_rescale_uses_decimation_for_effective_interval():
     base = sync_train(n=40)
     dec = base.decimate(4)
-    q = np.array([base.times_s[0] + 2.5e-4])
+    q = np.array([dec.times_s[0] + 2.5e-4])
     r = rescale(q, dec)
     assert r.delta_s_eff == pytest.approx(4 * DELTA_S)
     # 2.5e-4 into a 4e-4 interval -> q' = 2.5e-4 on the nominal axis
@@ -212,14 +214,28 @@ def test_fit_raises_past_the_iteration_cap(monkeypatch):
         fit_gaussian(_gaussian_hist(435e-12))
 
 
-def test_fit_on_scattered_spikes_raises_fit_error():
-    # one-bin spikes pass every gate, then drive sigma below a bin until
-    # the normal equations are singular; that must surface as FitError
+def _scattered_spikes():
     counts = np.zeros(247, dtype=np.int64)
     counts[[3, 18, 28, 31, 35, 61, 107, 154, 171, 211, 238]] = [
         279, 377, 314, 486, 135, 305, 452, 24, 247, 410, 433]
+    return counts
+
+
+def test_fit_on_scattered_spikes_raises_fit_error():
+    # eleven one-bin spikes sit above half height, but none has a neighbour
+    # there: the contiguous peak is one bin wide
+    with pytest.raises(FitError, match="spans only 1 bins"):
+        fit_gaussian(ArrivalHistogram(_scattered_spikes(), DELTA_Q / 247, DELTA_Q))
+
+
+def test_singular_least_squares_step_raises_fit_error():
+    # fitted from fit_gaussian's start point, the scattered spikes drive
+    # sigma below a bin until the normal equations are singular
+    y = np.roll(_scattered_spikes().astype(np.float64), 123 - 31)
+    x = np.arange(247) + 0.5
     with pytest.raises(FitError, match="no solution"):
-        fit_gaussian(ArrivalHistogram(counts, DELTA_Q / 247, DELTA_Q))
+        # nine spikes stand above half the 486-count maximum over a zero baseline
+        sync_recovery._fit_least_squares(x, y, [486.0, x[123], 9 / FWHM_SIGMA, 0.0])
 
 
 def test_fit_rejects_uniform_histogram():
@@ -293,9 +309,9 @@ def test_decimation_sweep_validates_n_values():
     sync = sync_train(n=40)
     q = np.sort(np.random.default_rng(3).uniform(sync.times_s[0], sync.times_s[-1], 100))
     with pytest.raises(ValueError):
-        decimation_sweep(q, sync, [5, 1])
+        decimation_sweep(q, sync, [5, 1], delta_q_s=DELTA_Q)
     with pytest.raises(ValueError):
-        decimation_sweep(q, sync, [0, 1])
+        decimation_sweep(q, sync, [0, 1], delta_q_s=DELTA_Q)
 
 
 def test_decimation_sweep_rows_and_csv(tmp_path):
@@ -304,7 +320,7 @@ def test_decimation_sweep_rows_and_csv(tmp_path):
     sync = sync_train(n=60)
     slots = gen.integers(0, 5000 * 59, 30_000)
     q = np.sort(sync.times_s[0] + slots * DELTA_Q + 5e-9 + gen.normal(0, 4e-10, slots.size))
-    table = decimation_sweep(q, sync, [1, 2, 5], bin_count=247)
+    table = decimation_sweep(q, sync, [1, 2, 5], delta_q_s=DELTA_Q, bin_count=247)
     assert np.array_equal(table.n, [1, 2, 5])
     assert np.allclose(table.delta_s_eff_s, [1e-4, 2e-4, 5e-4])
     assert np.all(table.fit_ok)
