@@ -30,7 +30,6 @@ from .timebase import (
 from .classical_link import (
     NoLockError,
     OokStream,
-    Prbs31State,
     RecoveredClock,
     SyncPulseTrain,
     block_channel,
@@ -38,7 +37,6 @@ from .classical_link import (
     derive_sync_pulses,
     modulate_ook,
     prbs31_bits,
-    prbs31_next,
     recovered_fractional_offset,
     synthesize_sync_train,
 )

@@ -9,21 +9,25 @@ divides it down to a low-rate train of synchronization pulses s_i.
 Two levels of fidelity coexist here:
 
 * `cdr_track` follows each transition edge individually.  It is the
-  honest model and is used for loop-level behavior (lock acquisition,
-  frequency transfer, dropout/relock), but walking 1.25e9 symbols per
-  second edge-by-edge is infeasible for multi-second runs.
+  honest model, used for loop-level behavior (lock acquisition,
+  frequency transfer, dropout/relock).  It runs as a blocked prefix
+  scan at a few million edges per second, so a few milliseconds of the
+  1.25 Gb/s line (millions of edges) take about a second; minutes of
+  link remain out of its reach.
 * `synthesize_sync_train` produces only the divided-down pulses (10 kHz
   scale), placing each pulse on the transmitter chain's true symbol
   boundary as read through the receiver clock, plus a configurable
   residual tracking jitter standing in for the CDR loop noise, and
-  scales to minutes.  It is meant to match `cdr_track` +
-  `derive_sync_pulses` on spans short enough to run both, but no test
-  compares the two yet.
+  scales to minutes.  With the residual at zero it matches `cdr_track`
+  + `derive_sync_pulses` boundary for boundary, within the pulses' own
+  emit and read jitter (tests/test_classical_link.py compares the two
+  over 4 M symbols).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +45,18 @@ LOCK_RMS_FRACTION = 0.1
 # (PRBS-31's longest run is 31 identical bits, i.e. a 31-symbol gap)
 GAP_UNLOCK_SYMBOLS = 100
 
+# the loop's period estimate is clamped to this relative distance from nominal
+PERIOD_CLAMP = 1e-3
+
+# edges per prefix-scan block, and the scan's limits: at most this many
+# passes to settle the symbol gaps; no phase error above this fraction of
+# a period; no period within this fraction of the clamp.  A block outside
+# them runs through the per-edge loop.
+SCAN_BLOCK_EDGES = 8192
+SCAN_MAX_PASSES = 4
+SCAN_MAX_ERROR_FRACTION = 0.4
+SCAN_CLAMP_MARGIN = 0.999
+
 SYNC_SPACING_TOLERANCE = 100e-6  # mean pulse spacing sanity bound, relative
 
 
@@ -48,41 +64,24 @@ class NoLockError(RuntimeError):
     """The clock-recovery loop never reached (or lost) lock where needed."""
 
 
-@dataclass(frozen=True)
-class Prbs31State:
-    """31-bit LFSR register; all-zero is the absorbing invalid state."""
-
-    register: int
-
-    def __post_init__(self):
-        if not 0 < self.register <= PRBS31_MASK:
-            raise ValueError(f"PRBS-31 register must be a nonzero 31-bit value, got {self.register:#x}")
-
-
-def prbs31_next(state: Prbs31State) -> tuple[int, Prbs31State]:
-    """One LFSR step for polynomial x^31 + x^28 + 1.
-
-    The output bit is the freshly computed feedback bit (tap XOR), which
-    is also shifted into the register.
-    """
-    r = state.register
-    bit = ((r >> 30) ^ (r >> 27)) & 1
-    return bit, Prbs31State(((r << 1) | bit) & PRBS31_MASK)
-
-
 def prbs31_bits(seed_register: int, count: int) -> np.ndarray:
     """First `count` output bits of the PRBS-31 sequence as a uint8 array.
 
-    The output sequence obeys o[n] = o[n-31] XOR o[n-28] once 31 bits
-    exist, which lets everything after the register warm-up be computed
-    in vectorized blocks.
+    seed_register is the LFSR's initial 31-bit state; all-zero is the
+    absorbing invalid state and is rejected.  The output sequence obeys
+    o[n] = o[n-31] XOR o[n-28] once 31 bits exist, which lets everything
+    after the register warm-up be computed in vectorized blocks.
     """
+    if not 0 < seed_register <= PRBS31_MASK:
+        raise ValueError(f"PRBS-31 register must be a nonzero 31-bit value, got {seed_register:#x}")
     if count < 0:
         raise ValueError("count must be non-negative")
     out = np.empty(count, dtype=np.uint8)
-    state = Prbs31State(seed_register)
+    r = seed_register
     for i in range(min(31, count)):
-        bit, state = prbs31_next(state)
+        # x^31 + x^28 + 1: the tap XOR is output and shifted in
+        bit = ((r >> 30) ^ (r >> 27)) & 1
+        r = ((r << 1) | bit) & PRBS31_MASK
         out[i] = bit
     i = 31
     while i < count:
@@ -173,6 +172,21 @@ def cdr_track(
     GAP_UNLOCK_SYMBOLS drops lock (frequency is retained, phase re-snaps
     on the next edge).
 
+    Once each edge's symbol gap m is known, the update is an affine map
+    of the loop state, so `_scan_block` tracks the edges SCAN_BLOCK_EDGES
+    at a time as a prefix scan of those maps.  The scan's working memory
+    is a few blocks whatever the stream length; the outputs take a few
+    arrays of one value per edge, and `_lock_flags` about ten temporary
+    arrays of that length.  A block the scan cannot reproduce (the
+    period clamp would fire, m does not settle, or a phase error comes
+    within reach of half a period, where rounding could pick another m)
+    runs whole through the per-edge loop `_pi_loop`, from the state the
+    block before it left.  Scan and loop agree to rounding: the same
+    boundary counts and lock flags, and phases within 0.01 ps on streams
+    near t = 0 (the loop rounds in absolute seconds, 0.007 ps per step
+    at 50 s, the scan in offsets from the nominal grid).  Lock flags
+    come from a cumulative sum of squared phase errors.
+
     A stream that never locks yields a RecoveredClock with has_lock
     False; downstream consumers refuse to derive pulses from it.
     """
@@ -194,75 +208,147 @@ def cdr_track(
     )
 
     t_nom = 1.0 / stream.symbol_rate_hz
-    # discrete PI gains for a mean update interval of 2 symbols
-    zeta = 0.707
-    wn_te = 2.0 * np.pi * loop_bandwidth_hz * 2.0 * t_nom
-    alpha = 2.0 * zeta * wn_te
-    beta = wn_te * wn_te
-    t_min, t_max = t_nom * (1.0 - 1e-3), t_nom * (1.0 + 1e-3)
+    alpha, beta = _pi_gains(loop_bandwidth_hz, t_nom)
 
     phase = np.empty(n)
     period = np.empty(n)
     bindex = np.empty(n, dtype=np.int64)
-    locked = np.zeros(n, dtype=bool)
+    err = np.empty(n)
+    phase[0], period[0], bindex[0], err[0] = t_obs[0], t_nom, 0, 0.0
 
-    tau = t_obs[0]
-    per = t_nom
-    b = 0
-    w_buf = np.zeros(LOCK_WINDOW_EDGES)
-    w_sum = 0.0
-    w_n = 0
-    w_pos = 0
-    thr_sq = (LOCK_RMS_FRACTION * t_nom) ** 2 * LOCK_WINDOW_EDGES
-
-    phase[0] = tau
-    period[0] = per
-    bindex[0] = 0
-
-    for i in range(1, n):
-        t = t_obs[i]
-        m = int(round((t - tau) / per))
-        if m < 1:
-            m = 1
-        if m > GAP_UNLOCK_SYMBOLS:
-            # dropout: keep the frequency estimate, snap phase, restart lock stats
-            tau = t
-            b += m
-            w_sum = 0.0
-            w_n = 0
-            w_pos = 0
-            w_buf[:] = 0.0
-        else:
-            e = t - (tau + m * per)
-            tau = tau + m * per + alpha * e
-            per += beta * e / m
-            if per < t_min:
-                per = t_min
-            elif per > t_max:
-                per = t_max
-            b += m
-            e_sq = e * e
-            if w_n < LOCK_WINDOW_EDGES:
-                w_n += 1
-            else:
-                w_sum -= w_buf[w_pos]
-            w_buf[w_pos] = e_sq
-            w_sum += e_sq
-            w_pos = (w_pos + 1) % LOCK_WINDOW_EDGES
-            locked[i] = w_n == LOCK_WINDOW_EDGES and w_sum < thr_sq
-        phase[i] = tau
-        period[i] = per
-        bindex[i] = b
+    for lo in range(1, n, SCAN_BLOCK_EDGES):
+        hi = min(lo + SCAN_BLOCK_EDGES, n)
+        state = (phase[lo - 1], period[lo - 1], bindex[lo - 1])
+        block = _scan_block(t_obs[lo:hi], t_obs[0], t_nom, alpha, beta, *state)
+        if block is None:
+            block = _pi_loop(t_obs[lo:hi], *state, t_nom, alpha, beta)
+        phase[lo:hi], period[lo:hi], bindex[lo:hi], err[lo:hi] = block
 
     return RecoveredClock(
         edge_time_s=t_obs,
         boundary_phase_s=phase,
         boundary_index=bindex,
         period_s=period,
-        locked=locked,
+        locked=_lock_flags(err, bindex, t_nom),
         symbol_period_nominal_s=t_nom,
         loop_bandwidth_hz=loop_bandwidth_hz,
     )
+
+
+def _pi_gains(loop_bandwidth_hz: float, t_nom: float) -> tuple[float, float]:
+    """Discrete PI gains (alpha, beta) for a mean update interval of 2 symbols."""
+    zeta = 0.707
+    wn_te = 2.0 * np.pi * loop_bandwidth_hz * 2.0 * t_nom
+    return 2.0 * zeta * wn_te, wn_te * wn_te
+
+
+def _pi_loop(t, tau, per, b, t_nom, alpha, beta):
+    """The loop stepped edge by edge from state (tau, per, b) over edge times t.
+
+    Returns the boundary phase, period, boundary count and phase error
+    after each edge (the error is 0 on a signal-loss edge).  It is the
+    reference the scan is tested against and its fallback.
+    """
+    k = len(t)
+    phase, period, err = np.empty(k), np.empty(k), np.zeros(k)
+    bindex = np.empty(k, dtype=np.int64)
+    t_min = t_nom * (1.0 - PERIOD_CLAMP)
+    t_max = t_nom * (1.0 + PERIOD_CLAMP)
+    tau, per, b = float(tau), float(per), int(b)
+    for i, ti in enumerate(t.tolist()):
+        m = max(1, round((ti - tau) / per))
+        if m > GAP_UNLOCK_SYMBOLS:
+            # dropout: keep the frequency estimate, snap phase
+            tau = ti
+        else:
+            e = ti - (tau + m * per)
+            tau = tau + m * per + alpha * e
+            per = min(max(per + beta * e / m, t_min), t_max)
+            err[i] = e
+        b += m
+        phase[i], period[i], bindex[i] = tau, per, b
+    return phase, period, bindex, err
+
+
+def _scan_block(t, t0, t_nom, alpha, beta, tau, per, b):
+    """`_pi_loop` over one block as a prefix scan, or None where it cannot be.
+
+    The state is kept as offsets from the nominal grid anchored at the
+    stream's first edge t0: delta = tau - t0 - B*t_nom, p = per - t_nom,
+    with B the boundary count after the edge.  With r = t - t0 - B*t_nom,
+    an edge with gap m maps (delta, p) to
+
+        delta' = (1 - alpha) * (delta + m*p) + alpha * r
+        p'     = -beta/m * delta + (1 - beta) * p + beta/m * r
+
+    and a signal-loss edge to (r, p).  The gaps start from the edge
+    spacing and are recomputed from the scanned state, as the loop
+    computes them, until they stop changing.
+    """
+    u = t - t0
+    delta0, p0 = tau - t0 - b * t_nom, per - t_nom
+    m = np.maximum(1, np.rint(np.diff(t, prepend=tau) / t_nom)).astype(np.int64)
+    for _ in range(SCAN_MAX_PASSES):
+        bindex = b + np.cumsum(m)
+        b_prev = bindex - m
+        delta, p = _affine_scan(m, u - bindex * t_nom, alpha, beta, delta0, p0)
+        delta_prev = np.concatenate(([delta0], delta[:-1]))
+        p_prev = np.concatenate(([p0], p[:-1]))
+        x = (u - b_prev * t_nom - delta_prev) / (t_nom + p_prev)
+        m_next = np.maximum(1, np.rint(x)).astype(np.int64)
+        if np.array_equal(m_next, m):
+            break
+        m = m_next
+    else:
+        return None
+    if (np.abs(x - m).max() > SCAN_MAX_ERROR_FRACTION
+            or np.abs(p).max() > SCAN_CLAMP_MARGIN * PERIOD_CLAMP * t_nom):
+        return None
+    err = np.where(m > GAP_UNLOCK_SYMBOLS, 0.0, (x - m) * (t_nom + p_prev))
+    return t0 + bindex * t_nom + delta, t_nom + p, bindex, err
+
+
+def _affine_scan(m, r, alpha, beta, delta0, p0):
+    """States after each edge: Hillis-Steele scan of the edges' affine maps.
+
+    Map i is held as the two rows of [[A, b], [0, 0, 1]] in maps[:, :, i];
+    the carried-in state is folded into map 0, so the scanned offsets
+    are the states themselves.
+    """
+    gap = m > GAP_UNLOCK_SYMBOLS
+    inv_m = np.where(gap, 0.0, 1.0 / m)
+    maps = np.empty((2, 3, m.size))
+    maps[0, 0] = np.where(gap, 0.0, 1.0 - alpha)
+    maps[0, 1] = np.where(gap, 0.0, (1.0 - alpha) * m)
+    maps[0, 2] = np.where(gap, r, alpha * r)
+    maps[1, 0] = -beta * inv_m
+    maps[1, 1] = np.where(gap, 1.0, 1.0 - beta)
+    maps[1, 2] = beta * inv_m * r
+    maps[:, 2, 0] += maps[:, 0, 0] * delta0 + maps[:, 1, 0] * p0
+    maps[:, :2, 0] = 0.0
+    d = 1
+    while d < m.size:
+        # map i <- map i after map i-d, for every i >= d at once
+        cur, prev = maps[:, :, d:], maps[:, :, :-d]
+        step = cur[:, 0:1] * prev[0] + cur[:, 1:2] * prev[1]
+        step[:, 2] += cur[:, 2]
+        maps[:, :, d:] = step
+        d *= 2
+    return maps[0, 2], maps[1, 2]
+
+
+def _lock_flags(err, bindex, t_nom):
+    """Lock where the last LOCK_WINDOW_EDGES phase errors since the latest
+    signal loss (or the stream start) have an RMS below LOCK_RMS_FRACTION
+    of a symbol period; edge 0 and signal-loss edges are never locked."""
+    n = err.size
+    idx = np.arange(n)
+    reset = np.concatenate(([True], np.diff(bindex) > GAP_UNLOCK_SYMBOLS))
+    since = idx - np.maximum.accumulate(np.where(reset, idx, 0))
+    sq_sum = np.concatenate(([0.0], np.cumsum(np.where(reset, 0.0, err * err))))
+    window = sq_sum[idx + 1] - sq_sum[np.maximum(idx + 1 - LOCK_WINDOW_EDGES, 0)]
+    thr_sq = (LOCK_RMS_FRACTION * t_nom) ** 2 * LOCK_WINDOW_EDGES
+    return (since >= LOCK_WINDOW_EDGES) & (window < thr_sq)
 
 
 def recovered_fractional_offset(rc: RecoveredClock, skip_fraction: float = 0.25) -> float:
@@ -287,12 +373,13 @@ class SyncPulseTrain:
     """Receiver-side timestamps s_i of the divided-down recovered clock.
 
     nominal_spacing_s is the base (decimation 1) pulse spacing; the
-    stored pulses are decimation * nominal_spacing_s apart.  The
-    pulse_boundary_index array carries, for each pulse, the absolute
-    symbol boundary count it corresponds to (the receiver's own count of
-    recovered boundaries), from which slot matching and decimation work;
-    locked is False for pulses generated while the recovery loop was
-    free-running on the local oscillator.
+    stored pulses are decimation * nominal_spacing_s, one boundary step,
+    apart, except where pulses are missing.  The pulse_boundary_index
+    array carries, for each pulse, the absolute symbol boundary count it
+    corresponds to (the receiver's own count of recovered boundaries),
+    from which slot matching, rescaling and decimation work; locked is
+    False for pulses generated while the recovery loop was free-running
+    on the local oscillator.
     """
 
     pulses: EdgeTrain
@@ -312,31 +399,39 @@ class SyncPulseTrain:
         if len(self.locked) != n:
             raise ValueError("locked length mismatch")
         if n >= 2:
+            if self.boundary_step < 1:
+                raise ValueError("pulse_boundary_index must be strictly increasing")
+            b, t = self.pulse_boundary_index, self.times_s
             target = self.decimation * self.nominal_spacing_s
-            mean = float(np.mean(np.diff(self.times_s)))
+            mean = float(t[-1] - t[0]) / ((b[-1] - b[0]) / self.boundary_step)
             if abs(mean - target) > SYNC_SPACING_TOLERANCE * target:
                 raise ValueError(
-                    f"mean sync spacing {mean:g} s deviates from nominal {target:g} s "
-                    f"by more than {SYNC_SPACING_TOLERANCE:g} relative"
+                    f"mean sync spacing {mean:g} s per boundary step deviates from "
+                    f"nominal {target:g} s by more than {SYNC_SPACING_TOLERANCE:g} relative"
                 )
 
     @property
     def times_s(self) -> np.ndarray:
         return self.pulses.times_s
 
+    @cached_property
+    def boundary_step(self) -> int:
+        """Symbol boundaries between adjacent pulses where none is missing:
+        the smallest step of pulse_boundary_index (needs 2 pulses)."""
+        return int(np.diff(self.pulse_boundary_index).min())
+
     def __len__(self) -> int:
         return len(self.pulses)
 
     def decimate(self, factor: int) -> "SyncPulseTrain":
         """Keep the pulses whose boundary count is a multiple of factor
-        times the boundary step between pulses, widening the effective
-        interval factor times."""
+        times the boundary step, widening the effective interval factor
+        times."""
         if factor < 1 or len(self) < 2:
             raise ValueError("decimation needs a factor >= 1 and at least 2 pulses")
         if factor == 1:
             return self
-        step = int(self.pulse_boundary_index[1] - self.pulse_boundary_index[0])
-        keep = self.pulse_boundary_index % (factor * step) == 0
+        keep = self.pulse_boundary_index % (factor * self.boundary_step) == 0
         return SyncPulseTrain(
             pulses=EdgeTrain(self.times_s[keep], label=self.pulses.label),
             nominal_spacing_s=self.nominal_spacing_s,

@@ -73,20 +73,23 @@ def recover_phase(folded: FoldedArrivals,
                        confidence=peak.peak_to_baseline)
 
 
-def _slots_per_symbol(qubit_rate_hz: float, symbol_rate_hz: float) -> Fraction:
-    frac = Fraction(qubit_rate_hz / symbol_rate_hz).limit_denominator(10**9)
-    if abs(float(frac) * symbol_rate_hz - qubit_rate_hz) > 1e-6 * qubit_rate_hz:
-        raise MatchingError(
-            f"qubit rate {qubit_rate_hz:g} and symbol rate {symbol_rate_hz:g} "
-            "are not commensurate"
-        )
-    return frac
-
-
 def _slot_base(sync: SyncPulseTrain, qubit_rate_hz: float,
                symbol_rate_hz: float) -> np.ndarray:
-    """Absolute qubit-slot count at each sync pulse, from its boundary count."""
-    frac = _slots_per_symbol(qubit_rate_hz, symbol_rate_hz)
+    """Absolute qubit-slot count at each sync pulse, from its boundary count.
+
+    The slot grid must repeat with the pulses: one boundary step has to
+    hold a whole number of slots (within 1e-6), so the slots-per-symbol
+    fraction has a denominator that divides the step.
+    """
+    step = sync.boundary_step
+    slots_per_step = qubit_rate_hz / symbol_rate_hz * step
+    k = round(slots_per_step)
+    if k < 1 or abs(k - slots_per_step) > 1e-6 * slots_per_step:
+        raise MatchingError(
+            f"qubit rate {qubit_rate_hz:g} and symbol rate {symbol_rate_hz:g} "
+            f"are not commensurate over the sync boundary step of {step}"
+        )
+    frac = Fraction(k, step)
     num = np.asarray(sync.pulse_boundary_index, dtype=np.int64) * frac.numerator
     if np.any(num % frac.denominator):
         raise MatchingError("sync pulse boundaries do not land on qubit slots")

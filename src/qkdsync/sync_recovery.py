@@ -63,9 +63,12 @@ class RescaledArrivals:
 def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     """Map each detection time onto the nominal timeline of its sync interval.
 
-    For q in [s_i, s_{i+1}): q' = (q - s_i)/(s_{i+1} - s_i) * delta_s,
-    with delta_s = decimation * sync.nominal_spacing_s.  times_s is a
-    sorted array of receiver seconds, such as `DetectionSet.times_s`.
+    For q in [s_i, s_{i+1}): q' = (q - s_i)/(s_{i+1} - s_i) * delta_i,
+    where delta_i is the interval's boundary count in units of the
+    train's boundary step, times delta_s = decimation *
+    sync.nominal_spacing_s, so an interval that spans a missing pulse
+    keeps its true length.  times_s is a sorted array of receiver
+    seconds, such as `DetectionSet.times_s`.
     """
     q = np.asarray(times_s, dtype=np.float64)
     if q.size > 1 and np.any(np.diff(q) < 0):
@@ -82,7 +85,9 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     idx = np.flatnonzero(ok)
     i = i[idx]
     qq = q[idx]
-    q_prime = (qq - s[i]) / (s[i + 1] - s[i]) * delta_s
+    b = sync.pulse_boundary_index
+    delta_i = (b[i + 1] - b[i]) / sync.boundary_step * delta_s
+    q_prime = (qq - s[i]) / (s[i + 1] - s[i]) * delta_i
     return RescaledArrivals(
         q_prime=q_prime,
         interval_index=i.astype(np.int64),

@@ -1,21 +1,27 @@
 """PRBS generation, OOK modulation, clock recovery, and sync pulses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsync import classical_link, config, simulate
 from qkdsync.classical_link import (
+    GAP_UNLOCK_SYMBOLS,
+    LOCK_RMS_FRACTION,
+    LOCK_WINDOW_EDGES,
     NoLockError,
     OokStream,
-    Prbs31State,
     SyncPulseTrain,
+    _pi_gains,
+    _pi_loop,
     block_channel,
     cdr_track,
     derive_sync_pulses,
     modulate_ook,
     prbs31_bits,
-    prbs31_next,
     recovered_fractional_offset,
     synthesize_sync_train,
 )
@@ -77,21 +83,19 @@ def test_prbs31_is_balanced():
 
 def test_prbs31_state_validation():
     with pytest.raises(ValueError):
-        Prbs31State(0)  # all-zero state is a fixed point
+        prbs31_bits(0, 10)  # all-zero state is a fixed point
     with pytest.raises(ValueError):
-        Prbs31State(1 << 31)
-    bit, nxt = prbs31_next(Prbs31State(1))
-    assert bit in (0, 1)
-    assert nxt.register != 0
+        prbs31_bits(1 << 31, 10)
+    assert prbs31_bits(1, 1).tolist() == [0]  # the smallest valid register
 
 
 @given(st.integers(min_value=1, max_value=0x7FFFFFFF))
 @settings(max_examples=30, deadline=None)
 def test_prbs31_never_reaches_zero_state(register):
-    state = Prbs31State(register)
-    for _ in range(40):
-        _, state = prbs31_next(state)
-        assert state.register != 0
+    # the register after each step is the latest 31 bits of the seed
+    # register (most significant first) followed by the output
+    seq = [(register >> (30 - j)) & 1 for j in range(31)] + prbs31_bits(register, 40).tolist()
+    assert all(any(seq[i:i + 31]) for i in range(len(seq) - 30))
 
 
 # ------------------------------------------------------------- OOK modulation
@@ -173,6 +177,83 @@ def test_cdr_drops_lock_on_gap_and_relocks():
     assert np.all(np.diff(rc.boundary_index) >= 1)
 
 
+def _loop_reference(rc):
+    """The per-edge loop over rc's whole stream, with lock flags from a
+    rolling window of squared phase errors: what the scan must reproduce."""
+    t, T = rc.edge_time_s, rc.symbol_period_nominal_s
+    phase, period, bindex, err = _pi_loop(t[1:], t[0], T, 0, T,
+                                          *_pi_gains(rc.loop_bandwidth_hz, T))
+    locked = [False]
+    window, w_sum = [], 0.0
+    thr_sq = (LOCK_RMS_FRACTION * T) ** 2 * LOCK_WINDOW_EDGES
+    for m, e in zip(np.diff(bindex, prepend=0).tolist(), err.tolist()):
+        if m > GAP_UNLOCK_SYMBOLS:
+            window, w_sum = [], 0.0
+            locked.append(False)
+            continue
+        if len(window) == LOCK_WINDOW_EDGES:
+            w_sum -= window.pop(0)
+        window.append(e * e)
+        w_sum += e * e
+        locked.append(len(window) == LOCK_WINDOW_EDGES and w_sum < thr_sq)
+    return (np.r_[t[0], phase], np.r_[T, period], np.r_[0, bindex], np.array(locked))
+
+
+def _count_loop_calls(monkeypatch):
+    calls = []
+
+    def counted(t, *state):
+        calls.append(len(t))
+        return _pi_loop(t, *state)
+
+    monkeypatch.setattr(classical_link, "_pi_loop", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tx_offset", [-1e-5, 0.0, 1e-5])
+def test_cdr_scan_matches_the_per_edge_loop(tx_offset, monkeypatch):
+    calls = _count_loop_calls(monkeypatch)
+    gap = (2e-3, 2e-3 + 2000 / SYMBOL_RATE)  # inside the second scan block
+    rc = _tracked(tx_offset=tx_offset, jitter=30e-12, symbols=120_000, block=gap)
+    assert not calls  # every block went through the scan
+    phase, period, bindex, locked = _loop_reference(rc)
+    assert np.array_equal(rc.boundary_index, bindex)
+    assert np.array_equal(rc.locked, locked)
+    assert np.max(np.abs(rc.boundary_phase_s - phase)) < 0.01e-12
+    assert np.max(np.abs(rc.period_s - period)) < 1e-15
+
+
+def test_cdr_scan_falls_back_to_the_per_edge_loop(monkeypatch):
+    calls = _count_loop_calls(monkeypatch)
+    # tx 6e-4 fast and rx 6e-4 slow: the loop would need a period 1.2e-3
+    # long, holds lock on its 1e-3 clamp with a standing phase error, and
+    # the clamp fires in every block, so the loop runs the whole stream
+    tx = make_clock(offset=6e-4, jitter=30e-12, seed=3)
+    rx = make_clock(offset=-6e-4, jitter=30e-12, seed=103)
+    rc = cdr_track(modulate_ook(prbs31_bits(1, 60_000), tx), SYMBOL_RATE / 2000, rx)
+    assert sum(calls) == len(rc.edge_time_s) - 1
+    phase, period, bindex, locked = _loop_reference(rc)
+    assert np.array_equal(rc.boundary_phase_s, phase)
+    assert np.array_equal(rc.period_s, period)
+    assert np.array_equal(rc.boundary_index, bindex)
+    assert np.array_equal(rc.locked, locked) and rc.has_lock
+
+    # one edge displaced by 0.45 period mid-stream: only its block runs
+    # through the loop, from the state the scan left
+    calls.clear()
+    stream = modulate_ook(prbs31_bits(1, 60_000), make_clock(jitter=30e-12, seed=3))
+    t = stream.edges.times_s.copy()
+    t[20_000] += 0.45 / SYMBOL_RATE
+    rc = cdr_track(OokStream(EdgeTrain(t), SYMBOL_RATE), SYMBOL_RATE / 2000,
+                   make_clock(jitter=30e-12, seed=103))
+    assert calls == [classical_link.SCAN_BLOCK_EDGES]
+    phase, period, bindex, locked = _loop_reference(rc)
+    assert np.array_equal(rc.boundary_index, bindex)
+    assert np.array_equal(rc.locked, locked)
+    assert np.max(np.abs(rc.boundary_phase_s - phase)) < 0.01e-12
+    assert np.max(np.abs(rc.period_s - period)) < 1e-15
+
+
 def test_cdr_requires_two_edges():
     clk = make_clock()
     stream = OokStream(EdgeTrain(np.array([1e-6])), SYMBOL_RATE)
@@ -220,6 +301,17 @@ def test_sync_train_spacing_invariant_enforced():
     bad = np.arange(50) * nominal * (1 + 5e-4)    # 500 ppm off: rejected
     with pytest.raises(ValueError):
         pulse_train(bad[1:], nominal)
+    # spacing counts boundary steps, so a missing pulse keeps it nominal
+    full = pulse_train(np.arange(1, 61) * nominal, nominal)
+    keep = np.arange(60) != 3
+    gapped = SyncPulseTrain(EdgeTrain(full.times_s[keep]), nominal,
+                            pulse_boundary_index=full.pulse_boundary_index[keep],
+                            locked=full.locked[keep])
+    assert gapped.boundary_step == DIVISOR
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SyncPulseTrain(EdgeTrain(full.times_s), nominal,
+                       pulse_boundary_index=full.pulse_boundary_index[::-1],
+                       locked=full.locked)
 
 
 def test_sync_train_rejects_nonpositive_spacing():
@@ -302,3 +394,33 @@ def test_synthesize_is_deterministic():
     c = synthesize_sync_train(tx, rx, 0.02, FULL_RATE, FULL_DIVISOR, seed=6)
     assert np.array_equal(a.times_s, b.times_s)
     assert not np.array_equal(a.times_s, c.times_s)
+
+
+def test_cdr_loop_matches_the_synthesized_sync_train():
+    # synthesize_sync_train stands in for cdr_track + derive_sync_pulses:
+    # 4 M symbols at the full rate on the arrival scenario's clocks
+    cfg = config.resolve("arrival", {}, 1)
+    tx, rx = simulate.build_clocks(cfg)
+    rate, delay, divisor = cfg["symbol_rate_hz"], cfg["propagation_delay_s"], 12_500
+    bits = prbs31_bits(0x1234567, 4_000_000)
+    rc = cdr_track(modulate_ook(bits, tx), cfg["cdr_loop_bandwidth_hz"], rx,
+                   propagation_delay_s=delay)
+    # the loop counts boundaries from modulate_ook's first edge, which sits
+    # on the first 1 bit (here symbol 3); align that count with the true one
+    first_edge = int(np.flatnonzero(bits)[0])
+    loop = derive_sync_pulses(replace(rc, boundary_index=rc.boundary_index + first_edge),
+                              divisor)
+    synth = synthesize_sync_train(tx, rx, bits.size / rate, rate, divisor, seed=cfg["seed"],
+                                  cdr_residual_sigma_s=0.0, propagation_delay_s=delay)
+    common, i_loop, i_synth = np.intersect1d(loop.pulse_boundary_index,
+                                             synth.pulse_boundary_index, return_indices=True)
+    assert common.size == len(loop) >= 300
+    diff = loop.times_s[i_loop] - synth.times_s[i_synth]
+    # same boundary on both sides: a count off by one symbol would move
+    # a pulse by a whole 800 ps period
+    assert np.max(np.abs(diff)) < 0.5 / rate
+    # the difference carries the synthesized pulse's own emit and read
+    # draws (30 ps each, independent of the edges' draws) plus ~10 ps of
+    # loop noise: ~42 ps; the mean is 0 within 4 standard errors
+    assert abs(diff.mean()) < 10e-12
+    assert diff.std() < 55e-12

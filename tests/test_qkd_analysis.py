@@ -133,11 +133,12 @@ def test_match_rejects_bad_window_and_rates():
         match_detections(ds, sync, PhaseOffset(0.0), pat, **kwargs(window_s=0.0))
     with pytest.raises(MatchingError, match="window must be in"):
         match_detections(ds, sync, PhaseOffset(0.0), pat, **kwargs(window_s=3 * DELTA_Q))
-    with pytest.raises(MatchingError, match="do not land on qubit slots"):
-        # 3/7 of the symbol rate: 125000-symbol sync intervals then hold a
-        # non-integer number of qubit slots; the window fits the 1.87 ns slot
-        match_detections(ds, sync, PhaseOffset(0.0), pat,
-                         **kwargs(qubit_rate_hz=SYMBOL_RATE * 3 / 7, window_s=1e-9))
+    # 3/7 and 1/pi of the symbol rate: 125000-symbol sync intervals then
+    # hold a non-integer number of qubit slots; the window fits either slot
+    for ratio in (3 / 7, 1 / np.pi):
+        with pytest.raises(MatchingError, match="not commensurate"):
+            match_detections(ds, sync, PhaseOffset(0.0), pat,
+                             **kwargs(qubit_rate_hz=SYMBOL_RATE * ratio, window_s=1e-9))
 
 
 def test_match_per_detection_offsets_equal_per_segment_calls():
@@ -174,14 +175,14 @@ def test_match_per_detection_offsets_equal_per_segment_calls():
 
 def test_match_after_a_missing_sync_pulse_keeps_slots():
     pat = QubitPattern.from_seed(5)
-    # long enough that one missing pulse keeps the mean spacing nominal
-    full = ideal_sync(n_pulses=20_001)
+    full = ideal_sync()
     keep = np.arange(len(full)) != 3
     gapped = SyncPulseTrain(EdgeTrain(full.times_s[keep]), DELTA_S,
                             pulse_boundary_index=full.pulse_boundary_index[keep],
                             locked=full.locked[keep])
-    # slots from the pulse after the gap on
-    slots = DIVISOR // 25 + 4 * SLOTS_PER_INTERVAL + np.arange(0, 3 * SLOTS_PER_INTERVAL, 7)
+    # slots from pulse 2 on: the interval that spans the missing pulse 3
+    # is rescaled over its two boundary steps, and the slots after it
+    slots = DIVISOR // 25 + 2 * SLOTS_PER_INTERVAL + np.arange(0, 5 * SLOTS_PER_INTERVAL, 7)
     ds = detections_for_slots(slots, pat.states(slots))
     for sync in (full, gapped):
         pairs = match_detections(ds, sync, PhaseOffset(5e-9), pat, **kwargs())
@@ -201,7 +202,7 @@ def test_match_rejects_misaligned_sync_boundaries():
     sync = SyncPulseTrain(EdgeTrain(b / SYMBOL_RATE), DELTA_S, pulse_boundary_index=b,
                           locked=np.ones(b.size, dtype=bool))
     ds = detections_for_slots(np.array([DIVISOR // 25 + 5]), [0])
-    with pytest.raises(MatchingError):
+    with pytest.raises(MatchingError, match="do not land on qubit slots"):
         match_detections(ds, sync, PhaseOffset(0.0), pat, **kwargs())
 
 
