@@ -22,10 +22,8 @@ from .timebase import (
     ClockModel,
     EdgeTrain,
     local_time,
-    ps_to_seconds,
     quantize,
     reading_time,
-    seconds_to_ps,
 )
 from .classical_link import (
     NoLockError,

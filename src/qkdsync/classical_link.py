@@ -69,8 +69,10 @@ def prbs31_bits(seed_register: int, count: int) -> np.ndarray:
 
     seed_register is the LFSR's initial 31-bit state; all-zero is the
     absorbing invalid state and is rejected.  The output sequence obeys
-    o[n] = o[n-31] XOR o[n-28] once 31 bits exist, which lets everything
-    after the register warm-up be computed in vectorized blocks.
+    o[n] = o[n-31] XOR o[n-28] once 31 bits exist, and so also its
+    squares o[n] = o[n-31*2^k] XOR o[n-28*2^k] (over GF(2)), which let
+    everything after the register warm-up be computed in vectorized
+    blocks of 28*2^k bits, doubling as the output grows.
     """
     if not 0 < seed_register <= PRBS31_MASK:
         raise ValueError(f"PRBS-31 register must be a nonzero 31-bit value, got {seed_register:#x}")
@@ -83,10 +85,12 @@ def prbs31_bits(seed_register: int, count: int) -> np.ndarray:
         bit = ((r >> 30) ^ (r >> 27)) & 1
         r = ((r << 1) | bit) & PRBS31_MASK
         out[i] = bit
-    i = 31
+    i, k = 31, 0
     while i < count:
-        j = min(i + 28, count)  # lag-28 values must already exist
-        out[i:j] = out[i - 31 : j - 31] ^ out[i - 28 : j - 28]
+        while 62 << k <= i:  # 31*2^(k+1) bits exist: square the recurrence once more
+            k += 1
+        j = min(i + (28 << k), count)  # the shorter lag's values must already exist
+        out[i:j] = out[i - (31 << k) : j - (31 << k)] ^ out[i - (28 << k) : j - (28 << k)]
         i = j
     return out
 

@@ -26,10 +26,15 @@ from .timebase import quantize
 
 # detector / state channel codes; H and V span the Z basis, D and A the X basis
 H, V, D, A = 0, 1, 2, 3
-CHANNEL_LABELS = ("H", "V", "D", "A")
 Z, X = 0, 1
 
-# origin codes (simulation ground truth, stripped on export)
+# the detector that clicks, by measurement cell 6*(basis is Z) + 2*state +
+# (coin < 0.5): in X, H and V split D/A on the coin and D stays D; in Z,
+# H and V stay and D splits H/V
+_DETECTOR_OF_CELL = np.array([A, D, A, D, D, D,
+                              H, H, V, V, V, H], dtype=np.int8)
+
+# origin codes (simulation ground truth)
 ORIGIN_SIGNAL, ORIGIN_BACKGROUND, ORIGIN_DARK = 0, 1, 2
 
 MAX_DOPPLER_BETA = 1e-4
@@ -90,21 +95,16 @@ class QubitPattern:
         return rng.choice_at(self.key, slot_index, self.probabilities)
 
 
+def measure_polarization(state, generator: np.random.Generator, basis=None) -> np.ndarray:
+    """Passive-basis polarization measurement of an array of sent state codes.
 
-def measure_polarization(state, generator: np.random.Generator, basis=None):
-    """Passive-basis polarization measurement.
-
-    Basis is chosen uniformly (or forced via `basis` = "Z"/"X"); within
-    the basis, detector probabilities follow the projection of the sent
-    state: same-basis states project onto their own detector, the
-    cross-basis state splits 50/50.  Accepts a state code array or a
-    single state label; returns detector codes (or a label).
+    Basis is chosen uniformly (or forced via `basis`: "Z", "X" or an
+    array of Z/X codes); within the basis, detector probabilities follow
+    the projection of the sent state: same-basis states project onto
+    their own detector, the cross-basis state splits 50/50 on a coin.
+    Returns detector codes.
     """
-    scalar = isinstance(state, str)
-    if scalar:
-        s = np.asarray([CHANNEL_LABELS.index(state)], dtype=np.int8)
-    else:
-        s = np.asarray(state, dtype=np.int8)
+    s = np.asarray(state, dtype=np.int8)
     if s.size and (s.min() < H or s.max() > D):
         raise ValueError("sent states must be H, V or D")
     n = s.size
@@ -116,20 +116,15 @@ def measure_polarization(state, generator: np.random.Generator, basis=None):
         in_z = np.full(n, basis == "Z")
     else:
         in_z = np.asarray(basis) == Z
+        if in_z.shape != s.shape:
+            raise ValueError(f"basis shape {in_z.shape} differs from the states' {s.shape}")
     coin = generator.random(n)
-    det = np.empty(n, dtype=np.int8)
-    z = in_z
-    det[z] = np.where(s[z] == D, np.where(coin[z] < 0.5, H, V), s[z])
-    x = ~in_z
-    det[x] = np.where(s[x] == D, D, np.where(coin[x] < 0.5, D, A))
-    if scalar:
-        return CHANNEL_LABELS[det[0]]
-    return det
+    return _DETECTOR_OF_CELL[6 * in_z.view(np.int8) + 2 * s + (coin < 0.5)]
 
 
 def detector_basis(detector) -> np.ndarray:
     """Z for the H/V detectors, X for D/A."""
-    return np.where(np.asarray(detector) < D, Z, X).astype(np.int8)
+    return (np.asarray(detector) >= D).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -138,8 +133,7 @@ class DetectionSet:
 
     Ticks count TDC bins of tdc_resolution_s seconds.  `origin` and
     `slot` are simulation-only ground truth (noise events carry slot -1);
-    both are stripped when exporting, matching what real hardware would
-    produce.
+    `select` strips both, leaving what real hardware would produce.
     """
 
     ticks: np.ndarray
@@ -165,33 +159,6 @@ class DetectionSet:
         """The detections at index (a slice or an index array), without ground truth."""
         return DetectionSet(ticks=self.ticks[index], detector=self.detector[index],
                             tdc_resolution_s=self.tdc_resolution_s)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("detector,ticks\n")
-            for d, t in zip(self.detector, self.ticks):
-                fh.write(f"{CHANNEL_LABELS[d]},{int(t)}\n")
-
-    @classmethod
-    def from_csv(cls, path, tdc_resolution_s: float) -> "DetectionSet":
-        dets = []
-        ticks = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "detector,ticks":
-                raise ValueError(f"unexpected detection CSV header: {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                d, t = line.split(",")
-                dets.append(CHANNEL_LABELS.index(d))
-                ticks.append(int(t))
-        return cls(
-            ticks=np.asarray(ticks, dtype=np.int64),
-            detector=np.asarray(dets, dtype=np.int8),
-            tdc_resolution_s=tdc_resolution_s,
-        )
 
 
 def time_tag(

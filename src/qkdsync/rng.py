@@ -73,7 +73,10 @@ def choice_at(key: int, index, probabilities) -> np.ndarray:
     """Categorical draw per index; returns int8 codes 0..k-1."""
     cum = np.cumsum(np.asarray(probabilities, dtype=np.float64))
     u = uniform_at(key, index)
-    return np.searchsorted(cum, u, side="right").astype(np.int8)
+    code = np.zeros(np.shape(u), dtype=np.int8)
+    for edge in cum:  # counts the edges <= u, as searchsorted(side="right")
+        code += u >= edge
+    return code
 
 
 def generator(seed: int, stream: str) -> np.random.Generator:

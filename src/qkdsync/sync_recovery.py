@@ -69,32 +69,43 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     sync.nominal_spacing_s, so an interval that spans a missing pulse
     keeps its true length.  times_s is a sorted array of receiver
     seconds, such as `DetectionSet.times_s`.
+
+    Detections before s_0 or at or after the last pulse are dropped;
+    since times_s is sorted, the kept ones are one contiguous run.  The
+    pulses are nearly evenly spaced, so each kept detection's interval
+    is first guessed by linear interpolation between the first and last
+    pulse (Perl, Itai & Avni 1978) and checked against its two pulses;
+    only the misses, where the train bends away from a straight line (a
+    gap, a free-running span), fall back to a binary search.  Either way
+    i is the one interval with s_i <= q < s_{i+1}.
     """
     q = np.asarray(times_s, dtype=np.float64)
-    if q.size > 1 and np.any(np.diff(q) < 0):
+    if np.any(q[1:] < q[:-1]):
         raise ValueError("detections must be time-sorted")
     s = sync.times_s
-    if s.size < 2:
+    n = s.size
+    if n < 2:
         raise ValueError("rescaling needs at least 2 sync pulses")
     delta_s = sync.decimation * sync.nominal_spacing_s
 
-    i = np.searchsorted(s, q, side="right") - 1
-    ok = (i >= 0) & (i <= s.size - 2)
-    dropped_before = int(np.count_nonzero(i < 0))
-    dropped_after = int(np.count_nonzero(i > s.size - 2))
-    idx = np.flatnonzero(ok)
-    i = i[idx]
-    qq = q[idx]
+    lo, hi = np.searchsorted(q, s[[0, -1]], side="left")
+    qq = q[lo:hi]
+    i = ((qq - s[0]) * ((n - 1) / (s[-1] - s[0]))).astype(np.int64)
+    np.clip(i, 0, n - 2, out=i)
+    s_i, s_next = s[i], s[i + 1]
+    miss = np.flatnonzero((qq < s_i) | (qq >= s_next))
+    i[miss] = np.searchsorted(s, qq[miss], side="right") - 1
+    s_i[miss], s_next[miss] = s[i[miss]], s[i[miss] + 1]
     b = sync.pulse_boundary_index
     delta_i = (b[i + 1] - b[i]) / sync.boundary_step * delta_s
-    q_prime = (qq - s[i]) / (s[i + 1] - s[i]) * delta_i
+    q_prime = (qq - s_i) / (s_next - s_i) * delta_i
     return RescaledArrivals(
         q_prime=q_prime,
-        interval_index=i.astype(np.int64),
-        source_index=idx.astype(np.int64),
+        interval_index=i,
+        source_index=np.arange(lo, hi, dtype=np.int64),
         delta_s_eff=delta_s,
-        dropped_before=dropped_before,
-        dropped_after=dropped_after,
+        dropped_before=int(lo),
+        dropped_after=int(q.size - hi),
     )
 
 

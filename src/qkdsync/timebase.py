@@ -1,9 +1,8 @@
 """Clock models and the common time representation.
 
 All simulation timestamps are float64 seconds on a shared physical time
-axis.  File I/O uses integer picoseconds so round trips are bit exact;
-at the run durations used here (minutes), float64 seconds resolve well
-below 1 ps, so the two representations are interchangeable.
+axis; at the run durations used here (minutes), they resolve well
+below 1 ps.
 
 A :class:`ClockModel` is a quadratic warp between an oscillator's own
 schedule and physical time:
@@ -25,22 +24,11 @@ import numpy as np
 
 from . import rng
 
-PS_PER_S = 10**12
-
 MAX_FRACTIONAL_OFFSET = 1e-3
 
 
 class ClockConfigError(ValueError):
     """A clock parameter violates its sanity bounds."""
-
-
-def seconds_to_ps(t) -> np.ndarray:
-    """Round seconds to integer picoseconds (int64)."""
-    return np.rint(np.asarray(t, dtype=np.float64) * PS_PER_S).astype(np.int64)
-
-
-def ps_to_seconds(ps) -> np.ndarray:
-    return np.asarray(ps, dtype=np.float64) / PS_PER_S
 
 
 @dataclass(frozen=True)
@@ -196,31 +184,6 @@ class EdgeTrain:
 
     def __len__(self) -> int:
         return int(self.times_s.size)
-
-    def to_csv(self, path) -> None:
-        ticks = seconds_to_ps(self.times_s)
-        with open(path, "w", newline="") as fh:
-            fh.write("label,ticks_ps\n")
-            for t in ticks:
-                fh.write(f"{self.label},{int(t)}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "EdgeTrain":
-        labels = []
-        ticks = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "label,ticks_ps":
-                raise ValueError(f"unexpected edge CSV header: {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                label, tick = line.split(",")
-                labels.append(label)
-                ticks.append(int(tick))
-        label = labels[0] if labels else "edges"
-        return cls(ps_to_seconds(np.asarray(ticks, dtype=np.int64)), label=label)
 
 
 def quantize(t, resolution_s: float):

@@ -70,9 +70,13 @@ def test_prbs31_matches_reference_lfsr():
 
 
 def test_prbs31_vectorized_recurrence():
-    bits = prbs31_bits(1, 10_000).astype(np.int64)
-    n = np.arange(31, bits.size)
-    assert np.array_equal(bits[n], bits[n - 31] ^ bits[n - 28])
+    # the first 31 bits and o[n] = o[n-31] ^ o[n-28] fix the sequence; the
+    # fill blocks double in length, so shorter counts end inside and on them
+    bits = prbs31_bits(1, 4_000_000)
+    assert bits[:31].tolist() == _reference_prbs31(1, 31)
+    assert np.array_equal(bits[31:], bits[:-31] ^ bits[3:-28])
+    for count in (0, 5, 31, 40, 62, 1000, 200_000):
+        assert np.array_equal(prbs31_bits(1, count), bits[:count])
 
 
 def test_prbs31_is_balanced():

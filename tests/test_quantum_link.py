@@ -86,19 +86,67 @@ def test_born_rule_frequencies():
     assert abs(np.mean(detector_basis(det) == Z) - 0.5) < four_sigma
 
 
-def test_measure_polarization_scalar_labels():
+class _Uniforms:
+    """Stands in for a Generator, handing out the given uniform draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, n):
+        u = self.draws.pop(0)
+        assert u.size == n
+        return u
+
+
+def _measure_by_masks(s, in_z, coin):
+    """measure_polarization as masked scatters: the reference its lookup
+    table must reproduce."""
+    det = np.empty(s.size, dtype=np.int8)
+    det[in_z] = np.where(s[in_z] == D, np.where(coin[in_z] < 0.5, H, V), s[in_z])
+    x = ~in_z
+    det[x] = np.where(s[x] == D, D, np.where(coin[x] < 0.5, D, A))
+    return det
+
+
+def test_measure_polarization_table_matches_masked_reference_in_every_cell():
+    # every (basis draw, state, coin) cell, with draws on either side of 0.5
+    basis_u = np.array([0.0, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.75])
+    coin = np.array([0.0, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.75, 1.0 - 2.0**-53])
+    bu, s, c = (a.ravel() for a in np.meshgrid(
+        basis_u, np.array([H, V, D], dtype=np.int8), coin, indexing="ij"))
+    det = measure_polarization(s, _Uniforms(bu, c))
+    assert det.dtype == np.int8
+    assert np.array_equal(det, _measure_by_masks(s, bu < 0.5, c))
+    # a forced basis draws only the coin
+    for basis, in_z in (("Z", np.ones(s.size, bool)), ("X", np.zeros(s.size, bool)),
+                        (np.where(bu < 0.5, Z, X), bu < 0.5)):
+        det = measure_polarization(s, _Uniforms(c), basis=basis)
+        assert np.array_equal(det, _measure_by_masks(s, in_z, c))
+    # and a Philox stream, replayed for the reference
+    sent = QubitPattern.from_seed(2).states(np.arange(100_000))
+    det = measure_polarization(sent, np.random.default_rng(11))
+    replay = np.random.default_rng(11)
+    in_z = replay.random(sent.size) < 0.5
+    assert np.array_equal(det, _measure_by_masks(sent, in_z, replay.random(sent.size)))
+
+
+def test_measure_polarization_forced_basis_and_bad_inputs():
     gen = np.random.default_rng(1)
-    assert measure_polarization("H", gen, basis="Z") == "H"
-    assert measure_polarization("D", gen, basis="X") == "D"
-    assert measure_polarization("V", gen, basis="X") in ("D", "A")
-    with pytest.raises(ValueError):
-        measure_polarization("A", gen)  # A is never sent
-    with pytest.raises(ValueError):
-        measure_polarization("H", gen, basis="Q")
+    assert measure_polarization(np.array([H, V]), gen, basis="Z").tolist() == [H, V]
+    assert measure_polarization(np.array([D]), gen, basis="X").tolist() == [D]
+    assert measure_polarization(np.array([V]), gen, basis="X")[0] in (D, A)
+    with pytest.raises(ValueError, match="H, V or D"):
+        measure_polarization(np.array([A]), gen)  # A is never sent
+    with pytest.raises(ValueError, match="basis"):
+        measure_polarization(np.array([H]), gen, basis="Q")
+    with pytest.raises(ValueError, match="basis shape"):
+        measure_polarization(np.array([H, V]), gen, basis=np.array([Z]))
 
 
 def test_detector_basis_mapping():
-    assert detector_basis(np.array([H, V, D, A])).tolist() == [Z, Z, X, X]
+    basis = detector_basis(np.array([H, V, D, A], dtype=np.int8))
+    assert basis.dtype == np.int8
+    assert basis.tolist() == [Z, Z, X, X]
 
 
 # ------------------------------------------------------------------ time tags
@@ -147,24 +195,6 @@ def test_time_tag_carries_ground_truth():
     assert ds.detector.tolist() == [H, D]
     assert ds.origin.tolist() == [ORIGIN_BACKGROUND, ORIGIN_SIGNAL]
     assert ds.slot.tolist() == [-1, 7]
-
-
-def test_detection_set_csv_round_trip_strips_truth(tmp_path):
-    ds = DetectionSet(
-        ticks=np.array([5, 9], dtype=np.int64),
-        detector=np.array([H, A], dtype=np.int8),
-        origin=np.array([0, 1], dtype=np.int8),
-        slot=np.array([2, -1], dtype=np.int64),
-        tdc_resolution_s=81e-12,
-    )
-    path = tmp_path / "det.csv"
-    ds.to_csv(path)
-    assert path.read_text().splitlines()[0] == "detector,ticks"
-    back = DetectionSet.from_csv(path, tdc_resolution_s=81e-12)
-    assert np.array_equal(back.times_s, ds.times_s)
-    assert np.array_equal(back.ticks, ds.ticks)
-    assert np.array_equal(back.detector, ds.detector)
-    assert back.origin is None and back.slot is None
 
 
 def test_detection_set_select_keeps_resolution_and_drops_truth():

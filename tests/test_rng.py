@@ -55,6 +55,33 @@ def test_choice_at_frequencies():
     assert codes.dtype == np.int8
 
 
+def _choice_by_binary_search(u, probabilities):
+    """choice_at's code as a binary search: the reference its edge count must reproduce."""
+    cum = np.cumsum(np.asarray(probabilities, dtype=np.float64))
+    return np.searchsorted(cum, u, side="right").astype(np.int8)
+
+
+def test_choice_at_counts_edges_like_a_binary_search(monkeypatch):
+    key = rng.derive_key(6, "edges")
+    index = np.arange(50_000)
+    u = rng.uniform_at(key, index)
+    # edges placed exactly on drawn variates, beside an empty state
+    for probs in ((u[3], 0.0, 1.0 - u[3]), (0.0, u[5], 1.0 - u[5]),
+                  (u[7], 1.0 - u[7], 0.0), (0.25, 0.25, 0.5)):
+        codes = rng.choice_at(key, index, probs)
+        assert codes.dtype == np.int8
+        assert np.array_equal(codes, _choice_by_binary_search(u, probs))
+    assert rng.choice_at(key, index, (u[3], 0.0, 1.0 - u[3]))[3] == 2
+    # variates on, one ulp below and one ulp above every edge, and the ends of [0, 1)
+    probs = (0.25, 0.0, 0.25, 0.5)
+    edges = np.cumsum(probs)
+    on_edges = np.concatenate([[0.0, 1.0 - 2.0**-53], edges,
+                               np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+    monkeypatch.setattr(rng, "uniform_at", lambda key, index: on_edges)
+    assert np.array_equal(rng.choice_at(key, None, probs),
+                          _choice_by_binary_search(on_edges, probs))
+
+
 def test_generator_streams_reproducible():
     g1 = rng.generator(9, "noise")
     g2 = rng.generator(9, "noise")

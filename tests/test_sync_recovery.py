@@ -89,6 +89,78 @@ def test_rescale_uses_decimation_for_effective_interval():
     assert r.q_prime[0] == pytest.approx(2.5e-4, rel=1e-9)
 
 
+def _rescale_by_binary_search(q, sync):
+    """The interval lookup as a binary search over every detection: the
+    reference the interpolated lookup must reproduce bit for bit."""
+    s = sync.times_s
+    delta_s = sync.decimation * sync.nominal_spacing_s
+    i = np.searchsorted(s, q, side="right") - 1
+    dropped_before = int(np.count_nonzero(i < 0))
+    dropped_after = int(np.count_nonzero(i > s.size - 2))
+    idx = np.flatnonzero((i >= 0) & (i <= s.size - 2))
+    i = i[idx]
+    b = sync.pulse_boundary_index
+    delta_i = (b[i + 1] - b[i]) / sync.boundary_step * delta_s
+    q_prime = (q[idx] - s[i]) / (s[i + 1] - s[i]) * delta_i
+    return dict(q_prime=q_prime, interval_index=i.astype(np.int64),
+                source_index=idx.astype(np.int64), delta_s_eff=delta_s,
+                dropped_before=dropped_before, dropped_after=dropped_after)
+
+
+def _with_edge_cases(q, s):
+    """q plus detections before s_0, exactly on every pulse, one ulp below
+    every pulse, and at and after the last pulse."""
+    extra = [s, np.nextafter(s, -np.inf), s[[0, 0, -1, -1]],
+             s[0] - np.array([1e-3, 1e-9]), s[-1] + np.array([1e-9, 1e-3])]
+    return np.sort(np.concatenate([q, *extra]))
+
+
+def _assert_rescale_identical(q, sync):
+    got = rescale(q, sync)
+    want = _rescale_by_binary_search(q, sync)
+    for name, value in want.items():
+        have = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert have.dtype == value.dtype, name
+            assert have.tobytes() == value.tobytes(), name
+        else:
+            assert have == value, name
+
+
+def test_rescale_is_the_binary_search_on_the_blocking_train():
+    # the free-running span (4-8 s) bends the train away from the straight
+    # line the interval guess assumes; decimation widens the intervals
+    from qkdsync.config import defaults
+    from qkdsync.simulate import build_clocks, make_sync_train
+
+    cfg = defaults("blocking", seed=3, duration_s=12.0, block_start_s=4.0, block_end_s=8.0)
+    tx, rx = build_clocks(cfg)
+    sync = make_sync_train(tx, rx, cfg, blocks=((4.0, 8.0),))
+    assert not sync.locked.all()
+    s = sync.times_s
+    q = _with_edge_cases(np.random.default_rng(3).uniform(s[0] - 0.1, s[-1] + 0.1, 200_000), s)
+    for factor in (1, 10, 200, 1000):
+        _assert_rescale_identical(q, sync.decimate(factor))
+    for a in (0, 50_000, 150_000, q.size - 20_000):
+        _assert_rescale_identical(q[a:a + 20_000], sync)
+
+
+def test_rescale_is_the_binary_search_on_a_train_with_missing_pulses():
+    full = sync_train(n=2001, scale=1 + 3e-5)
+    keep = np.ones(len(full), dtype=bool)
+    keep[[1, 7, 8, 500]] = False
+    keep[1000:1400] = False  # a long gap moves every later guess
+    gapped = SyncPulseTrain(EdgeTrain(full.times_s[keep]), DELTA_S,
+                            pulse_boundary_index=full.pulse_boundary_index[keep],
+                            locked=full.locked[keep])
+    s = gapped.times_s
+    q = _with_edge_cases(np.random.default_rng(4).uniform(0.0, s[-1] + DELTA_S, 50_000), s)
+    _assert_rescale_identical(q, gapped)
+    _assert_rescale_identical(q, gapped.decimate(10))
+    for q_few in (q[:0], q[:1], s[-1:], s[:1]):
+        _assert_rescale_identical(q_few, gapped)
+
+
 # ---------------------------------------------------------------------- fold
 
 

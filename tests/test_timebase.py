@@ -10,10 +10,8 @@ from qkdsync.timebase import (
     ClockModel,
     EdgeTrain,
     local_time,
-    ps_to_seconds,
     quantize,
     reading_time,
-    seconds_to_ps,
 )
 
 
@@ -27,15 +25,6 @@ def make_clock(**kw):
     )
     base.update(kw)
     return ClockModel(**base)
-
-
-# ------------------------------------------------------------- picoseconds
-
-
-@given(st.integers(min_value=0, max_value=10**15))
-@settings(max_examples=100, deadline=None)
-def test_ps_integer_round_trip(ticks_ps):
-    assert seconds_to_ps(ps_to_seconds(ticks_ps)) == ticks_ps
 
 
 # ---------------------------------------------------------------- validation
@@ -157,22 +146,6 @@ def test_edge_train_requires_increasing_times():
         EdgeTrain(np.array([1e-9, 1e-9]))
     with pytest.raises(ValueError):
         EdgeTrain(np.array([2e-9, 1e-9]))
-
-
-def test_edge_train_csv_round_trip(tmp_path):
-    times = np.array([1e-9, 5e-9, 7.25e-9])
-    train = EdgeTrain(times, label="div4")
-    path = tmp_path / "edges.csv"
-    train.to_csv(path)
-    back = EdgeTrain.from_csv(path)
-    assert back.label == "div4"
-    # storage is integer picoseconds
-    assert np.array_equal(
-        np.rint(back.times_s * 1e12).astype(np.int64),
-        np.rint(times * 1e12).astype(np.int64),
-    )
-    header = path.read_text().splitlines()[0]
-    assert header == "label,ticks_ps"
 
 
 # ---------------------------------------------------------------- quantize
