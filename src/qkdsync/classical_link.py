@@ -520,12 +520,13 @@ def synthesize_sync_train(
             raise ValueError(f"blocking interval is inverted: [{bs}, {be})")
         locked &= ~((arrival >= bs) & (arrival < be + relock_delay_s))
 
-    reading = np.asarray(
-        reading_time(rx_clock, arrival, jitter_index=boundary, jitter_stream=rx_jitter_stream)
-    )
+    # only locked pulses are read; the free-running ones are set below
+    reading = np.empty(n_pulses)
+    reading[locked] = reading_time(rx_clock, arrival[locked], jitter_index=boundary[locked],
+                                   jitter_stream=rx_jitter_stream)
     if cdr_residual_sigma_s > 0:
         key = rng.derive_key(seed, "cdr-residual")
-        reading = reading + cdr_residual_sigma_s * rng.normal_at(key, boundary)
+        reading[locked] += cdr_residual_sigma_s * rng.normal_at(key, boundary[locked])
 
     if not locked.all():
         spacing_nom = divisor / symbol_rate_hz

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import rng
 from .classical_link import SyncPulseTrain
 from .quantum_link import (
     A,
@@ -152,26 +153,40 @@ def match_detections(
             f"need one phase offset or one per detection ({len(detections)}), "
             f"got shape {offset.shape}"
         )
-    r = rescale(detections.times_s, sync)
     base = _slot_base(sync, qubit_rate_hz, symbol_rate_hz)
 
-    k, resid = assign_slots(r.q_prime, offset[r.source_index] if offset.ndim else offset,
-                            delta_q)
-    slot = base[r.interval_index] + k + phase.slot_origin
-    inside = (np.abs(resid) <= window_s / 2.0) & (slot >= 0)
-    n_unmatched = int(r.q_prime.size - np.count_nonzero(inside)) \
-        + r.dropped_before + r.dropped_after
+    # in blocks of detections: every step is per detection, as in one pass
+    n = len(detections)
+    slot, src = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    time_s, resid, sent = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
+    n_matched = n_unmatched = 0
+    for lo in range(0, n, rng.BLOCK_EVENTS):
+        block = detections.select(slice(lo, lo + rng.BLOCK_EVENTS))
+        t = block.times_s
+        r = rescale(t, sync)
+        k, res = assign_slots(r.q_prime, offset[lo:lo + len(block)][r.source_index]
+                              if offset.ndim else offset, delta_q)
+        s = base[r.interval_index] + k + phase.slot_origin
+        inside = (np.abs(res) <= window_s / 2.0) & (s >= 0)
+        i = r.source_index[inside]
+        matched = slice(n_matched, n_matched + i.size)
+        slot[matched] = s[inside]
+        resid[matched] = res[inside]
+        src[matched] = i + lo
+        time_s[matched] = t[i]
+        sent[matched] = pattern.states(slot[matched])
+        n_unmatched += r.q_prime.size - i.size + r.dropped_before + r.dropped_after
+        n_matched = matched.stop
 
-    src = r.source_index[inside]
-    slot = slot[inside]
+    src = src[:n_matched]
     det = detections.detector[src]
     return MatchedPairs(
-        slot=slot,
+        slot=slot[:n_matched],
         detector=det,
-        sent=pattern.states(slot),
+        sent=sent[:n_matched],
         basis=detector_basis(det),
-        time_s=detections.select(src).times_s,  # only the matched ticks become seconds
-        residual_s=resid[inside],
+        time_s=time_s[:n_matched],
+        residual_s=resid[:n_matched],
         source_index=src,
         n_unmatched=n_unmatched,
     )

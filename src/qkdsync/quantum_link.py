@@ -179,15 +179,18 @@ def time_tag(
         raise ValueError(f"chain_jitter_sigma_s must be >= 0, got {chain_jitter_sigma_s}")
     t = np.asarray(arrival_time_s, dtype=np.float64)
     if chain_jitter_sigma_s > 0:
-        t = t + generator.normal(0.0, chain_jitter_sigma_s, t.size)
+        jit = generator.normal(0.0, chain_jitter_sigma_s, t.size)
+        t = np.add(jit, t, out=jit)  # t + jit, written into the fresh draw
     keep = t >= 0  # jitter can push the earliest events before the TDC epoch
-    t = t[keep]
-    det = np.asarray(detector, dtype=np.int8)[keep]
-    ticks = quantize(t, tdc_resolution_s)
+    if keep.all():
+        keep = slice(None)  # nothing to drop: views instead of copies
+    ticks = quantize(t[keep], tdc_resolution_s)
+    del t  # the jittered times, now ticks
     order = np.argsort(ticks, kind="stable")
+    ticks = ticks[order]
     return DetectionSet(
-        ticks=ticks[order],
-        detector=det[order],
+        ticks=ticks,
+        detector=np.asarray(detector, dtype=np.int8)[keep][order],
         tdc_resolution_s=tdc_resolution_s,
         origin=None if origin is None else np.asarray(origin, dtype=np.int8)[keep][order],
         slot=None if slot is None else np.asarray(slot, dtype=np.int64)[keep][order],

@@ -14,10 +14,15 @@ Two kinds of generators are used throughout the simulator:
   jitters are keyed this way, so the sparse detection sampler gives each
   slot exactly the state and timing of a dense pass over every slot
   (`tests/dense_reference.py`, checked in `tests/test_sampling.py`).
+
+Counter-based draws, like the per-event stages of `simulate` and
+`qkd_analysis`, run `BLOCK_EVENTS` events at a time.  Every step is
+elementwise, so blocks give the bits of one whole-array pass.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -26,6 +31,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53_INV = float(2.0**-53)
+
+BLOCK_EVENTS = 1 << 15  # events per block: 256 kB per float64 temporary
 
 
 def derive_key(seed: int, stream: str) -> int:
@@ -50,12 +57,27 @@ def _hash_at(key: int, index) -> np.ndarray:
     return _mix64(counter)
 
 
+def _blockwise(draw):
+    """draw(key, index) run BLOCK_EVENTS indices at a time; any index shape."""
+    @functools.wraps(draw)
+    def blocked(key: int, index):
+        idx = np.asarray(index)
+        flat = idx.reshape(-1)
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, BLOCK_EVENTS):
+            out[lo:lo + BLOCK_EVENTS] = draw(key, flat[lo:lo + BLOCK_EVENTS])
+        return out.reshape(idx.shape)[()]  # [()] makes a 0-d result a scalar
+    return blocked
+
+
+@_blockwise
 def uniform_at(key: int, index):
     """Uniform variate in [0, 1) for each integer index."""
     bits = _hash_at(key, index)
     return (bits >> np.uint64(11)).astype(np.float64) * _U53_INV
 
 
+@_blockwise
 def normal_at(key: int, index):
     """Standard normal variate for each integer index (Box-Muller)."""
     idx = np.asarray(index, dtype=np.uint64)

@@ -109,7 +109,7 @@ def _surviving_slots(n_slots: int, p: float, gen: np.random.Generator) -> np.nda
         chunks.append(slots)
         last = int(slots[-1])
     slots = np.concatenate(chunks)
-    return slots[slots < n_slots]
+    return slots[:np.searchsorted(slots, n_slots)]  # strictly increasing: a view
 
 
 def sample_detections(
@@ -131,43 +131,41 @@ def sample_detections(
     each survivor is emitted on the transmitter clock, Doppler-shifted
     and delayed, read on the receiver clock, measured, and time-tagged
     together with uniform background/dark events.
+
+    The emit -> arrival -> read chain runs `rng.BLOCK_EVENTS` slots at a
+    time into outputs allocated once; it is elementwise and keyed by slot.
     """
-    n_slots = int(math.floor(duration_s * qubit_rate_hz))
-    p = params.transmittance * params.detector_efficiency
-    slots = _surviving_slots(n_slots, p, rng.generator(seed, "signal-thinning"))
-
-    sched = slots / qubit_rate_hz
-    emit = local_time(tx_clock, sched, jitter_index=slots, jitter_stream="qubit-emit")
-    arrival = (np.asarray(emit) + propagation_delay_s) * (1.0 + params.doppler_beta)
-    read = np.asarray(
-        reading_time(rx_clock, arrival, jitter_index=slots, jitter_stream="det-read")
-    )
-    detector = measure_polarization(pattern.states(slots), rng.generator(seed, "measurement"))
-
     noise_gen = rng.generator(seed, "noise")
-    noise_t, noise_det, noise_orig = [], [], []
+    noise = []  # (times, detector, origin) per detector and noise kind
     for rate, origin in ((params.background_rate_hz, ORIGIN_BACKGROUND),
                          (params.dark_rate_hz, ORIGIN_DARK)):
         if rate <= 0:
             continue
         for det in (H, V, D, A):
             k = int(noise_gen.poisson(rate * duration_s))
-            noise_t.append(noise_gen.random(k) * duration_s)
-            noise_det.append(np.full(k, det, dtype=np.int8))
-            noise_orig.append(np.full(k, origin, dtype=np.int8))
-    if noise_t:
-        noise_t = np.concatenate(noise_t)
-        noise_det = np.concatenate(noise_det)
-        noise_orig = np.concatenate(noise_orig)
-    else:
-        noise_t = np.empty(0)
-        noise_det = np.empty(0, dtype=np.int8)
-        noise_orig = np.empty(0, dtype=np.int8)
+            noise.append((noise_gen.random(k) * duration_s, det, origin))
 
-    times = np.concatenate([read, noise_t])
-    dets = np.concatenate([detector, noise_det])
-    orig = np.concatenate([np.full(slots.size, ORIGIN_SIGNAL, dtype=np.int8), noise_orig])
-    slot_truth = np.concatenate([slots, np.full(noise_t.size, -1, dtype=np.int64)])
+    n_slots = int(math.floor(duration_s * qubit_rate_hz))
+    p = params.transmittance * params.detector_efficiency
+    slots = _surviving_slots(n_slots, p, rng.generator(seed, "signal-thinning"))
+    n_signal, n = slots.size, slots.size + sum(t.size for t, _, _ in noise)
+    slot_truth = np.concatenate([slots, np.full(n - n_signal, -1, dtype=np.int64)])
+    slots = slot_truth[:n_signal]
+    times, dets = np.empty(n), np.empty(n, dtype=np.int8)
+    orig = np.full(n, ORIGIN_SIGNAL, dtype=np.int8)
+    for lo in range(0, n_signal, rng.BLOCK_EVENTS):
+        block = slots[lo:lo + rng.BLOCK_EVENTS]
+        emit = local_time(tx_clock, block / qubit_rate_hz,
+                          jitter_index=block, jitter_stream="qubit-emit")
+        times[lo:lo + block.size] = reading_time(
+            rx_clock, (emit + propagation_delay_s) * (1.0 + params.doppler_beta),
+            jitter_index=block, jitter_stream="det-read")
+    dets[:n_signal] = measure_polarization(pattern.states(slots), rng.generator(seed, "measurement"))
+
+    lo = n_signal
+    for t, det, origin in noise:
+        times[lo:lo + t.size], dets[lo:lo + t.size], orig[lo:lo + t.size] = t, det, origin
+        lo += t.size
     return time_tag(
         times,
         dets,
@@ -232,9 +230,13 @@ def _delta_q_s(cfg: dict) -> float:
 
 
 def _fold_and_bin(detections, sync: SyncPulseTrain, cfg: dict) -> ArrivalHistogram:
-    r = rescale(detections.times_s, sync)
     dq = _delta_q_s(cfg)
-    return histogram(fold(r, dq), dq / cfg["histogram_bins"])
+    bin_s = dq / cfg["histogram_bins"]
+    counts = np.zeros(cfg["histogram_bins"], dtype=np.int64)
+    for lo in range(0, len(detections), rng.BLOCK_EVENTS):
+        block = detections.select(slice(lo, lo + rng.BLOCK_EVENTS))
+        counts += histogram(fold(rescale(block.times_s, sync), dq), bin_s).counts
+    return ArrivalHistogram(counts, bin_s, dq)
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,10 @@ class BlockingResult:
     block_end_s: float
     phase_ok: np.ndarray   # a usable phase existed for this bin
     slot_origin: int | None
-    n_detections: int
+    n_detections: int     # = n_matched + n_unmatched + n_not_offered
+    n_matched: int
+    n_unmatched: int
+    n_not_offered: int
 
     def write(self, out_dir) -> None:
         self.series.to_csv(f"{out_dir}/qber.csv")
@@ -399,7 +404,8 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     whole-slot anchor is resolved once, on the first bin with a good fit.
     One match then pairs every detection from that bin on, each with its
     own bin's phase or the last good one before it, and `compute_qber`
-    bins the pairs.
+    bins the pairs.  Detections before the first bin with a phase or
+    past the last bin are counted as never offered to the match.
     """
     bs, be = cfg["block_start_s"], cfg["block_end_s"]
     if not 0.0 <= bs <= be <= cfg["duration_s"]:
@@ -448,7 +454,8 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
                              PhaseOffset(offset, slot_origin or 0), pattern, **match_kwargs)
 
     series = compute_qber(pairs, cfg["duration_s"], bin_s)
-    result = BlockingResult(series, bs, be, phase_ok, slot_origin, len(det))
+    result = BlockingResult(series, bs, be, phase_ok, slot_origin, len(det), len(pairs),
+                            pairs.n_unmatched, len(det) - int(edges[-1] - edges[first]))
     if out_dir is not None:
         result.write(out_dir)
     return result

@@ -193,7 +193,8 @@ def quantize(t, resolution_s: float):
     arr = np.asarray(t, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("cannot quantize negative times")
-    ticks = np.floor(arr / resolution_s).astype(np.int64)
+    ticks = np.divide(arr, resolution_s, out=np.empty_like(arr))  # an array even if 0-d
+    ticks = np.floor(ticks, out=ticks).astype(np.int64)
     if np.ndim(t) == 0:
         return int(ticks)
     return ticks

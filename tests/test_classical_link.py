@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsync import classical_link, config, simulate
+from qkdsync import classical_link, config, rng, simulate
 from qkdsync.classical_link import (
     GAP_UNLOCK_SYMBOLS,
     LOCK_RMS_FRACTION,
@@ -25,7 +25,7 @@ from qkdsync.classical_link import (
     recovered_fractional_offset,
     synthesize_sync_train,
 )
-from qkdsync.timebase import ClockModel, EdgeTrain
+from qkdsync.timebase import ClockModel, EdgeTrain, local_time, reading_time
 
 SYMBOL_RATE = 1.25e7  # reduced rate keeps edge-level loop tests fast
 DIVISOR = 1250        # keeps the sync spacing at the usual 100 us
@@ -377,6 +377,46 @@ def test_synthesize_block_free_runs_at_nominal_spacing():
     drift = np.abs(t[inside] - truth_reading)
     assert drift[0] < 1e-9
     assert drift[-1] > 1.5e-8  # ~1e-6 relative over a 20 ms block
+
+
+def _synthesized_reading_reference(tx, rx, duration_s, seed, blocks, delay_s, beta,
+                                   relock_s=1e-5, sigma_s=90e-12):
+    """Receiver readings of synthesize_sync_train with every pulse read,
+    then the free-running ones overwritten by extrapolation."""
+    n = int(np.floor(duration_s * FULL_RATE / FULL_DIVISOR))
+    boundary = np.arange(n, dtype=np.int64) * FULL_DIVISOR
+    emit = np.asarray(local_time(tx, boundary / FULL_RATE, jitter_index=boundary,
+                                 jitter_stream="sync-emit"))
+    arrival = (emit + delay_s) * (1.0 + beta)
+    locked = np.ones(n, dtype=bool)
+    for bs, be in blocks:
+        locked &= ~((arrival >= bs) & (arrival < be + relock_s))
+    reading = np.asarray(reading_time(rx, arrival, jitter_index=boundary,
+                                      jitter_stream="sync-read"))
+    reading = reading + sigma_s * rng.normal_at(rng.derive_key(seed, "cdr-residual"), boundary)
+    idx = np.arange(n, dtype=np.int64)
+    anchor = np.maximum.accumulate(np.where(locked, idx, -1))
+    free = ~locked
+    with_anchor = free & (anchor >= 0)
+    reading[with_anchor] = reading[anchor[with_anchor]] + (
+        idx[with_anchor] - anchor[with_anchor]) * (FULL_DIVISOR / FULL_RATE)
+    no_anchor = free & (anchor < 0)
+    reading[no_anchor] = idx[no_anchor] * (FULL_DIVISOR / FULL_RATE)
+    return reading, locked
+
+
+@pytest.mark.parametrize("block", [(0.02, 0.04), (0.0, 0.02), (0.04, 0.06)],
+                         ids=["mid-stream", "from-start", "to-end"])
+def test_synthesize_reads_only_locked_pulses_with_the_same_bits(block):
+    tx = make_clock(offset=5e-7, jitter=30e-12, seed=1, rate=FULL_RATE)
+    rx = make_clock(offset=-5e-7, jitter=30e-12, seed=2, rate=FULL_RATE)
+    sp = synthesize_sync_train(tx, rx, 0.06, FULL_RATE, FULL_DIVISOR, seed=5,
+                               propagation_delay_s=3e-6, doppler_beta=1e-6,
+                               blocks=(block,))
+    reading, locked = _synthesized_reading_reference(tx, rx, 0.06, 5, (block,), 3e-6, 1e-6)
+    assert 0 < np.count_nonzero(locked) < locked.size
+    assert np.array_equal(sp.locked, locked)
+    assert sp.times_s.tobytes() == reading.tobytes()
 
 
 def test_synthesize_doppler_scales_times():

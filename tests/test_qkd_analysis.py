@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qkdsync import rng
 from qkdsync.classical_link import SyncPulseTrain
 from qkdsync.qkd_analysis import (
     MatchedPairs,
@@ -171,6 +172,26 @@ def test_match_per_detection_offsets_equal_per_segment_calls():
     for name in ("slot", "detector", "sent", "basis", "time_s", "residual_s"):
         assert np.array_equal(getattr(got, name),
                               np.concatenate([getattr(p, name) for p in parts])), name
+
+
+def test_match_in_small_blocks_gives_the_pairs_of_one_block(monkeypatch):
+    pat = QubitPattern.from_seed(13)
+    gen = np.random.default_rng(5)
+    sync = ideal_sync()
+    # detections before the first pulse, after the last, outside the
+    # window, and (at this slot origin) at negative slots
+    slots = np.sort(gen.choice(np.arange(4_000, 302_000), 3_000, replace=False))
+    in_slot = gen.uniform(3e-9, 8e-9, slots.size)
+    ds = detections_for_slots(slots, pat.states(slots),
+                              in_slot + np.where(gen.random(slots.size) < 0.1, 1.6e-9, 0.0))
+    phase = PhaseOffset(in_slot, -5_100)
+    whole = match_detections(ds, sync, phase, pat, **kwargs(window_s=2e-9))
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)
+    blocked = match_detections(ds, sync, phase, pat, **kwargs(window_s=2e-9))
+    assert 0 < len(whole) < len(ds) - 300
+    assert blocked.n_unmatched == whole.n_unmatched == len(ds) - len(whole)
+    for name in ("slot", "detector", "sent", "basis", "time_s", "residual_s", "source_index"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_match_after_a_missing_sync_pulse_keeps_slots():

@@ -141,3 +141,72 @@ def test_choice_at_bad_probabilities_rejected_by_callers():
         QubitPattern.from_seed(1, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         QubitPattern.from_seed(1, (0.5, 0.5))
+
+
+def _splitmix_reference(key, index):
+    """The splitmix64 hash of every index in one whole-array pass."""
+    idx = np.asarray(index, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(key) + (idx + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _uniform_reference(key, index):
+    return (_splitmix_reference(key, index) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _normal_reference(key, index):
+    """Box-Muller over the whole index array at once."""
+    idx = np.asarray(index, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        even = idx * np.uint64(2)
+        odd = even + np.uint64(1)
+    u1 = (_splitmix_reference(key, even) >> np.uint64(11)).astype(np.float64)
+    u2 = (_splitmix_reference(key, odd) >> np.uint64(11)).astype(np.float64)
+    u1 = (u1 + 1.0) * 2.0**-53
+    u2 = u2 * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+B = rng.BLOCK_EVENTS
+
+
+@pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_blocked_draws_equal_one_whole_array_pass(size, dtype):
+    key = rng.derive_key(17, "blocks")
+    # scattered indices; the uint64 ones reach past 2^63
+    start = 2**63 + 5 if dtype == np.uint64 else 3
+    index = np.arange(size, dtype=dtype) * dtype(7919) + dtype(start)
+    _assert_same_bits(rng.uniform_at(key, index), _uniform_reference(key, index))
+    _assert_same_bits(rng.normal_at(key, index), _normal_reference(key, index))
+    probs = (0.25, 0.25, 0.5)
+    codes = np.searchsorted(np.cumsum(probs), _uniform_reference(key, index),
+                            side="right").astype(np.int8)
+    _assert_same_bits(rng.choice_at(key, index, probs), codes)
+
+
+@pytest.mark.parametrize("index", [12345, np.int64(12345), np.uint64(2**63 + 1)])
+def test_blocked_draws_of_a_scalar_index_are_scalars(index):
+    key = rng.derive_key(18, "scalar")
+    for draw, reference in ((rng.uniform_at, _uniform_reference),
+                            (rng.normal_at, _normal_reference)):
+        got = draw(key, index)
+        assert np.ndim(got) == 0
+        _assert_same_bits(got, reference(key, index))
+
+
+def test_blocked_draws_keep_a_2d_index_shape():
+    # the shift x pair index array of the anchor scan spans several blocks
+    key = rng.derive_key(19, "grid")
+    index = np.arange(3 * (B + 5), dtype=np.int64).reshape(3, B + 5) * 11
+    _assert_same_bits(rng.uniform_at(key, index), _uniform_reference(key, index))
+    _assert_same_bits(rng.normal_at(key, index), _normal_reference(key, index))

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from qkdsync import rng
 from qkdsync.config import defaults
 from qkdsync.quantum_link import ORIGIN_SIGNAL
 from qkdsync.simulate import (
+    _fold_and_bin,
     build_clocks,
     channel_from_config,
+    detections_from_config,
+    make_sync_train,
     pattern_from_config,
     run_arrival_experiment,
     run_blocking_experiment,
@@ -119,3 +123,36 @@ def test_sparse_sampling_statistics_and_truth():
            | ((sent == V) & (det.detector == H))
            | ((sent == D) & (det.detector == A)))
     assert not bad.any()
+
+
+@pytest.mark.parametrize("block", [(0.0, 3.0), (3.0, 5.0)])
+def test_blocking_counts_every_detection_once(block):
+    cfg = defaults("blocking", seed=3, duration_s=8.0,
+                   block_start_s=block[0], block_end_s=block[1])
+    result = run_blocking_experiment(cfg)
+    assert result.n_matched + result.n_unmatched + result.n_not_offered == result.n_detections
+    assert result.n_matched > 0
+    first = int(np.flatnonzero(result.phase_ok)[0])
+    if block[0] == 0.0:
+        # the bins before the first phase are never offered to the matcher
+        assert first >= 3 and result.n_not_offered > first * result.n_detections / 10
+    else:
+        assert first == 0 and result.n_not_offered < result.n_detections / 1000
+
+
+def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
+    cfg = defaults("arrival", seed=12, duration_s=0.5)
+    tx, rx = build_clocks(cfg)
+    sync = make_sync_train(tx, rx, cfg)
+
+    def run():
+        det = detections_from_config(tx, rx, cfg)
+        return det, _fold_and_bin(det, sync, cfg).counts
+
+    det, counts = run()
+    assert len(det) > 5 * 997
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
+    small_det, small_counts = run()
+    for name in ("ticks", "detector", "origin", "slot"):
+        assert getattr(small_det, name).tobytes() == getattr(det, name).tobytes(), name
+    assert np.array_equal(small_counts, counts)
