@@ -48,8 +48,8 @@ def main():
     lock_edge = rc.lock_index
     lock_symbol = int(rc.boundary_index[lock_edge])
     recovered = recovered_fractional_offset(rc)
-    print(f"{len(stream.edges)} edges from {args.symbols} symbols "
-          f"(transition density {len(stream.edges) / args.symbols:.3f})")
+    print(f"{len(stream)} edges from {args.symbols} symbols "
+          f"(transition density {len(stream) / args.symbols:.3f})")
     print(f"lock declared at edge {lock_edge} = symbol {lock_symbol} "
           f"({lock_symbol / SYMBOL_RATE * 1e6:.1f} us)")
     print(f"true offset {OFFSET:+.2e}, recovered {recovered:+.6e} "

@@ -27,7 +27,6 @@ from .timebase import (
 )
 from .classical_link import (
     NoLockError,
-    OokStream,
     RecoveredClock,
     SyncPulseTrain,
     block_channel,
@@ -58,6 +57,7 @@ from .sync_recovery import (
     fit_gaussian,
     fit_or_equivalent,
     fold,
+    fold_histogram,
     fwhm_equivalent,
     histogram,
     require_peak,

@@ -95,22 +95,7 @@ def prbs31_bits(seed_register: int, count: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class OokStream:
-    """Transition timestamps of an on-off-keyed data stream."""
-
-    edges: EdgeTrain
-    symbol_rate_hz: float
-
-    def __post_init__(self):
-        if not self.symbol_rate_hz > 0:
-            raise ValueError("symbol_rate_hz must be > 0")
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def modulate_ook(bits, tx_clock: ClockModel) -> OokStream:
+def modulate_ook(bits, tx_clock: ClockModel) -> EdgeTrain:
     """Emit a transition edge wherever consecutive bits differ.
 
     The laser is dark before the stream, so a leading 1 produces an edge
@@ -124,16 +109,15 @@ def modulate_ook(bits, tx_clock: ClockModel) -> OokStream:
     boundary = np.flatnonzero(levels[1:] != levels[:-1]).astype(np.int64)
     sched = boundary / tx_clock.nominal_frequency_hz
     times = local_time(tx_clock, sched, jitter_index=boundary, jitter_stream="ook-edges")
-    return OokStream(EdgeTrain(np.asarray(times), label="ook"), tx_clock.nominal_frequency_hz)
+    return EdgeTrain(times)
 
 
-def block_channel(stream: OokStream, t_start: float, t_end: float) -> OokStream:
+def block_channel(edges: EdgeTrain, t_start: float, t_end: float) -> EdgeTrain:
     """Remove every edge in [t_start, t_end) — an opaque obstruction."""
     if not t_start < t_end:
         raise ValueError(f"blocking interval is inverted: [{t_start}, {t_end})")
-    t = stream.edges.times_s
-    keep = (t < t_start) | (t >= t_end)
-    return OokStream(EdgeTrain(t[keep], label=stream.edges.label), stream.symbol_rate_hz)
+    t = edges.times_s
+    return EdgeTrain(t[(t < t_start) | (t >= t_end)])
 
 
 @dataclass(frozen=True)
@@ -146,7 +130,6 @@ class RecoveredClock:
     period_s: np.ndarray          # loop estimate of the symbol period
     locked: np.ndarray
     symbol_period_nominal_s: float
-    loop_bandwidth_hz: float
 
     @property
     def has_lock(self) -> bool:
@@ -160,14 +143,16 @@ class RecoveredClock:
 
 
 def cdr_track(
-    stream: OokStream,
+    edges: EdgeTrain,
     loop_bandwidth_hz: float,
     rx_clock: ClockModel,
     propagation_delay_s: float = 0.0,
 ) -> RecoveredClock:
     """Second-order PI phase tracking over the received edge timestamps.
 
-    Each edge is compared against the predicted nearest symbol boundary;
+    The loop's reference is the receiver's own oscillator: rx_clock
+    reads the edges after propagation_delay_s and sets the nominal
+    symbol period.  Each edge is compared against the predicted nearest symbol boundary;
     the (sign-folded) phase error drives proportional and integral
     corrections with gains set from the loop bandwidth assuming the
     PRBS mean transition spacing of two symbols.  Lock is declared when
@@ -194,24 +179,17 @@ def cdr_track(
     A stream that never locks yields a RecoveredClock with has_lock
     False; downstream consumers refuse to derive pulses from it.
     """
-    t_emit = stream.edges.times_s
+    t_emit = edges.times_s
     n = t_emit.size
     if n < 2:
         raise ValueError("clock recovery needs at least 2 edges")
-    if not 0 < loop_bandwidth_hz < stream.symbol_rate_hz / 10:
+    if not 0 < loop_bandwidth_hz < rx_clock.nominal_frequency_hz / 10:
         raise ValueError("loop_bandwidth_hz must be positive and well below the symbol rate")
 
-    t_obs = np.asarray(
-        reading_time(
-            rx_clock,
-            t_emit + propagation_delay_s,
-            jitter_index=np.arange(n, dtype=np.int64),
-            jitter_stream="cdr-edges",
-        ),
-        dtype=np.float64,
-    )
+    t_obs = reading_time(rx_clock, t_emit + propagation_delay_s,
+                         jitter_index=np.arange(n, dtype=np.int64), jitter_stream="cdr-edges")
 
-    t_nom = 1.0 / stream.symbol_rate_hz
+    t_nom = rx_clock.period_s
     alpha, beta = _pi_gains(loop_bandwidth_hz, t_nom)
 
     phase = np.empty(n)
@@ -235,7 +213,6 @@ def cdr_track(
         period_s=period,
         locked=_lock_flags(err, bindex, t_nom),
         symbol_period_nominal_s=t_nom,
-        loop_bandwidth_hz=loop_bandwidth_hz,
     )
 
 
@@ -376,27 +353,23 @@ def recovered_fractional_offset(rc: RecoveredClock, skip_fraction: float = 0.25)
 class SyncPulseTrain:
     """Receiver-side timestamps s_i of the divided-down recovered clock.
 
-    nominal_spacing_s is the base (decimation 1) pulse spacing; the
-    stored pulses are decimation * nominal_spacing_s, one boundary step,
-    apart, except where pulses are missing.  The pulse_boundary_index
-    array carries, for each pulse, the absolute symbol boundary count it
-    corresponds to (the receiver's own count of recovered boundaries),
-    from which slot matching, rescaling and decimation work; locked is
-    False for pulses generated while the recovery loop was free-running
-    on the local oscillator.
+    step_spacing_s is the nominal time between pulses one boundary step
+    apart; the stored pulses are that far apart except where pulses are
+    missing.  The pulse_boundary_index array carries, for each pulse, the
+    absolute symbol boundary count it corresponds to (the receiver's own
+    count of recovered boundaries), from which slot matching, rescaling
+    and decimation work; locked is False for pulses generated while the
+    recovery loop was free-running on the local oscillator.
     """
 
     pulses: EdgeTrain
-    nominal_spacing_s: float
+    step_spacing_s: float
     pulse_boundary_index: np.ndarray
     locked: np.ndarray
-    decimation: int = 1
 
     def __post_init__(self):
-        if self.decimation < 1:
-            raise ValueError("decimation must be >= 1")
-        if not self.nominal_spacing_s > 0:
-            raise ValueError("nominal_spacing_s must be > 0")
+        if not self.step_spacing_s > 0:
+            raise ValueError("step_spacing_s must be > 0")
         n = len(self.pulses)
         if len(self.pulse_boundary_index) != n:
             raise ValueError("pulse_boundary_index length mismatch")
@@ -405,13 +378,12 @@ class SyncPulseTrain:
         if n >= 2:
             if self.boundary_step < 1:
                 raise ValueError("pulse_boundary_index must be strictly increasing")
-            b, t = self.pulse_boundary_index, self.times_s
-            target = self.decimation * self.nominal_spacing_s
+            b, t, step_s = self.pulse_boundary_index, self.times_s, self.step_spacing_s
             mean = float(t[-1] - t[0]) / ((b[-1] - b[0]) / self.boundary_step)
-            if abs(mean - target) > SYNC_SPACING_TOLERANCE * target:
+            if abs(mean - step_s) > SYNC_SPACING_TOLERANCE * step_s:
                 raise ValueError(
                     f"mean sync spacing {mean:g} s per boundary step deviates from "
-                    f"nominal {target:g} s by more than {SYNC_SPACING_TOLERANCE:g} relative"
+                    f"nominal {step_s:g} s by more than {SYNC_SPACING_TOLERANCE:g} relative"
                 )
 
     @property
@@ -429,19 +401,17 @@ class SyncPulseTrain:
 
     def decimate(self, factor: int) -> "SyncPulseTrain":
         """Keep the pulses whose boundary count is a multiple of factor
-        times the boundary step, widening the effective interval factor
-        times."""
+        times the boundary step, widening the step spacing factor times."""
         if factor < 1 or len(self) < 2:
             raise ValueError("decimation needs a factor >= 1 and at least 2 pulses")
         if factor == 1:
             return self
         keep = self.pulse_boundary_index % (factor * self.boundary_step) == 0
         return SyncPulseTrain(
-            pulses=EdgeTrain(self.times_s[keep], label=self.pulses.label),
-            nominal_spacing_s=self.nominal_spacing_s,
+            pulses=EdgeTrain(self.times_s[keep]),
+            step_spacing_s=factor * self.step_spacing_s,
             pulse_boundary_index=self.pulse_boundary_index[keep],
             locked=self.locked[keep],
-            decimation=self.decimation * factor,
         )
 
 
@@ -470,8 +440,8 @@ def derive_sync_pulses(rc: RecoveredClock, divisor: int) -> SyncPulseTrain:
         raise NoLockError("requested sync pulses fall in an unlocked region")
     times = rc.boundary_phase_s[j] + (targets - rc.boundary_index[j]) * rc.period_s[j]
     return SyncPulseTrain(
-        pulses=EdgeTrain(times, label="sync"),
-        nominal_spacing_s=divisor * rc.symbol_period_nominal_s,
+        pulses=EdgeTrain(times),
+        step_spacing_s=divisor * rc.symbol_period_nominal_s,
         pulse_boundary_index=targets,
         locked=np.ones(targets.size, dtype=bool),
     )
@@ -542,8 +512,8 @@ def synthesize_sync_train(
         reading[no_anchor] = idx[no_anchor] * spacing_nom
 
     return SyncPulseTrain(
-        pulses=EdgeTrain(reading, label="sync"),
-        nominal_spacing_s=divisor / symbol_rate_hz,
+        pulses=EdgeTrain(reading),
+        step_spacing_s=divisor / symbol_rate_hz,
         pulse_boundary_index=boundary,
         locked=locked,
     )

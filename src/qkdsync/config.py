@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .quantum_link import MAX_DOPPLER_BETA
+
 
 class ConfigError(ValueError):
     """A config file or value is invalid; message names the key."""
@@ -160,8 +162,10 @@ def _validate(cfg: dict) -> None:
     if list(cfg["n_values"]) != sorted(cfg["n_values"]) or any(
             n < 1 for n in cfg["n_values"]):
         raise ConfigError("config key 'n_values' must be ascending integers >= 1")
-    if any(abs(b) >= 1e-4 for b in cfg["beta_values"]):
-        raise ConfigError("config key 'beta_values' entries must satisfy |beta| < 1e-4")
+    for key, betas in (("doppler_beta", [cfg["doppler_beta"]]),
+                       ("beta_values", cfg["beta_values"])):
+        if any(abs(beta) >= MAX_DOPPLER_BETA for beta in betas):
+            raise ConfigError(f"config key {key!r} must satisfy |beta| < {MAX_DOPPLER_BETA:g}")
     if cfg["match_window_s"] > 1.0 / cfg["qubit_rate_hz"]:
         raise ConfigError(
             f"config key 'match_window_s' must not exceed the qubit slot "

@@ -30,13 +30,7 @@ from .quantum_link import (
     QubitPattern,
     detector_basis,
 )
-from .sync_recovery import (
-    DEFAULT_BIN_COUNT,
-    FoldedArrivals,
-    fit_gaussian,
-    histogram,
-    rescale,
-)
+from .sync_recovery import ArrivalHistogram, fit_gaussian, rescale
 
 # fraction of random (wrong-slot) pairs that are state-incompatible for
 # the (1/4, 1/4, 1/2) H/V/D ensemble: P(H)P(det V) + P(V)P(det H) + P(D)P(det A)
@@ -63,13 +57,12 @@ class PhaseOffset:
     confidence: float = float("inf")
 
 
-def recover_phase(folded: FoldedArrivals,
-                  bin_count: int = DEFAULT_BIN_COUNT) -> PhaseOffset:
-    """Phase offset from a Gaussian fit of the folded arrivals.
+def recover_phase(h: ArrivalHistogram) -> PhaseOffset:
+    """Phase offset from a Gaussian fit of the folded-arrival histogram.
 
     Raises FitError when no usable peak exists.
     """
-    peak = fit_gaussian(histogram(folded, folded.delta_q_s / bin_count))
+    peak = fit_gaussian(h)
     return PhaseOffset(offset_s=peak.mu_s, slot_origin=0,
                        confidence=peak.peak_to_baseline)
 

@@ -46,11 +46,9 @@ from .sync_recovery import (
     ArrivalHistogram,
     FitError,
     SweepTable,
-    fit_or_equivalent,
-    fold,
-    histogram,
-    rescale,
     decimation_sweep,
+    fit_or_equivalent,
+    fold_histogram,
     require_peak,
 )
 from .timebase import ClockModel, local_time, reading_time
@@ -230,13 +228,7 @@ def _delta_q_s(cfg: dict) -> float:
 
 
 def _fold_and_bin(detections, sync: SyncPulseTrain, cfg: dict) -> ArrivalHistogram:
-    dq = _delta_q_s(cfg)
-    bin_s = dq / cfg["histogram_bins"]
-    counts = np.zeros(cfg["histogram_bins"], dtype=np.int64)
-    for lo in range(0, len(detections), rng.BLOCK_EVENTS):
-        block = detections.select(slice(lo, lo + rng.BLOCK_EVENTS))
-        counts += histogram(fold(rescale(block.times_s, sync), dq), bin_s).counts
-    return ArrivalHistogram(counts, bin_s, dq)
+    return fold_histogram(detections.times_s, sync, _delta_q_s(cfg), cfg["histogram_bins"])
 
 
 @dataclass(frozen=True)
@@ -435,7 +427,7 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
         if len(sub) < MIN_DETECTIONS_PER_FIT:
             continue
         try:
-            phase = recover_phase(fold(rescale(sub.times_s, sync), dq), cfg["histogram_bins"])
+            phase = recover_phase(fold_histogram(sub.times_s, sync, dq, cfg["histogram_bins"]))
         except FitError:
             continue  # washed-out fold: the bin keeps the last good phase
         if slot_origin is None:

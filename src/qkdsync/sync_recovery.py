@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .classical_link import SyncPulseTrain
 
 # finest bin count that divides the 20 ns slot while staying within one
@@ -27,8 +28,6 @@ from .classical_link import SyncPulseTrain
 DEFAULT_BIN_COUNT = 247
 
 FWHM_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))  # 2.3548...
-
-BIN_DIVISIBILITY_RTOL = 1e-9
 
 # the Gaussian fit ends once a step changes the cost or the parameters by
 # less than FIT_RTOL (relative), and fails after FIT_MAX_ITER steps
@@ -52,7 +51,6 @@ class RescaledArrivals:
     q_prime: np.ndarray
     interval_index: np.ndarray
     source_index: np.ndarray
-    delta_s_eff: float
     dropped_before: int
     dropped_after: int
 
@@ -65,10 +63,9 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
 
     For q in [s_i, s_{i+1}): q' = (q - s_i)/(s_{i+1} - s_i) * delta_i,
     where delta_i is the interval's boundary count in units of the
-    train's boundary step, times delta_s = decimation *
-    sync.nominal_spacing_s, so an interval that spans a missing pulse
-    keeps its true length.  times_s is a sorted array of receiver
-    seconds, such as `DetectionSet.times_s`.
+    train's boundary step, times sync.step_spacing_s, so an interval
+    that spans a missing pulse keeps its true length.  times_s is a
+    sorted array of receiver seconds, such as `DetectionSet.times_s`.
 
     Detections before s_0 or at or after the last pulse are dropped;
     since times_s is sorted, the kept ones are one contiguous run.  The
@@ -86,7 +83,6 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     n = s.size
     if n < 2:
         raise ValueError("rescaling needs at least 2 sync pulses")
-    delta_s = sync.decimation * sync.nominal_spacing_s
 
     lo, hi = np.searchsorted(q, s[[0, -1]], side="left")
     qq = q[lo:hi]
@@ -97,13 +93,12 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     i[miss] = np.searchsorted(s, qq[miss], side="right") - 1
     s_i[miss], s_next[miss] = s[i[miss]], s[i[miss] + 1]
     b = sync.pulse_boundary_index
-    delta_i = (b[i + 1] - b[i]) / sync.boundary_step * delta_s
+    delta_i = (b[i + 1] - b[i]) / sync.boundary_step * sync.step_spacing_s
     q_prime = (qq - s_i) / (s_next - s_i) * delta_i
     return RescaledArrivals(
         q_prime=q_prime,
         interval_index=i,
         source_index=np.arange(lo, hi, dtype=np.int64),
-        delta_s_eff=delta_s,
         dropped_before=int(lo),
         dropped_after=int(q.size - hi),
     )
@@ -139,24 +134,21 @@ class ArrivalHistogram:
     """Folded arrival counts over [0, delta_q) in uniform bins."""
 
     counts: np.ndarray
-    bin_width_s: float
     delta_q_s: float
 
     def __post_init__(self):
-        n = int(round(self.delta_q_s / self.bin_width_s))
-        if n < 1 or abs(n * self.bin_width_s - self.delta_q_s) > BIN_DIVISIBILITY_RTOL * self.delta_q_s:
-            raise ValueError(
-                f"bin width {self.bin_width_s:g} s does not evenly divide "
-                f"the slot {self.delta_q_s:g} s"
-            )
-        if len(self.counts) != n:
-            raise ValueError(f"expected {n} bins, got {len(self.counts)}")
-        if np.any(np.asarray(self.counts) < 0):
+        if self.n_bins < 1:
+            raise ValueError("a histogram needs at least 1 bin")
+        if np.any(self.counts < 0):
             raise ValueError("bin counts must be non-negative")
 
     @property
     def n_bins(self) -> int:
         return int(self.counts.size)
+
+    @property
+    def bin_width_s(self) -> float:
+        return self.delta_q_s / self.n_bins
 
     @property
     def bin_centers_s(self) -> np.ndarray:
@@ -173,12 +165,25 @@ class ArrivalHistogram:
                 fh.write(f"{k * self.bin_width_s * 1e12:.6f},{int(c)}\n")
 
 
-def histogram(folded: FoldedArrivals, bin_width_s: float) -> ArrivalHistogram:
-    """Count folded arrivals into uniform bins, which must tile [0, delta_q)."""
+def histogram(folded: FoldedArrivals, bin_count: int) -> ArrivalHistogram:
+    """Count folded arrivals into bin_count uniform bins tiling [0, delta_q)."""
     dq = folded.delta_q_s
-    n = max(int(round(dq / bin_width_s)), 1)
-    counts, _ = np.histogram(folded.values, bins=n, range=(0.0, dq))
-    return ArrivalHistogram(counts.astype(np.int64), bin_width_s, dq)
+    counts, _ = np.histogram(folded.values, bins=bin_count, range=(0.0, dq))
+    return ArrivalHistogram(counts.astype(np.int64), dq)
+
+
+def fold_histogram(times_s, sync: SyncPulseTrain, delta_q_s: float,
+                   bin_count: int) -> ArrivalHistogram:
+    """Rescale, fold and histogram sorted detection times.
+
+    Runs `rng.BLOCK_EVENTS` detections at a time; every step is per
+    detection and the counts add, so blocks give the counts of one pass.
+    """
+    counts = np.zeros(bin_count, dtype=np.int64)
+    for lo in range(0, len(times_s), rng.BLOCK_EVENTS):
+        block = times_s[lo:lo + rng.BLOCK_EVENTS]
+        counts += histogram(fold(rescale(block, sync), delta_q_s), bin_count).counts
+    return ArrivalHistogram(counts, delta_q_s)
 
 
 @dataclass(frozen=True)
@@ -402,22 +407,19 @@ def decimation_sweep(
         raise ValueError("decimation values must be >= 1")
     if sorted(n_values) != n_values:
         raise ValueError("n_values must be sorted ascending")
-    bin_width = delta_q_s / bin_count
 
     fwhm = np.empty(len(n_values))
     resid = np.empty(len(n_values))
     ok = np.zeros(len(n_values), dtype=bool)
     for k, nv in enumerate(n_values):
-        sync_n = base_sync.decimate(nv)
-        r = rescale(times_s, sync_n)
-        h = histogram(fold(r, delta_q_s), bin_width)
+        h = fold_histogram(times_s, base_sync.decimate(nv), delta_q_s, bin_count)
         try:
             fwhm[k], resid[k], ok[k], _ = fit_or_equivalent(h)
         except FitError:
             fwhm[k], resid[k], ok[k] = float("nan"), float("nan"), False
     return SweepTable(
         n=np.asarray(n_values, dtype=np.int64),
-        delta_s_eff_s=np.asarray(n_values, dtype=np.float64) * base_sync.nominal_spacing_s,
+        delta_s_eff_s=np.asarray(n_values, dtype=np.float64) * base_sync.step_spacing_s,
         fwhm_s=fwhm,
         fit_residual=resid,
         fit_ok=ok,

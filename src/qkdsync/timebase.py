@@ -172,7 +172,6 @@ class EdgeTrain:
     """Strictly increasing timestamps produced by one clock or signal."""
 
     times_s: np.ndarray
-    label: str = "edges"
 
     def __post_init__(self):
         t = np.asarray(self.times_s, dtype=np.float64)
@@ -180,7 +179,7 @@ class EdgeTrain:
         if t.ndim != 1:
             raise ValueError("EdgeTrain times must be one-dimensional")
         if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError(f"EdgeTrain '{self.label}' is not strictly increasing")
+            raise ValueError("EdgeTrain times are not strictly increasing")
 
     def __len__(self) -> int:
         return int(self.times_s.size)

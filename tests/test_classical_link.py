@@ -13,7 +13,6 @@ from qkdsync.classical_link import (
     LOCK_RMS_FRACTION,
     LOCK_WINDOW_EDGES,
     NoLockError,
-    OokStream,
     SyncPulseTrain,
     _pi_gains,
     _pi_loop,
@@ -110,8 +109,7 @@ def test_modulate_ook_edges_at_bit_flips():
     stream = modulate_ook([1, 0, 0, 1, 1, 0], clk)
     # levels 0 -> 1,0,0,1,1,0: transitions at symbol boundaries 0, 1, 3, 5
     expected = np.array([0, 1, 3, 5]) / SYMBOL_RATE
-    assert np.allclose(stream.edges.times_s, expected, rtol=0, atol=1e-15)
-    assert stream.symbol_rate_hz == SYMBOL_RATE
+    assert np.allclose(stream.times_s, expected, rtol=0, atol=1e-15)
 
 
 def test_modulate_ook_rejects_empty():
@@ -124,7 +122,7 @@ def test_block_channel_removes_interval():
     stream = modulate_ook(prbs31_bits(1, 5000), clk)
     t0, t1 = 1e-4, 2e-4
     blocked = block_channel(stream, t0, t1)
-    t = blocked.edges.times_s
+    t = blocked.times_s
     assert not np.any((t >= t0) & (t < t1))
     assert len(blocked) < len(stream)
     with pytest.raises(ValueError):
@@ -181,12 +179,12 @@ def test_cdr_drops_lock_on_gap_and_relocks():
     assert np.all(np.diff(rc.boundary_index) >= 1)
 
 
-def _loop_reference(rc):
+def _loop_reference(rc, loop_bandwidth_hz=SYMBOL_RATE / 2000):
     """The per-edge loop over rc's whole stream, with lock flags from a
     rolling window of squared phase errors: what the scan must reproduce."""
     t, T = rc.edge_time_s, rc.symbol_period_nominal_s
     phase, period, bindex, err = _pi_loop(t[1:], t[0], T, 0, T,
-                                          *_pi_gains(rc.loop_bandwidth_hz, T))
+                                          *_pi_gains(loop_bandwidth_hz, T))
     locked = [False]
     window, w_sum = [], 0.0
     thr_sq = (LOCK_RMS_FRACTION * T) ** 2 * LOCK_WINDOW_EDGES
@@ -246,9 +244,9 @@ def test_cdr_scan_falls_back_to_the_per_edge_loop(monkeypatch):
     # through the loop, from the state the scan left
     calls.clear()
     stream = modulate_ook(prbs31_bits(1, 60_000), make_clock(jitter=30e-12, seed=3))
-    t = stream.edges.times_s.copy()
+    t = stream.times_s.copy()
     t[20_000] += 0.45 / SYMBOL_RATE
-    rc = cdr_track(OokStream(EdgeTrain(t), SYMBOL_RATE), SYMBOL_RATE / 2000,
+    rc = cdr_track(EdgeTrain(t), SYMBOL_RATE / 2000,
                    make_clock(jitter=30e-12, seed=103))
     assert calls == [classical_link.SCAN_BLOCK_EDGES]
     phase, period, bindex, locked = _loop_reference(rc)
@@ -260,7 +258,7 @@ def test_cdr_scan_falls_back_to_the_per_edge_loop(monkeypatch):
 
 def test_cdr_requires_two_edges():
     clk = make_clock()
-    stream = OokStream(EdgeTrain(np.array([1e-6])), SYMBOL_RATE)
+    stream = EdgeTrain(np.array([1e-6]))
     with pytest.raises(ValueError):
         cdr_track(stream, SYMBOL_RATE / 2000, clk)
 
@@ -274,7 +272,7 @@ def test_derive_sync_pulses_spacing():
     spacing = np.diff(sp.times_s)
     nominal = DIVISOR / SYMBOL_RATE
     assert abs(spacing.mean() - nominal * (1 + 1e-6)) < 1e-7 * nominal
-    assert sp.nominal_spacing_s == pytest.approx(nominal)
+    assert sp.step_spacing_s == pytest.approx(nominal)
     assert np.all(np.diff(sp.pulse_boundary_index) == DIVISOR)
 
 
@@ -287,7 +285,7 @@ def test_decimate_derived_train_keeps_boundary_multiples():
     assert np.array_equal(dec.pulse_boundary_index, b[keep])
     assert np.array_equal(dec.times_s, sp.times_s[keep])
     assert np.array_equal(dec.locked, sp.locked[keep])
-    assert dec.decimation == 4 and dec.nominal_spacing_s == sp.nominal_spacing_s
+    assert dec.step_spacing_s == 4 * sp.step_spacing_s
 
 
 def test_derive_sync_pulses_needs_lock():
@@ -369,7 +367,7 @@ def test_synthesize_block_free_runs_at_nominal_spacing():
     assert not np.any(sp.locked[inside])
     # free-running pulses tick at exactly the receiver's nominal spacing
     spacing = np.diff(t[inside])
-    assert np.allclose(spacing, sp.nominal_spacing_s, rtol=0, atol=1e-12)
+    assert np.allclose(spacing, sp.step_spacing_s, rtol=0, atol=1e-12)
     # pulses degrade: the free-run train drifts away from where the true
     # boundaries would be read (tx runs at +5e-7, rx reads at 1/(1-5e-7))
     b = np.asarray(sp.pulse_boundary_index[inside], dtype=np.float64)

@@ -125,6 +125,14 @@ def test_no_peak_is_runtime_error(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "runtime"
 
 
+def test_doppler_beta_out_of_range_fails_before_any_output(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, seed=1, duration_s=0.3, doppler_beta="2e-4")
+    out = tmp_path / "fast"
+    assert main(["arrival", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "doppler_beta" in stderr_payload(capsys)["message"]
+    assert not out.exists()
+
+
 def test_console_script_help():
     # run from the directory holding the package under test, so the child
     # imports it whether or not it is installed

@@ -99,6 +99,7 @@ def test_seed_is_mandatory_and_cli_wins():
     ("n_values", "10, 5, 1"),         # must be ascending
     ("n_values", "0, 5"),             # must be >= 1
     ("beta_values", "0, 2e-4"),       # |beta| < 1e-4
+    ("doppler_beta", "2e-4"),         # the same bound
     ("sync_divisor", "7"),            # non-integer slots per sync pulse
     ("match_window_s", "30e-9"),      # wider than the 20 ns slot
     ("qubit_rate_hz", "5e9"),         # default 20 ns window now exceeds the slot

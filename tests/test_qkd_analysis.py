@@ -19,7 +19,7 @@ from qkdsync.qkd_analysis import (
     RANDOM_INCOMPATIBLE_FRACTION,
 )
 from qkdsync.quantum_link import A, D, H, V, X, Z, DetectionSet, QubitPattern
-from qkdsync.sync_recovery import FitError, fold
+from qkdsync.sync_recovery import DEFAULT_BIN_COUNT, FitError, fold, histogram
 from qkdsync.timebase import EdgeTrain
 
 DELTA_S = 1e-4
@@ -233,7 +233,7 @@ def test_match_rejects_misaligned_sync_boundaries():
 def test_recover_phase_from_folded_values():
     gen = np.random.default_rng(8)
     vals = np.mod(gen.normal(7e-9, 0.4e-9, 50_000), DELTA_Q)
-    phase = recover_phase(fold(vals, DELTA_Q))
+    phase = recover_phase(histogram(fold(vals, DELTA_Q), DEFAULT_BIN_COUNT))
     assert phase.offset_s == pytest.approx(7e-9, abs=30e-12)
     assert phase.slot_origin == 0
     assert phase.confidence > 3
@@ -243,7 +243,7 @@ def test_recover_phase_propagates_fit_failure():
     gen = np.random.default_rng(8)
     vals = gen.uniform(0, DELTA_Q, 10_000)
     with pytest.raises(FitError):
-        recover_phase(fold(vals, DELTA_Q))
+        recover_phase(histogram(fold(vals, DELTA_Q), DEFAULT_BIN_COUNT))
 
 
 def test_incompatible_fraction_of_random_pairs():

@@ -156,3 +156,12 @@ def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
     for name in ("ticks", "detector", "origin", "slot"):
         assert getattr(small_det, name).tobytes() == getattr(det, name).tobytes(), name
     assert np.array_equal(small_counts, counts)
+
+
+def test_decimation_sweep_in_small_blocks_gives_the_same_bits(monkeypatch):
+    cfg = defaults("decimation", seed=12)
+    table = run_decimation_experiment(cfg).table
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
+    small = run_decimation_experiment(cfg).table
+    for name in ("n", "delta_s_eff_s", "fwhm_s", "fit_residual", "fit_ok"):
+        assert getattr(small, name).tobytes() == getattr(table, name).tobytes(), name

@@ -84,7 +84,7 @@ def test_rescale_uses_decimation_for_effective_interval():
     dec = base.decimate(4)
     q = np.array([dec.times_s[0] + 2.5e-4])
     r = rescale(q, dec)
-    assert r.delta_s_eff == pytest.approx(4 * DELTA_S)
+    assert dec.step_spacing_s == pytest.approx(4 * DELTA_S)
     # 2.5e-4 into a 4e-4 interval -> q' = 2.5e-4 on the nominal axis
     assert r.q_prime[0] == pytest.approx(2.5e-4, rel=1e-9)
 
@@ -93,7 +93,7 @@ def _rescale_by_binary_search(q, sync):
     """The interval lookup as a binary search over every detection: the
     reference the interpolated lookup must reproduce bit for bit."""
     s = sync.times_s
-    delta_s = sync.decimation * sync.nominal_spacing_s
+    delta_s = sync.step_spacing_s
     i = np.searchsorted(s, q, side="right") - 1
     dropped_before = int(np.count_nonzero(i < 0))
     dropped_after = int(np.count_nonzero(i > s.size - 2))
@@ -103,7 +103,7 @@ def _rescale_by_binary_search(q, sync):
     delta_i = (b[i + 1] - b[i]) / sync.boundary_step * delta_s
     q_prime = (q[idx] - s[i]) / (s[i + 1] - s[i]) * delta_i
     return dict(q_prime=q_prime, interval_index=i.astype(np.int64),
-                source_index=idx.astype(np.int64), delta_s_eff=delta_s,
+                source_index=idx.astype(np.int64),
                 dropped_before=dropped_before, dropped_after=dropped_after)
 
 
@@ -193,7 +193,7 @@ def test_fold_rejects_negative_and_bad_slot():
 def test_histogram_conserves_counts():
     gen = np.random.default_rng(2)
     f = fold(gen.uniform(0, 1e-3, 10_000), DELTA_Q)
-    h = histogram(f, DELTA_Q / DEFAULT_BIN_COUNT)
+    h = histogram(f, DEFAULT_BIN_COUNT)
     assert h.total == 10_000
     assert h.n_bins == DEFAULT_BIN_COUNT
 
@@ -203,20 +203,30 @@ def test_histogram_conserves_counts():
 def test_histogram_conservation_property(n, bins):
     gen = np.random.default_rng(n)
     f = fold(gen.uniform(0, 5e-8, n), DELTA_Q)
-    h = histogram(f, DELTA_Q / bins)
+    h = histogram(f, bins)
     assert h.total == n
 
 
-def test_histogram_rejects_non_dividing_bin_width():
-    f = fold(np.array([1e-9]), DELTA_Q)
+def test_histogram_bin_width_is_derived_from_the_bin_count():
+    for bins in (5, 40, 247):
+        h = histogram(fold(np.array([1e-9]), DELTA_Q), bins)
+        assert h.bin_width_s == DELTA_Q / len(h.counts)
+        # the bins tile [0, delta_q): centers half a width in from each end
+        centers = h.bin_centers_s
+        assert centers[0] == pytest.approx(h.bin_width_s / 2, rel=1e-12)
+        assert np.allclose(np.diff(centers), h.bin_width_s, rtol=1e-12, atol=0)
+        assert centers[-1] + h.bin_width_s / 2 == pytest.approx(DELTA_Q, rel=1e-12)
     with pytest.raises(ValueError):
-        histogram(f, 81e-12)  # 81 ps does not divide 20 ns
-    histogram(f, DELTA_Q / 247)  # the closest dividing width works
+        histogram(fold(np.array([1e-9]), DELTA_Q), 0)
+    with pytest.raises(ValueError):
+        ArrivalHistogram(np.zeros(0, dtype=np.int64), DELTA_Q)
+    with pytest.raises(ValueError):
+        ArrivalHistogram(np.array([3, -1, 2], dtype=np.int64), DELTA_Q)
 
 
 def test_histogram_csv(tmp_path):
     f = fold(np.array([1e-9, 1.05e-9, 12e-9]), DELTA_Q)
-    h = histogram(f, DELTA_Q / 40)
+    h = histogram(f, 40)
     path = tmp_path / "h.csv"
     h.to_csv(path)
     lines = path.read_text().splitlines()
@@ -236,7 +246,7 @@ def _gaussian_hist(sigma_s, n=200_000, mu=10e-9, baseline_rate=0.0, seed=4,
     if baseline_rate > 0:
         vals = np.concatenate([vals, gen.uniform(0, DELTA_Q, int(n * baseline_rate))])
     f = fold(np.mod(vals, DELTA_Q), DELTA_Q)
-    return histogram(f, DELTA_Q / bins)
+    return histogram(f, bins)
 
 
 def test_fit_recovers_sigma_within_two_percent():
@@ -297,7 +307,7 @@ def test_fit_on_scattered_spikes_raises_fit_error():
     # eleven one-bin spikes sit above half height, but none has a neighbour
     # there: the contiguous peak is one bin wide
     with pytest.raises(FitError, match="spans only 1 bins"):
-        fit_gaussian(ArrivalHistogram(_scattered_spikes(), DELTA_Q / 247, DELTA_Q))
+        fit_gaussian(ArrivalHistogram(_scattered_spikes(), DELTA_Q))
 
 
 def test_singular_least_squares_step_raises_fit_error():
@@ -312,7 +322,7 @@ def test_singular_least_squares_step_raises_fit_error():
 
 def test_fit_rejects_uniform_histogram():
     gen = np.random.default_rng(9)
-    h = histogram(fold(gen.uniform(0, DELTA_Q, 50_000), DELTA_Q), DELTA_Q / 247)
+    h = histogram(fold(gen.uniform(0, DELTA_Q, 50_000), DELTA_Q), 247)
     with pytest.raises(FitError):
         fit_gaussian(h)
 
@@ -320,7 +330,7 @@ def test_fit_rejects_uniform_histogram():
 def test_fit_rejects_sparse_histogram():
     h = ArrivalHistogram(
         counts=np.array([0, 0, 100, 50, 0], dtype=np.int64),
-        bin_width_s=DELTA_Q / 5, delta_q_s=DELTA_Q)
+        delta_q_s=DELTA_Q)
     with pytest.raises(FitError):
         fit_gaussian(h)  # only 2 nonempty bins
 
@@ -329,7 +339,7 @@ def test_fit_rejects_single_bin_spike():
     counts = np.zeros(247, dtype=np.int64)
     counts[100] = 10_000
     counts[[3, 50, 150, 200]] = 1  # enough nonempty bins, still a 1-bin peak
-    h = ArrivalHistogram(counts, DELTA_Q / 247, DELTA_Q)
+    h = ArrivalHistogram(counts, DELTA_Q)
     with pytest.raises(FitError):
         fit_gaussian(h)
 
@@ -342,7 +352,7 @@ def test_fwhm_equivalent_matches_fit_on_gaussian():
 
 def test_fwhm_equivalent_on_uniform_fold():
     gen = np.random.default_rng(10)
-    h = histogram(fold(gen.uniform(0, DELTA_Q, 200_000), DELTA_Q), DELTA_Q / 247)
+    h = histogram(fold(gen.uniform(0, DELTA_Q, 200_000), DELTA_Q), 247)
     expected = FWHM_SIGMA * DELTA_Q / np.sqrt(12)
     assert fwhm_equivalent(h) == pytest.approx(expected, rel=0.05)
 
@@ -350,13 +360,13 @@ def test_fwhm_equivalent_on_uniform_fold():
 def test_fwhm_equivalent_of_one_bin_spike_is_the_bin_spread():
     counts = np.zeros(247, dtype=np.int64)
     counts[100] = 10_000
-    h = ArrivalHistogram(counts, DELTA_Q / 247, DELTA_Q)
+    h = ArrivalHistogram(counts, DELTA_Q)
     assert fwhm_equivalent(h) == pytest.approx(FWHM_SIGMA * h.bin_width_s / np.sqrt(12),
                                                rel=1e-12)
 
 
 def test_fwhm_equivalent_of_flat_histogram_is_the_slot_spread():
-    h = ArrivalHistogram(np.full(247, 40, dtype=np.int64), DELTA_Q / 247, DELTA_Q)
+    h = ArrivalHistogram(np.full(247, 40, dtype=np.int64), DELTA_Q)
     assert fwhm_equivalent(h) == pytest.approx(FWHM_SIGMA * DELTA_Q / np.sqrt(12),
                                                rel=1e-12)
 
@@ -367,7 +377,7 @@ def test_fit_or_direct_flags_fallback():
     assert ok and fwhm > 0 and np.isfinite(mu)
     counts = np.zeros(247, dtype=np.int64)
     counts[100] = 10_000
-    spike = ArrivalHistogram(counts, DELTA_Q / 247, DELTA_Q)
+    spike = ArrivalHistogram(counts, DELTA_Q)
     fwhm, resid, ok, mu = fit_or_equivalent(spike)
     assert not ok
     assert fwhm == fwhm_equivalent(spike) <= 2 * spike.bin_width_s
