@@ -22,19 +22,24 @@ from qkdsync.cli import EXIT_OK, main
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 SEED = 42
 
-# scenario -> config-file lines; arrival, decimation and doppler run at
-# their defaults, blocking is shortened to 12 s with the block at 4-8 s
+# case -> (scenario, config-file lines); arrival, decimation and doppler
+# run at their defaults, blocking is shortened to 12 s with the block at
+# 4-8 s, and blocking-at-start to 8 s with the block at 0-3 s, so its
+# first bins have no phase and are never matched
 SCENARIOS = {
-    "arrival": [],
-    "decimation": [],
-    "doppler": [],
-    "blocking": ["duration_s = 12", "block_start_s = 4", "block_end_s = 8"],
+    "arrival": ("arrival", []),
+    "decimation": ("decimation", []),
+    "doppler": ("doppler", []),
+    "blocking": ("blocking", ["duration_s = 12", "block_start_s = 4", "block_end_s = 8"]),
+    "blocking-at-start": ("blocking", ["duration_s = 8", "block_start_s = 0",
+                                       "block_end_s = 3"]),
 }
 
 
-def run_digests(scenario: str, work: Path) -> dict:
+def run_digests(case: str, work: Path) -> dict:
+    scenario, lines = SCENARIOS[case]
     cfg = work / "run.cfg"
-    cfg.write_text("".join(f"{line}\n" for line in SCENARIOS[scenario]))
+    cfg.write_text("".join(f"{line}\n" for line in lines))
     out = work / "out"
     code = main([scenario, "--config", str(cfg), "--seed", str(SEED), "--out", str(out)])
     assert code == EXIT_OK
@@ -42,10 +47,10 @@ def run_digests(scenario: str, work: Path) -> dict:
             for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("scenario", list(SCENARIOS))
-def test_output_bytes_match_recorded(scenario, tmp_path):
-    recorded = json.loads(DIGESTS.read_text())[scenario]
-    assert run_digests(scenario, tmp_path) == recorded
+@pytest.mark.parametrize("case", list(SCENARIOS))
+def test_output_bytes_match_recorded(case, tmp_path):
+    recorded = json.loads(DIGESTS.read_text())[case]
+    assert run_digests(case, tmp_path) == recorded
 
 
 if __name__ == "__main__":
