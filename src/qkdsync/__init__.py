@@ -70,7 +70,6 @@ from .qkd_analysis import (
     PhaseOffset,
     QberSeries,
     assign_slots,
-    compute_qber,
     incompatible_fraction,
     match_detections,
     recover_phase,

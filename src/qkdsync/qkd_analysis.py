@@ -6,8 +6,9 @@ index: the sync pulse's symbol-boundary count fixes the slot count at
 the interval start, and round((q' - offset)/delta_q) adds the slot
 within the interval, half-even on ties.  An anchor scan resolves the
 remaining whole-slot ambiguity (delay >= one slot) by minimizing the
-fraction of state-incompatible pairs.  Sifting then yields time-binned
-QBER in each basis.
+fraction of state-incompatible pairs.  Sifting then counts the pairs
+and errors in each basis, and `QberSeries.from_counts` turns per-bin
+counts into time-binned QBER.
 """
 
 from __future__ import annotations
@@ -46,15 +47,13 @@ class PhaseOffset:
     """Arrival phase within a slot plus the whole-slot anchor.
 
     offset_s is the folded-peak center (delay modulo delta_q), one value
-    for all detections or one per detection; slot_origin shifts every
+    for all the detections it is matched with; slot_origin shifts every
     assigned slot index by a constant to absorb the whole-slot part of
-    the delay.  confidence is the fitted peak-to-baseline ratio (higher
-    is better, 3 is the fit floor).
+    the delay.
     """
 
-    offset_s: float | np.ndarray
+    offset_s: float
     slot_origin: int = 0
-    confidence: float = float("inf")
 
 
 def recover_phase(h: ArrivalHistogram) -> PhaseOffset:
@@ -62,32 +61,25 @@ def recover_phase(h: ArrivalHistogram) -> PhaseOffset:
 
     Raises FitError when no usable peak exists.
     """
-    peak = fit_gaussian(h)
-    return PhaseOffset(offset_s=peak.mu_s, slot_origin=0,
-                       confidence=peak.peak_to_baseline)
+    return PhaseOffset(offset_s=fit_gaussian(h).mu_s)
 
 
-def _slot_base(sync: SyncPulseTrain, qubit_rate_hz: float,
-               symbol_rate_hz: float) -> np.ndarray:
-    """Absolute qubit-slot count at each sync pulse, from its boundary count.
+def _slots_per_boundary(sync: SyncPulseTrain, qubit_rate_hz: float) -> Fraction:
+    """Qubit slots per symbol boundary, from the train's step spacing.
 
     The slot grid must repeat with the pulses: one boundary step has to
-    hold a whole number of slots (within 1e-6), so the slots-per-symbol
-    fraction has a denominator that divides the step.
+    hold a whole number of slots (within 1e-6), so the fraction has a
+    denominator that divides the step.
     """
     step = sync.boundary_step
-    slots_per_step = qubit_rate_hz / symbol_rate_hz * step
+    slots_per_step = qubit_rate_hz * sync.step_spacing_s
     k = round(slots_per_step)
     if k < 1 or abs(k - slots_per_step) > 1e-6 * slots_per_step:
         raise MatchingError(
-            f"qubit rate {qubit_rate_hz:g} and symbol rate {symbol_rate_hz:g} "
+            f"qubit rate {qubit_rate_hz:g} and sync step spacing {sync.step_spacing_s:g} s "
             f"are not commensurate over the sync boundary step of {step}"
         )
-    frac = Fraction(k, step)
-    num = np.asarray(sync.pulse_boundary_index, dtype=np.int64) * frac.numerator
-    if np.any(num % frac.denominator):
-        raise MatchingError("sync pulse boundaries do not land on qubit slots")
-    return num // frac.denominator
+    return Fraction(k, step)
 
 
 def assign_slots(q_prime, offset_s: float, delta_q: float):
@@ -109,7 +101,6 @@ class MatchedPairs:
     detector: np.ndarray      # detector code of the click
     sent: np.ndarray          # transmitted state code looked up per slot
     basis: np.ndarray         # measurement basis implied by the detector
-    time_s: np.ndarray        # receiver-side detection time
     residual_s: np.ndarray    # q' distance from the assigned slot center
     source_index: np.ndarray  # index into the input detection set
     n_unmatched: int
@@ -125,48 +116,41 @@ def match_detections(
     pattern: QubitPattern,
     *,
     qubit_rate_hz: float,
-    symbol_rate_hz: float,
     window_s: float,
 ) -> MatchedPairs:
     """Assign each detection to a transmitted slot and look up its state.
 
     slot = slot_base(interval) + round_half_even((q' - offset)/delta_q)
-    + slot_origin, with delta_q = 1/qubit_rate_hz and phase.offset_s one
-    value or one per detection; pairs farther than window_s/2 from the
-    slot center are rejected and counted in n_unmatched.
+    + slot_origin, with delta_q = 1/qubit_rate_hz, one phase.offset_s for
+    every detection, and slot_base the interval's first pulse boundary
+    count in slots; pairs farther than window_s/2 from the slot center
+    are rejected and counted in n_unmatched.
     """
     delta_q = 1.0 / qubit_rate_hz
     if not 0 < window_s <= delta_q:
         raise MatchingError(f"window must be in (0, {delta_q:g}] s, got {window_s:g}")
     if not isinstance(detections, DetectionSet):
         raise TypeError("match_detections needs a DetectionSet")
-    offset = np.asarray(phase.offset_s, dtype=np.float64)
-    if offset.shape not in ((), (len(detections),)):
-        raise MatchingError(
-            f"need one phase offset or one per detection ({len(detections)}), "
-            f"got shape {offset.shape}"
-        )
-    base = _slot_base(sync, qubit_rate_hz, symbol_rate_hz)
+    per_boundary = _slots_per_boundary(sync, qubit_rate_hz)
 
     # in blocks of detections: every step is per detection, as in one pass
     n = len(detections)
     slot, src = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    time_s, resid, sent = np.empty(n), np.empty(n), np.empty(n, dtype=np.int8)
+    resid, sent = np.empty(n), np.empty(n, dtype=np.int8)
     n_matched = n_unmatched = 0
     for lo in range(0, n, rng.BLOCK_EVENTS):
-        block = detections.select(slice(lo, lo + rng.BLOCK_EVENTS))
-        t = block.times_s
-        r = rescale(t, sync)
-        k, res = assign_slots(r.q_prime, offset[lo:lo + len(block)][r.source_index]
-                              if offset.ndim else offset, delta_q)
-        s = base[r.interval_index] + k + phase.slot_origin
+        r = rescale(detections.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s, sync)
+        k, res = assign_slots(r.q_prime, phase.offset_s, delta_q)
+        base = sync.pulse_boundary_index[r.interval_index] * per_boundary.numerator
+        if np.any(base % per_boundary.denominator):
+            raise MatchingError("sync pulse boundaries do not land on qubit slots")
+        s = base // per_boundary.denominator + k + phase.slot_origin
         inside = (np.abs(res) <= window_s / 2.0) & (s >= 0)
         i = r.source_index[inside]
         matched = slice(n_matched, n_matched + i.size)
         slot[matched] = s[inside]
         resid[matched] = res[inside]
         src[matched] = i + lo
-        time_s[matched] = t[i]
         sent[matched] = pattern.states(slot[matched])
         n_unmatched += r.q_prime.size - i.size + r.dropped_before + r.dropped_after
         n_matched = matched.stop
@@ -178,7 +162,6 @@ def match_detections(
         detector=det,
         sent=sent[:n_matched],
         basis=detector_basis(det),
-        time_s=time_s[:n_matched],
         residual_s=resid[:n_matched],
         source_index=src,
         n_unmatched=n_unmatched,
@@ -266,6 +249,17 @@ class QberSeries:
     n_z: np.ndarray
     n_x: np.ndarray
 
+    @classmethod
+    def from_counts(cls, t_bin_s, bin_width_s: float, n_z, e_z, n_x, e_x) -> "QberSeries":
+        """Error rates e/n per bin and basis from sifted and error counts;
+        a bin with no sifted pair in a basis gets NaN there."""
+        if not bin_width_s > 0:
+            raise ValueError("bin width must be positive")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            qber_z = np.where(n_z > 0, e_z / np.maximum(n_z, 1), np.nan)
+            qber_x = np.where(n_x > 0, e_x / np.maximum(n_x, 1), np.nan)
+        return cls(t_bin_s, bin_width_s, qber_z, qber_x, n_z, n_x)
+
     def __len__(self) -> int:
         return int(self.t_bin_s.size)
 
@@ -292,32 +286,3 @@ def sift(pairs: MatchedPairs):
     x_keep = (pairs.basis == X) & (pairs.sent == D)
     x_err = x_keep & (pairs.detector == A)
     return z_keep, z_err, x_keep, x_err
-
-
-def compute_qber(pairs: MatchedPairs, duration_s: float,
-                 bin_width_s: float = 1.0) -> QberSeries:
-    """Sift the matched pairs and bin error rates over receiver time."""
-    if bin_width_s <= 0 or duration_s <= 0:
-        raise ValueError("duration and bin width must be positive")
-    n_bins = int(np.ceil(duration_s / bin_width_s))
-    edges = np.arange(n_bins + 1) * bin_width_s
-    z_keep, z_err, x_keep, x_err = sift(pairs)
-
-    def _binned(mask):
-        return np.histogram(pairs.time_s[mask], bins=edges)[0]
-
-    n_z = _binned(z_keep)
-    e_z = _binned(z_err)
-    n_x = _binned(x_keep)
-    e_x = _binned(x_err)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        qber_z = np.where(n_z > 0, e_z / np.maximum(n_z, 1), np.nan)
-        qber_x = np.where(n_x > 0, e_x / np.maximum(n_x, 1), np.nan)
-    return QberSeries(
-        t_bin_s=edges[:-1],
-        bin_width_s=bin_width_s,
-        qber_z=qber_z,
-        qber_x=qber_x,
-        n_z=n_z,
-        n_x=n_x,
-    )

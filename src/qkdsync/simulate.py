@@ -26,10 +26,10 @@ from .classical_link import SyncPulseTrain, synthesize_sync_train
 from .qkd_analysis import (
     PhaseOffset,
     QberSeries,
-    compute_qber,
     match_detections,
     recover_phase,
     refine_anchor,
+    sift,
 )
 from .quantum_link import (
     ChannelParams,
@@ -390,14 +390,14 @@ class BlockingResult:
 def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     """QBER trace before, during, and after blocking the classical link.
 
-    The receiver fits the folded-arrival phase of each QBER bin from that
-    bin's own detections; a bin whose fold is washed out (as it is while
-    the sync free-runs during the block) has no phase of its own.  The
-    whole-slot anchor is resolved once, on the first bin with a good fit.
-    One match then pairs every detection from that bin on, each with its
-    own bin's phase or the last good one before it, and `compute_qber`
-    bins the pairs.  Detections before the first bin with a phase or
-    past the last bin are counted as never offered to the match.
+    One pass over the QBER bins.  The receiver fits the folded-arrival
+    phase of each bin from that bin's own detections; a bin whose fold
+    is washed out (as it is while the sync free-runs during the block)
+    keeps the last good phase.  The whole-slot anchor is resolved once,
+    on the first bin with a good fit.  Each bin from then on is matched
+    with its one phase, and its sifted pair and error counts give that
+    bin's QBER.  Detections before the first bin with a phase or past
+    the last bin are counted as never offered to the match.
     """
     bs, be = cfg["block_start_s"], cfg["block_end_s"]
     if not 0.0 <= bs <= be <= cfg["duration_s"]:
@@ -411,43 +411,39 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     dq = _delta_q_s(cfg)
     bin_s = cfg["qber_bin_s"]
     n_bins = int(math.ceil(cfg["duration_s"] / bin_s))
-    match_kwargs = dict(
-        qubit_rate_hz=cfg["qubit_rate_hz"],
-        symbol_rate_hz=cfg["symbol_rate_hz"],
-        window_s=cfg["match_window_s"],
-    )
+    match_kwargs = dict(qubit_rate_hz=cfg["qubit_rate_hz"], window_s=cfg["match_window_s"])
 
-    # detection index at each bin edge
-    edges = np.searchsorted(det.times_s, np.arange(n_bins + 1) * bin_s)
-    offsets = np.full(n_bins, np.nan)
+    bin_edges = np.arange(n_bins + 1) * bin_s
+    edges = np.searchsorted(det.times_s, bin_edges)  # detection index at each bin edge
+    counts = np.zeros((4, n_bins), dtype=np.int64)  # n_z, e_z, n_x, e_x per bin
     phase_ok = np.zeros(n_bins, dtype=bool)
+    phase: PhaseOffset | None = None
     slot_origin: int | None = None
+    n_matched = n_unmatched = n_offered = 0
     for b in range(n_bins):
         sub = det.select(slice(edges[b], edges[b + 1]))
-        if len(sub) < MIN_DETECTIONS_PER_FIT:
+        if len(sub) >= MIN_DETECTIONS_PER_FIT:
+            try:
+                fit = recover_phase(fold_histogram(sub.times_s, sync, dq, cfg["histogram_bins"]))
+            except FitError:
+                pass  # washed-out fold: the bin keeps the last good phase
+            else:
+                if slot_origin is None:  # the first good bin resolves the anchor
+                    slot_origin = refine_anchor(sub, sync, fit, pattern,
+                                                search_slots=cfg["anchor_search_slots"],
+                                                **match_kwargs)[0].slot_origin
+                phase = PhaseOffset(fit.offset_s, slot_origin)
+                phase_ok[b] = True
+        if phase is None:
             continue
-        try:
-            phase = recover_phase(fold_histogram(sub.times_s, sync, dq, cfg["histogram_bins"]))
-        except FitError:
-            continue  # washed-out fold: the bin keeps the last good phase
-        if slot_origin is None:
-            slot_origin = refine_anchor(sub, sync, phase, pattern,
-                                        search_slots=cfg["anchor_search_slots"],
-                                        **match_kwargs)[0].slot_origin
-        offsets[b] = phase.offset_s
-        phase_ok[b] = True
+        pairs = match_detections(sub, sync, phase, pattern, **match_kwargs)
+        counts[:, b] = [np.count_nonzero(mask) for mask in sift(pairs)]
+        n_matched, n_unmatched = n_matched + len(pairs), n_unmatched + pairs.n_unmatched
+        n_offered += len(sub)
 
-    good = np.flatnonzero(phase_ok)
-    first = int(good[0]) if good.size else n_bins
-    last_good = good[np.searchsorted(good, np.arange(first, n_bins), side="right") - 1]
-    offset = np.repeat(offsets[last_good], np.diff(edges)[first:])
-    # with no good bin the match is empty and its slot origin is moot
-    pairs = match_detections(det.select(slice(edges[first], edges[-1])), sync,
-                             PhaseOffset(offset, slot_origin or 0), pattern, **match_kwargs)
-
-    series = compute_qber(pairs, cfg["duration_s"], bin_s)
-    result = BlockingResult(series, bs, be, phase_ok, slot_origin, len(det), len(pairs),
-                            pairs.n_unmatched, len(det) - int(edges[-1] - edges[first]))
+    series = QberSeries.from_counts(bin_edges[:-1], bin_s, *counts)
+    result = BlockingResult(series, bs, be, phase_ok, slot_origin, len(det),
+                            n_matched, n_unmatched, len(det) - n_offered)
     if out_dir is not None:
         result.write(out_dir)
     return result

@@ -25,6 +25,7 @@ import numpy as np
 from . import rng
 
 MAX_FRACTIONAL_OFFSET = 1e-3
+WALK_GRID_S = 1e-4  # the frequency walk is piecewise constant over segments this long
 
 
 class ClockConfigError(ValueError):
@@ -40,7 +41,7 @@ class ClockModel:
     is the RMS edge jitter in seconds, applied independently per edge.
 
     freq_walk_per_sqrt_s adds a slow random-walk component to the
-    fractional frequency, piecewise constant over walk_grid_s segments
+    fractional frequency, piecewise constant over WALK_GRID_S segments
     spanning walk_span_s.  The net frequency offset of the walk over the
     span is removed (it would be degenerate with fractional_offset), so
     the walk models variability *around* the configured offset/drift.
@@ -53,7 +54,6 @@ class ClockModel:
     white_jitter_sigma_s: float = 0.0
     seed: int = 0
     freq_walk_per_sqrt_s: float = 0.0
-    walk_grid_s: float = 1e-4
     walk_span_s: float = 0.0
 
     def __post_init__(self):
@@ -72,8 +72,6 @@ class ClockModel:
             raise ClockConfigError("freq_walk_per_sqrt_s must be >= 0")
         if self.freq_walk_per_sqrt_s > 0 and not self.walk_span_s > 0:
             raise ClockConfigError("walk_span_s must be > 0 when the walk is enabled")
-        if self.freq_walk_per_sqrt_s > 0 and not 0 < self.walk_grid_s <= self.walk_span_s:
-            raise ClockConfigError("walk_grid_s must be in (0, walk_span_s]")
 
     @property
     def period_s(self) -> float:
@@ -84,14 +82,14 @@ class ClockModel:
 
 
 @functools.lru_cache(maxsize=8)
-def _walk_table(seed: int, intensity: float, grid_s: float, span_s: float):
+def _walk_table(seed: int, intensity: float, span_s: float):
     """(node times, phase) of a frequency walk; a few recent walks are cached."""
-    n_seg = int(np.ceil(span_s / grid_s)) + 2
+    n_seg = int(np.ceil(span_s / WALK_GRID_S)) + 2
     gen = rng.generator(seed, "freq-walk")
-    dy = gen.normal(0.0, intensity * np.sqrt(grid_s), n_seg)
+    dy = gen.normal(0.0, intensity * np.sqrt(WALK_GRID_S), n_seg)
     y = np.cumsum(dy)
-    nodes_t = np.arange(n_seg + 1) * grid_s
-    phase = np.concatenate([[0.0], np.cumsum(y * grid_s)])
+    nodes_t = np.arange(n_seg + 1) * WALK_GRID_S
+    phase = np.concatenate([[0.0], np.cumsum(y * WALK_GRID_S)])
     # remove the net slope so the walk carries no average frequency offset
     phase = phase - nodes_t * (phase[-1] - phase[0]) / nodes_t[-1]
     nodes_t.flags.writeable = phase.flags.writeable = False
@@ -99,8 +97,7 @@ def _walk_table(seed: int, intensity: float, grid_s: float, span_s: float):
 
 
 def _walk_phase(clock: ClockModel, t: np.ndarray) -> np.ndarray:
-    nodes_t, phase = _walk_table(clock.seed, clock.freq_walk_per_sqrt_s,
-                                 clock.walk_grid_s, clock.walk_span_s)
+    nodes_t, phase = _walk_table(clock.seed, clock.freq_walk_per_sqrt_s, clock.walk_span_s)
     if np.any(t > nodes_t[-1]):
         raise ValueError(
             f"time {float(np.max(t)):g} s exceeds the clock's walk_span_s "

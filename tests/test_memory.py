@@ -3,9 +3,9 @@
 tracemalloc counts numpy's array buffers exactly, so the peaks are
 deterministic for a given numpy.  The stages walk their detections in
 blocks of `rng.BLOCK_EVENTS`; their peaks then hold little beyond their
-outputs (18 bytes per detection for the sampled set, 35 for the matched
+outputs (18 bytes per detection for the sampled set, 27 for the matched
 pairs).  Whole-array passes peak at about 114 bytes per detection when
-sampling and 94 when matching on this config; blocks give about 57 and 55.
+sampling and 94 when matching on this config; blocks give about 57 and 45.
 """
 
 import tracemalloc
@@ -37,10 +37,8 @@ def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():
     assert len(det) > 150_000
     assert peak / len(det) < BYTES_PER_DETECTION
 
-    phase = PhaseOffset(np.full(len(det), 1e-9))
     pairs, peak = _traced_peak(lambda: match_detections(
-        det, sync, phase, simulate.pattern_from_config(cfg),
-        qubit_rate_hz=cfg["qubit_rate_hz"], symbol_rate_hz=cfg["symbol_rate_hz"],
-        window_s=cfg["match_window_s"]))
+        det, sync, PhaseOffset(1e-9), simulate.pattern_from_config(cfg),
+        qubit_rate_hz=cfg["qubit_rate_hz"], window_s=cfg["match_window_s"]))
     assert len(pairs) > 0.99 * len(det)
     assert peak / len(det) < BYTES_PER_DETECTION

@@ -165,3 +165,15 @@ def test_decimation_sweep_in_small_blocks_gives_the_same_bits(monkeypatch):
     small = run_decimation_experiment(cfg).table
     for name in ("n", "delta_s_eff_s", "fwhm_s", "fit_residual", "fit_ok"):
         assert getattr(small, name).tobytes() == getattr(table, name).tobytes(), name
+
+
+def test_blocking_in_small_blocks_gives_the_same_bits(monkeypatch):
+    cfg = defaults("blocking", seed=3, duration_s=8.0, block_start_s=3.0, block_end_s=5.0)
+    whole = run_blocking_experiment(cfg)
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
+    small = run_blocking_experiment(cfg)
+    for name in ("t_bin_s", "qber_z", "qber_x", "n_z", "n_x"):
+        assert getattr(small.series, name).tobytes() == getattr(whole.series, name).tobytes(), name
+    assert np.array_equal(small.phase_ok, whole.phase_ok) and whole.phase_ok.any()
+    for name in ("slot_origin", "n_detections", "n_matched", "n_unmatched", "n_not_offered"):
+        assert getattr(small, name) == getattr(whole, name), name
