@@ -393,8 +393,11 @@ class SyncPulseTrain:
     @cached_property
     def boundary_step(self) -> int:
         """Symbol boundaries between adjacent pulses where none is missing:
-        the smallest step of pulse_boundary_index (needs 2 pulses)."""
-        return int(np.diff(self.pulse_boundary_index).min())
+        the smallest step of pulse_boundary_index (needs 2 pulses), taken
+        `rng.BLOCK_EVENTS` steps at a time."""
+        b = self.pulse_boundary_index
+        return int(min(np.diff(b[lo:lo + rng.BLOCK_EVENTS + 1]).min()
+                       for lo in range(0, b.size - 1, rng.BLOCK_EVENTS)))
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -473,47 +476,56 @@ def synthesize_sync_train(
     extrapolated from the last locked pulse.  Residual jitter is keyed
     by the absolute boundary index, which every pulse carries, so
     `SyncPulseTrain.decimate` keeps each pulse's own timing.
+
+    The pulses run in blocks of an eighth of `rng.BLOCK_EVENTS` (a
+    pulse's chain holds ~130 bytes of temporaries, the train 17) into a
+    train allocated once; a free-running pulse finds its anchor among
+    the pulses already written.
     """
     n_pulses = int(np.floor(duration_s * symbol_rate_hz / divisor))
     if n_pulses < 2:
         raise ValueError("duration too short for two sync pulses")
-    boundary = np.arange(n_pulses, dtype=np.int64) * divisor
-    sched = boundary / symbol_rate_hz
-    emit = np.asarray(
-        local_time(tx_clock, sched, jitter_index=boundary, jitter_stream="sync-emit")
-    )
-    arrival = (emit + propagation_delay_s) * (1.0 + doppler_beta)
-
-    locked = np.ones(n_pulses, dtype=bool)
     for bs, be in blocks:
         if not bs < be:
             raise ValueError(f"blocking interval is inverted: [{bs}, {be})")
-        locked &= ~((arrival >= bs) & (arrival < be + relock_delay_s))
-
-    # only locked pulses are read; the free-running ones are set below
+    spacing_nom = divisor / symbol_rate_hz
+    key = rng.derive_key(seed, "cdr-residual")
+    boundary = np.arange(0, n_pulses * divisor, divisor, dtype=np.int64)
     reading = np.empty(n_pulses)
-    reading[locked] = reading_time(rx_clock, arrival[locked], jitter_index=boundary[locked],
-                                   jitter_stream=rx_jitter_stream)
-    if cdr_residual_sigma_s > 0:
-        key = rng.derive_key(seed, "cdr-residual")
-        reading[locked] += cdr_residual_sigma_s * rng.normal_at(key, boundary[locked])
+    locked = np.ones(n_pulses, dtype=bool)
+    last = -1  # index of the last locked pulse so far, -1 before the first
+    pulses_per_block = max(rng.BLOCK_EVENTS // 8, 1)
+    for lo in range(0, n_pulses, pulses_per_block):
+        b = boundary[lo:lo + pulses_per_block]
+        emit = local_time(tx_clock, b / symbol_rate_hz, jitter_index=b,
+                          jitter_stream="sync-emit")
+        arrival = (emit + propagation_delay_s) * (1.0 + doppler_beta)
+        lk, out = locked[lo:lo + b.size], reading[lo:lo + b.size]
+        for bs, be in blocks:
+            lk &= ~((arrival >= bs) & (arrival < be + relock_delay_s))
 
-    if not locked.all():
-        spacing_nom = divisor / symbol_rate_hz
-        idx = np.arange(n_pulses, dtype=np.int64)
-        anchor = np.maximum.accumulate(np.where(locked, idx, -1))
-        free = ~locked
-        with_anchor = free & (anchor >= 0)
-        reading[with_anchor] = reading[anchor[with_anchor]] + (
+        # only locked pulses are read; the free-running ones are set below
+        out[lk] = reading_time(rx_clock, arrival[lk], jitter_index=b[lk],
+                               jitter_stream=rx_jitter_stream)
+        if cdr_residual_sigma_s > 0:
+            out[lk] += cdr_residual_sigma_s * rng.normal_at(key, b[lk])
+        if lk.all():
+            last = lo + b.size - 1
+            continue
+        idx = np.arange(lo, lo + b.size)
+        anchor = np.maximum.accumulate(np.where(lk, idx, last))
+        with_anchor = ~lk & (anchor >= 0)
+        out[with_anchor] = reading[anchor[with_anchor]] + (
             idx[with_anchor] - anchor[with_anchor]
         ) * spacing_nom
         # never locked yet: free-run from the receiver's own time zero
-        no_anchor = free & (anchor < 0)
-        reading[no_anchor] = idx[no_anchor] * spacing_nom
+        no_anchor = anchor < 0
+        out[no_anchor] = idx[no_anchor] * spacing_nom
+        last = int(anchor[-1])
 
     return SyncPulseTrain(
         pulses=EdgeTrain(reading),
-        step_spacing_s=divisor / symbol_rate_hz,
+        step_spacing_s=spacing_nom,
         pulse_boundary_index=boundary,
         locked=locked,
     )

@@ -31,7 +31,7 @@ from .quantum_link import (
     QubitPattern,
     detector_basis,
 )
-from .sync_recovery import ArrivalHistogram, fit_gaussian, rescale
+from .sync_recovery import ArrivalHistogram, RescaledArrivals, fit_gaussian, rescale
 
 # fraction of random (wrong-slot) pairs that are state-incompatible for
 # the (1/4, 1/4, 1/2) H/V/D ensemble: P(H)P(det V) + P(V)P(det H) + P(D)P(det A)
@@ -117,6 +117,7 @@ def match_detections(
     *,
     qubit_rate_hz: float,
     window_s: float,
+    rescaled: RescaledArrivals | None = None,
 ) -> MatchedPairs:
     """Assign each detection to a transmitted slot and look up its state.
 
@@ -124,7 +125,9 @@ def match_detections(
     + slot_origin, with delta_q = 1/qubit_rate_hz, one phase.offset_s for
     every detection, and slot_base the interval's first pulse boundary
     count in slots; pairs farther than window_s/2 from the slot center
-    are rejected and counted in n_unmatched.
+    are rejected and counted in n_unmatched.  The detections are
+    rescaled `rng.BLOCK_EVENTS` at a time, unless the caller passes
+    their `rescale` against sync as `rescaled`, which is used whole.
     """
     delta_q = 1.0 / qubit_rate_hz
     if not 0 < window_s <= delta_q:
@@ -138,8 +141,14 @@ def match_detections(
     slot, src = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     resid, sent = np.empty(n), np.empty(n, dtype=np.int8)
     n_matched = n_unmatched = 0
-    for lo in range(0, n, rng.BLOCK_EVENTS):
-        r = rescale(detections.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s, sync)
+    if rescaled is not None:
+        if len(rescaled) + rescaled.dropped_before + rescaled.dropped_after != n:
+            raise MatchingError("rescaled arrivals do not cover these detections")
+        blocks = ((0, rescaled),)
+    else:
+        blocks = ((lo, rescale(detections.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s, sync))
+                  for lo in range(0, n, rng.BLOCK_EVENTS))
+    for lo, r in blocks:
         k, res = assign_slots(r.q_prime, phase.offset_s, delta_q)
         base = sync.pulse_boundary_index[r.interval_index] * per_boundary.numerator
         if np.any(base % per_boundary.denominator):

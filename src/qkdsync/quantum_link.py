@@ -132,8 +132,9 @@ class DetectionSet:
     """Time-tagged detections (struct of arrays, sorted by ticks).
 
     Ticks count TDC bins of tdc_resolution_s seconds.  `origin` and
-    `slot` are simulation-only ground truth (noise events carry slot -1);
-    `select` strips both, leaving what real hardware would produce.
+    `slot` are simulation-only ground truth (noise events carry slot -1),
+    as is `dropped_before_epoch`, the count of events the tagger dropped;
+    `select` strips all three, leaving what real hardware would produce.
     """
 
     ticks: np.ndarray
@@ -141,6 +142,7 @@ class DetectionSet:
     tdc_resolution_s: float
     origin: np.ndarray | None = None
     slot: np.ndarray | None = None
+    dropped_before_epoch: int = 0  # events chain jitter moved before t = 0
 
     def __post_init__(self):
         if not self.tdc_resolution_s > 0:
@@ -173,25 +175,44 @@ def time_tag(
 ) -> DetectionSet:
     """Detection-chain jitter plus TDC quantization, sorted by ticks.
 
+    arrival_time_s is one array of arrival times, or an iterable of its
+    consecutive blocks, so no caller need hold it whole; detector (and
+    origin and slot) hold one value per event.  Jitter and quantization
+    run `rng.BLOCK_EVENTS` events at a time in event order, so any split
+    gives the same ticks.  Events jittered before t = 0 are dropped and
+    counted in `dropped_before_epoch`.
+
     No dead time: events closer than one tick may share a tick value.
     """
     if chain_jitter_sigma_s < 0:
         raise ValueError(f"chain_jitter_sigma_s must be >= 0, got {chain_jitter_sigma_s}")
-    t = np.asarray(arrival_time_s, dtype=np.float64)
-    if chain_jitter_sigma_s > 0:
-        jit = generator.normal(0.0, chain_jitter_sigma_s, t.size)
-        t = np.add(jit, t, out=jit)  # t + jit, written into the fresh draw
-    keep = t >= 0  # jitter can push the earliest events before the TDC epoch
-    if keep.all():
-        keep = slice(None)  # nothing to drop: views instead of copies
-    ticks = quantize(t[keep], tdc_resolution_s)
-    del t  # the jittered times, now ticks
+    detector = np.asarray(detector, dtype=np.int8)
+    parts = (arrival_time_s,) if isinstance(arrival_time_s, np.ndarray) else arrival_time_s
+    ticks = np.empty(detector.size, dtype=np.int64)
+    lo = 0
+    for part in parts:
+        part = np.asarray(part, dtype=np.float64)
+        for start in range(0, part.size, rng.BLOCK_EVENTS):
+            t = part[start:start + rng.BLOCK_EVENTS]
+            if chain_jitter_sigma_s > 0:
+                jit = generator.standard_normal(t.size)
+                jit *= chain_jitter_sigma_s
+                t = np.add(jit, t, out=jit)  # t + jit, written into the fresh draw
+            out = ticks[lo:lo + t.size]
+            out[:] = quantize(np.maximum(t, 0.0), tdc_resolution_s)
+            out[t < 0] = -1  # before the TDC epoch: sorts first and is cut off below
+            lo += t.size
+    if lo != ticks.size:
+        raise ValueError(f"{lo} arrival times for {ticks.size} detector codes")
     order = np.argsort(ticks, kind="stable")
-    ticks = ticks[order]
+    ticks.sort(kind="stable")  # the fastest sort here: signals arrive nearly sorted
+    dropped = int(np.searchsorted(ticks, 0))
+    order = order[dropped:]
     return DetectionSet(
-        ticks=ticks,
-        detector=np.asarray(detector, dtype=np.int8)[keep][order],
+        ticks=ticks[dropped:],
+        detector=detector[order],
         tdc_resolution_s=tdc_resolution_s,
-        origin=None if origin is None else np.asarray(origin, dtype=np.int8)[keep][order],
-        slot=None if slot is None else np.asarray(slot, dtype=np.int64)[keep][order],
+        origin=None if origin is None else np.asarray(origin, dtype=np.int8)[order],
+        slot=None if slot is None else np.asarray(slot, dtype=np.int64)[order],
+        dropped_before_epoch=dropped,
     )

@@ -15,9 +15,11 @@ Two kinds of generators are used throughout the simulator:
   slot exactly the state and timing of a dense pass over every slot
   (`tests/dense_reference.py`, checked in `tests/test_sampling.py`).
 
-Counter-based draws, like the per-event stages of `simulate` and
+Counter-based draws, like the per-event stages of `simulate`,
+`quantum_link.time_tag`, `classical_link.synthesize_sync_train` and
 `qkd_analysis`, run `BLOCK_EVENTS` events at a time.  Every step is
-elementwise, so blocks give the bits of one whole-array pass.
+elementwise (or draws a sequential stream in order), so blocks give
+the bits of one whole-array pass.
 """
 
 from __future__ import annotations

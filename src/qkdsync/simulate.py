@@ -50,6 +50,7 @@ from .sync_recovery import (
     fit_or_equivalent,
     fold_histogram,
     require_peak,
+    rescale,
 )
 from .timebase import ClockModel, local_time, reading_time
 
@@ -93,21 +94,21 @@ def pattern_from_config(cfg: dict) -> QubitPattern:
     return QubitPattern.from_seed(cfg["seed"], probs)
 
 
-def _surviving_slots(n_slots: int, p: float, gen: np.random.Generator) -> np.ndarray:
-    """Sorted indices of a Bernoulli(p) process over range(n_slots)."""
-    if n_slots <= 0 or p <= 0:
-        return np.empty(0, dtype=np.int64)
+def _surviving_slots(n_slots: int, p: float, gen: np.random.Generator,
+                     n_after: int = 0) -> np.ndarray:
+    """Sorted indices of a Bernoulli(p) process over range(n_slots),
+    followed by n_after entries of -1."""
     chunks = []
     last = -1
-    while last < n_slots:
+    while n_slots > 0 and p > 0 and last < n_slots:
         expect = max((n_slots - last) * p, 1.0)
         k = int(expect + 6.0 * math.sqrt(expect) + 16.0)
-        gaps = gen.geometric(p, size=k).astype(np.int64)
-        slots = last + np.cumsum(gaps)
+        slots = last + np.cumsum(gen.geometric(p, size=k))
         chunks.append(slots)
         last = int(slots[-1])
-    slots = np.concatenate(chunks)
-    return slots[:np.searchsorted(slots, n_slots)]  # strictly increasing: a view
+    if chunks:  # only the last chunk reaches n_slots; strictly increasing
+        chunks[-1] = chunks[-1][:np.searchsorted(chunks[-1], n_slots)]
+    return np.concatenate(chunks + [np.full(n_after, -1, dtype=np.int64)])
 
 
 def sample_detections(
@@ -131,7 +132,10 @@ def sample_detections(
     together with uniform background/dark events.
 
     The emit -> arrival -> read chain runs `rng.BLOCK_EVENTS` slots at a
-    time into outputs allocated once; it is elementwise and keyed by slot.
+    time; it is elementwise and keyed by slot.  Each block of read-out
+    times goes straight to `time_tag`, signals first and then noise, so
+    no full-length array of times exists: beside the result the sampler
+    holds the slot indices, the detector and origin codes and the ticks.
     """
     noise_gen = rng.generator(seed, "noise")
     noise = []  # (times, detector, origin) per detector and noise kind
@@ -145,27 +149,31 @@ def sample_detections(
 
     n_slots = int(math.floor(duration_s * qubit_rate_hz))
     p = params.transmittance * params.detector_efficiency
-    slots = _surviving_slots(n_slots, p, rng.generator(seed, "signal-thinning"))
-    n_signal, n = slots.size, slots.size + sum(t.size for t, _, _ in noise)
-    slot_truth = np.concatenate([slots, np.full(n - n_signal, -1, dtype=np.int64)])
-    slots = slot_truth[:n_signal]
-    times, dets = np.empty(n), np.empty(n, dtype=np.int8)
-    orig = np.full(n, ORIGIN_SIGNAL, dtype=np.int8)
-    for lo in range(0, n_signal, rng.BLOCK_EVENTS):
-        block = slots[lo:lo + rng.BLOCK_EVENTS]
-        emit = local_time(tx_clock, block / qubit_rate_hz,
-                          jitter_index=block, jitter_stream="qubit-emit")
-        times[lo:lo + block.size] = reading_time(
-            rx_clock, (emit + propagation_delay_s) * (1.0 + params.doppler_beta),
-            jitter_index=block, jitter_stream="det-read")
-    dets[:n_signal] = measure_polarization(pattern.states(slots), rng.generator(seed, "measurement"))
-
-    lo = n_signal
+    n_noise = sum(t.size for t, _, _ in noise)
+    slot_truth = _surviving_slots(n_slots, p, rng.generator(seed, "signal-thinning"), n_noise)
+    n = slot_truth.size
+    slots = slot_truth[:n - n_noise]
+    dets, orig = np.empty(n, dtype=np.int8), np.full(n, ORIGIN_SIGNAL, dtype=np.int8)
+    dets[:slots.size] = measure_polarization(pattern.states(slots),
+                                             rng.generator(seed, "measurement"))
+    lo = slots.size
     for t, det, origin in noise:
-        times[lo:lo + t.size], dets[lo:lo + t.size], orig[lo:lo + t.size] = t, det, origin
+        dets[lo:lo + t.size], orig[lo:lo + t.size] = det, origin
         lo += t.size
+
+    def arrival_times():
+        for lo in range(0, slots.size, rng.BLOCK_EVENTS):
+            block = slots[lo:lo + rng.BLOCK_EVENTS]
+            emit = local_time(tx_clock, block / qubit_rate_hz,
+                              jitter_index=block, jitter_stream="qubit-emit")
+            yield reading_time(
+                rx_clock, (emit + propagation_delay_s) * (1.0 + params.doppler_beta),
+                jitter_index=block, jitter_stream="det-read")
+        for t, _, _ in noise:
+            yield t
+
     return time_tag(
-        times,
+        arrival_times(),
         dets,
         chain_jitter_sigma_s=chain_jitter_sigma_s,
         tdc_resolution_s=tdc_resolution_s,
@@ -422,9 +430,11 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     n_matched = n_unmatched = n_offered = 0
     for b in range(n_bins):
         sub = det.select(slice(edges[b], edges[b + 1]))
+        rescaled = None  # the bin's rescale, shared by its fold and its match
         if len(sub) >= MIN_DETECTIONS_PER_FIT:
+            rescaled = rescale(sub.times_s, sync)
             try:
-                fit = recover_phase(fold_histogram(sub.times_s, sync, dq, cfg["histogram_bins"]))
+                fit = recover_phase(fold_histogram(rescaled, sync, dq, cfg["histogram_bins"]))
             except FitError:
                 pass  # washed-out fold: the bin keeps the last good phase
             else:
@@ -436,7 +446,7 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
                 phase_ok[b] = True
         if phase is None:
             continue
-        pairs = match_detections(sub, sync, phase, pattern, **match_kwargs)
+        pairs = match_detections(sub, sync, phase, pattern, rescaled=rescaled, **match_kwargs)
         counts[:, b] = [np.count_nonzero(mask) for mask in sift(pairs)]
         n_matched, n_unmatched = n_matched + len(pairs), n_unmatched + pairs.n_unmatched
         n_offered += len(sub)

@@ -178,11 +178,17 @@ def fold_histogram(times_s, sync: SyncPulseTrain, delta_q_s: float,
 
     Runs `rng.BLOCK_EVENTS` detections at a time; every step is per
     detection and the counts add, so blocks give the counts of one pass.
+    times_s may instead be their `rescale` against sync, made already
+    for another use; it is then folded and counted as one block.
     """
+    if isinstance(times_s, RescaledArrivals):
+        blocks = (times_s,)
+    else:
+        blocks = (rescale(times_s[lo:lo + rng.BLOCK_EVENTS], sync)
+                  for lo in range(0, len(times_s), rng.BLOCK_EVENTS))
     counts = np.zeros(bin_count, dtype=np.int64)
-    for lo in range(0, len(times_s), rng.BLOCK_EVENTS):
-        block = times_s[lo:lo + rng.BLOCK_EVENTS]
-        counts += histogram(fold(rescale(block, sync), delta_q_s), bin_count).counts
+    for r in blocks:
+        counts += histogram(fold(r, delta_q_s), bin_count).counts
     return ArrivalHistogram(counts, delta_q_s)
 
 

@@ -175,7 +175,7 @@ class EdgeTrain:
         object.__setattr__(self, "times_s", t)
         if t.ndim != 1:
             raise ValueError("EdgeTrain times must be one-dimensional")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("EdgeTrain times are not strictly increasing")
 
     def __len__(self) -> int:

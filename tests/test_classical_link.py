@@ -417,6 +417,26 @@ def test_synthesize_reads_only_locked_pulses_with_the_same_bits(block):
     assert sp.times_s.tobytes() == reading.tobytes()
 
 
+@pytest.mark.parametrize("block", [(0.0, 0.02), (0.0131, 0.0457)],
+                         ids=["from-start", "across-blocks"])
+def test_synthesize_in_small_blocks_gives_the_same_arrays(block, monkeypatch):
+    tx = make_clock(offset=5e-7, jitter=30e-12, seed=1, rate=FULL_RATE)
+    rx = make_clock(offset=-5e-7, jitter=30e-12, seed=2, rate=FULL_RATE)
+
+    def run():
+        return synthesize_sync_train(tx, rx, 0.06135, FULL_RATE, FULL_DIVISOR, seed=5,
+                                     propagation_delay_s=3e-6, blocks=(block,))
+
+    whole = run()
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)  # 12 pulses a block
+    small = run()
+    # 613 pulses; the free run starts at t = 0 (no anchor) or inside a
+    # block and goes on through later ones (anchor carried over)
+    assert len(whole) == 613 and not whole.locked[int(block[0] * 1e4) + 1]
+    for name in ("times_s", "pulse_boundary_index", "locked"):
+        assert getattr(small, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
 def test_synthesize_doppler_scales_times():
     tx = _ideal_full_clock(1)
     rx = _ideal_full_clock(2)

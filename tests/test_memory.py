@@ -1,11 +1,13 @@
-"""Traced allocation peaks of the per-detection stages, per detection.
+"""Traced allocation peaks of the per-detection and per-pulse stages.
 
 tracemalloc counts numpy's array buffers exactly, so the peaks are
-deterministic for a given numpy.  The stages walk their detections in
+deterministic for a given numpy.  The stages walk their events in
 blocks of `rng.BLOCK_EVENTS`; their peaks then hold little beyond their
 outputs (18 bytes per detection for the sampled set, 27 for the matched
-pairs).  Whole-array passes peak at about 114 bytes per detection when
-sampling and 94 when matching on this config; blocks give about 57 and 45.
+pairs, 17 per pulse for the sync train).  On this config whole-array
+passes peak at about 114 bytes per detection when sampling, 94 when
+matching and 5.0 times the train when synthesizing sync; blocks give
+about 41, 45 and 1.3 times.
 """
 
 import tracemalloc
@@ -15,7 +17,9 @@ import numpy as np
 from qkdsync import config, simulate
 from qkdsync.qkd_analysis import PhaseOffset, match_detections
 
-BYTES_PER_DETECTION = 75
+SAMPLING_BYTES_PER_DETECTION = 47
+MATCHING_BYTES_PER_DETECTION = 75
+SYNC_PEAK_PER_TRAIN_BYTE = 1.5
 
 
 def _traced_peak(run):
@@ -27,18 +31,29 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+CFG = config.resolve("blocking", {"duration_s": 10.0, "block_start_s": 3.0,
+                                  "block_end_s": 6.0}, 11)  # 10 s of the blocking scenario
+
+
+def test_sync_synthesis_peak_stays_within_a_budget_per_train_byte():
+    tx, rx = simulate.build_clocks(CFG)
+    sync, peak = _traced_peak(lambda: simulate.make_sync_train(tx, rx, CFG,
+                                                               blocks=((3.0, 6.0),)))
+    assert len(sync) == 100_000 and not sync.locked.all()
+    own = sync.times_s.nbytes + sync.pulse_boundary_index.nbytes + sync.locked.nbytes
+    assert peak / own < SYNC_PEAK_PER_TRAIN_BYTE
+
+
 def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():
-    # 10 s of the blocking scenario: ~200 k detections, ~6 blocks
-    cfg = config.resolve("blocking", {"duration_s": 10.0, "block_start_s": 3.0,
-                                      "block_end_s": 6.0}, 11)
-    tx, rx = simulate.build_clocks(cfg)
-    sync = simulate.make_sync_train(tx, rx, cfg, blocks=((3.0, 6.0),))
-    det, peak = _traced_peak(lambda: simulate.detections_from_config(tx, rx, cfg))
+    # ~200 k detections, ~6 blocks
+    tx, rx = simulate.build_clocks(CFG)
+    sync = simulate.make_sync_train(tx, rx, CFG, blocks=((3.0, 6.0),))
+    det, peak = _traced_peak(lambda: simulate.detections_from_config(tx, rx, CFG))
     assert len(det) > 150_000
-    assert peak / len(det) < BYTES_PER_DETECTION
+    assert peak / len(det) < SAMPLING_BYTES_PER_DETECTION
 
     pairs, peak = _traced_peak(lambda: match_detections(
-        det, sync, PhaseOffset(1e-9), simulate.pattern_from_config(cfg),
-        qubit_rate_hz=cfg["qubit_rate_hz"], window_s=cfg["match_window_s"]))
+        det, sync, PhaseOffset(1e-9), simulate.pattern_from_config(CFG),
+        qubit_rate_hz=CFG["qubit_rate_hz"], window_s=CFG["match_window_s"]))
     assert len(pairs) > 0.99 * len(det)
-    assert peak / len(det) < BYTES_PER_DETECTION
+    assert peak / len(det) < MATCHING_BYTES_PER_DETECTION

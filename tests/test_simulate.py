@@ -158,6 +158,38 @@ def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
     assert np.array_equal(small_counts, counts)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"transmittance": 1e-12, "background_rate_hz": 2e5},  # no slot survives: all noise
+    {"transmittance": 0.05, "chain_jitter_ps": 1e7},  # jitter moves events before t = 0
+], ids=["all-noise", "jitter-before-epoch"])
+def test_sampling_in_small_blocks_gives_the_same_arrays(overrides, monkeypatch):
+    cfg = defaults("arrival", seed=21, duration_s=0.01, **overrides)
+    tx, rx = build_clocks(cfg)
+    det = detections_from_config(tx, rx, cfg)
+    sampled = len(det) + det.dropped_before_epoch
+    assert sampled > 5 * 997 and sampled % 997
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
+    small = detections_from_config(tx, rx, cfg)
+    for name in ("ticks", "detector", "origin", "slot"):
+        assert getattr(small, name).tobytes() == getattr(det, name).tobytes(), name
+    assert small.dropped_before_epoch == det.dropped_before_epoch
+    if "chain_jitter_ps" in overrides:
+        assert det.dropped_before_epoch > 0
+    else:
+        assert not np.any(det.origin == ORIGIN_SIGNAL)
+
+
+def test_sampling_counts_the_events_jitter_moves_before_the_epoch():
+    cfg = defaults("arrival", seed=21, duration_s=0.01, transmittance=0.05)
+    tx, rx = build_clocks(cfg)
+    # chain jitter has its own random stream: without it the same events are
+    # sampled, and none lies before t = 0
+    sampled = detections_from_config(tx, rx, {**cfg, "chain_jitter_ps": 0.0})
+    det = detections_from_config(tx, rx, {**cfg, "chain_jitter_ps": 1e7})
+    assert sampled.dropped_before_epoch == 0 and det.dropped_before_epoch > 0
+    assert len(sampled) == len(det) + det.dropped_before_epoch
+
+
 def test_decimation_sweep_in_small_blocks_gives_the_same_bits(monkeypatch):
     cfg = defaults("decimation", seed=12)
     table = run_decimation_experiment(cfg).table
