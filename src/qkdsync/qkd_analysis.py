@@ -224,7 +224,9 @@ def refine_anchor(
     phase with slot_origin set to the minimizing shift.  A shift moves
     every slot index by the same constant, so it changes only which
     pairs pass slot >= 0: one match at the largest shift holds the pairs
-    of every shift, and all shifts are scored from it at once.
+    of every shift, and all shifts are scored from it.  They are scored
+    in blocks of rows of about 4 x `rng.BLOCK_EVENTS` pattern lookups, so
+    memory stays flat in the search width.
     """
     step = max(len(detections) // sample_size, 1)
     sample = detections.select(slice(None, None, step))
@@ -232,11 +234,18 @@ def refine_anchor(
     widest = replace(phase, slot_origin=phase.slot_origin + search_slots)
     pairs = match_detections(sample, sync, widest, pattern,
                              qubit_rate_hz=qubit_rate_hz, **match_kwargs)
-    slot = pairs.slot[None, :] + (shifts - search_slots)[:, None]
-    kept = slot >= 0
-    bad = kept & _incompatible(pattern.states(np.maximum(slot, 0)), pairs.detector)
+    n_kept, n_bad = np.empty(shifts.size, dtype=np.int64), np.empty(shifts.size, dtype=np.int64)
+    # rows of shifts per block, ~4 blocks of lookups: smaller blocks run slower
+    rows = max(4 * rng.BLOCK_EVENTS // max(len(pairs), 1), 1)
+    for lo in range(0, shifts.size, rows):
+        slot = pairs.slot[None, :] + (shifts[lo:lo + rows] - search_slots)[:, None]
+        kept = slot >= 0
+        np.maximum(slot, 0, out=slot)  # any slot will do where the pair is not kept
+        bad = kept & _incompatible(pattern.states(slot), pairs.detector)
+        n_kept[lo:lo + rows] = np.count_nonzero(kept, axis=1)
+        n_bad[lo:lo + rows] = np.count_nonzero(bad, axis=1)
     with np.errstate(invalid="ignore"):  # a shift that keeps no pair scores NaN
-        scores = np.count_nonzero(bad, axis=1) / np.count_nonzero(kept, axis=1)
+        scores = n_bad / n_kept
     if np.all(np.isnan(scores)):
         raise MatchingError("no detections matched at any anchor shift")
     best = int(np.nanargmin(scores))

@@ -157,6 +157,19 @@ class DetectionSet:
     def times_s(self) -> np.ndarray:
         return self.ticks * self.tdc_resolution_s
 
+    def searchsorted(self, times_s) -> np.ndarray:
+        """The number of detections earlier than each of times_s.
+
+        Equals `np.searchsorted(self.times_s, times_s)`: the ticks are
+        sorted, so the counts of `rng.BLOCK_EVENTS`-long blocks add, and
+        no full-length copy of the times is made.
+        """
+        counts = np.zeros(np.shape(times_s), dtype=np.int64)
+        for lo in range(0, len(self), rng.BLOCK_EVENTS):
+            counts += np.searchsorted(self.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s,
+                                      times_s)
+        return counts
+
     def select(self, index) -> "DetectionSet":
         """The detections at index (a slice or an index array), without ground truth."""
         return DetectionSet(ticks=self.ticks[index], detector=self.detector[index],
@@ -177,16 +190,25 @@ def time_tag(
 
     arrival_time_s is one array of arrival times, or an iterable of its
     consecutive blocks, so no caller need hold it whole; detector (and
-    origin and slot) hold one value per event.  Jitter and quantization
-    run `rng.BLOCK_EVENTS` events at a time in event order, so any split
-    gives the same ticks.  Events jittered before t = 0 are dropped and
-    counted in `dropped_before_epoch`.
+    origin and slot) hold one value per event, and a length that differs
+    raises ValueError.  Jitter and quantization run `rng.BLOCK_EVENTS`
+    events at a time in event order, so any split gives the same ticks.
+    Events jittered before t = 0 are dropped and counted in
+    `dropped_before_epoch`.
+
+    The sort holds one int64 order beside the ticks and the inputs:
+    detector and origin are gathered through it first, and then the
+    order itself is overwritten, block by block, with `slot[order]` and
+    returned as the sorted slots.
 
     No dead time: events closer than one tick may share a tick value.
     """
     if chain_jitter_sigma_s < 0:
         raise ValueError(f"chain_jitter_sigma_s must be >= 0, got {chain_jitter_sigma_s}")
     detector = np.asarray(detector, dtype=np.int8)
+    for name, truth in (("origin", origin), ("slot", slot)):
+        if truth is not None and np.size(truth) != detector.size:
+            raise ValueError(f"{np.size(truth)} {name} values for {detector.size} detector codes")
     parts = (arrival_time_s,) if isinstance(arrival_time_s, np.ndarray) else arrival_time_s
     ticks = np.empty(detector.size, dtype=np.int64)
     lo = 0
@@ -194,25 +216,36 @@ def time_tag(
         part = np.asarray(part, dtype=np.float64)
         for start in range(0, part.size, rng.BLOCK_EVENTS):
             t = part[start:start + rng.BLOCK_EVENTS]
+            lo += t.size
+            if lo > ticks.size:
+                continue  # more times than codes: counted for the error below
             if chain_jitter_sigma_s > 0:
                 jit = generator.standard_normal(t.size)
                 jit *= chain_jitter_sigma_s
                 t = np.add(jit, t, out=jit)  # t + jit, written into the fresh draw
-            out = ticks[lo:lo + t.size]
+            out = ticks[lo - t.size:lo]
             out[:] = quantize(np.maximum(t, 0.0), tdc_resolution_s)
             out[t < 0] = -1  # before the TDC epoch: sorts first and is cut off below
-            lo += t.size
     if lo != ticks.size:
         raise ValueError(f"{lo} arrival times for {ticks.size} detector codes")
     order = np.argsort(ticks, kind="stable")
     ticks.sort(kind="stable")  # the fastest sort here: signals arrive nearly sorted
     dropped = int(np.searchsorted(ticks, 0))
     order = order[dropped:]
+    detector = detector[order]
+    if origin is not None:
+        origin = np.asarray(origin, dtype=np.int8)[order]
+    if slot is not None:
+        slot = np.asarray(slot, dtype=np.int64)
+        for start in range(0, order.size, rng.BLOCK_EVENTS):
+            block = order[start:start + rng.BLOCK_EVENTS]
+            block[:] = slot[block]
+        slot = order
     return DetectionSet(
         ticks=ticks[dropped:],
-        detector=detector[order],
+        detector=detector,
         tdc_resolution_s=tdc_resolution_s,
-        origin=None if origin is None else np.asarray(origin, dtype=np.int8)[order],
-        slot=None if slot is None else np.asarray(slot, dtype=np.int64)[order],
+        origin=origin,
+        slot=slot,
         dropped_before_epoch=dropped,
     )

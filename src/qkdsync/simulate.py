@@ -236,7 +236,7 @@ def _delta_q_s(cfg: dict) -> float:
 
 
 def _fold_and_bin(detections, sync: SyncPulseTrain, cfg: dict) -> ArrivalHistogram:
-    return fold_histogram(detections.times_s, sync, _delta_q_s(cfg), cfg["histogram_bins"])
+    return fold_histogram(detections, sync, _delta_q_s(cfg), cfg["histogram_bins"])
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ def run_decimation_experiment(cfg: dict, out_dir=None, n_list=None) -> Decimatio
     det = detections_from_config(tx, rx, cfg)
     sync = make_sync_train(tx, rx, cfg, variant="cdr")
     table = decimation_sweep(
-        det.times_s, sync, cfg["n_values"] if n_list is None else list(n_list),
+        det, sync, cfg["n_values"] if n_list is None else list(n_list),
         delta_q_s=_delta_q_s(cfg),
         bin_count=cfg["histogram_bins"],
     )
@@ -406,6 +406,12 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     with its one phase, and its sifted pair and error counts give that
     bin's QBER.  Detections before the first bin with a phase or past
     the last bin are counted as never offered to the match.
+
+    The detections are sampled before the sync train is synthesized (each
+    draws from its own keyed streams), and the bin edges are looked up
+    without a full-length copy of the times, so the run's traced peak is
+    the sampler's sort or the detections plus the train, whichever is
+    higher.
     """
     bs, be = cfg["block_start_s"], cfg["block_end_s"]
     if not 0.0 <= bs <= be <= cfg["duration_s"]:
@@ -414,15 +420,15 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
 
     tx, rx = build_clocks(cfg)
     pattern = pattern_from_config(cfg)
-    sync = make_sync_train(tx, rx, cfg, variant="cdr", blocks=blocks)
     det = detections_from_config(tx, rx, cfg)
+    sync = make_sync_train(tx, rx, cfg, variant="cdr", blocks=blocks)
     dq = _delta_q_s(cfg)
     bin_s = cfg["qber_bin_s"]
     n_bins = int(math.ceil(cfg["duration_s"] / bin_s))
     match_kwargs = dict(qubit_rate_hz=cfg["qubit_rate_hz"], window_s=cfg["match_window_s"])
 
     bin_edges = np.arange(n_bins + 1) * bin_s
-    edges = np.searchsorted(det.times_s, bin_edges)  # detection index at each bin edge
+    edges = det.searchsorted(bin_edges)  # detection index at each bin edge
     counts = np.zeros((4, n_bins), dtype=np.int64)  # n_z, e_z, n_x, e_x per bin
     phase_ok = np.zeros(n_bins, dtype=bool)
     phase: PhaseOffset | None = None

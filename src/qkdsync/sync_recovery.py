@@ -22,6 +22,7 @@ import numpy as np
 
 from . import rng
 from .classical_link import SyncPulseTrain
+from .quantum_link import DetectionSet
 
 # finest bin count that divides the 20 ns slot while staying within one
 # TDC tick of 81 ps: 20 ns / 247 = 80.97 ps
@@ -65,7 +66,8 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     where delta_i is the interval's boundary count in units of the
     train's boundary step, times sync.step_spacing_s, so an interval
     that spans a missing pulse keeps its true length.  times_s is a
-    sorted array of receiver seconds, such as `DetectionSet.times_s`.
+    sorted array of receiver seconds, such as the `times_s` of one
+    `DetectionSet.select` block.
 
     Detections before s_0 or at or after the last pulse are dropped;
     since times_s is sorted, the kept ones are one contiguous run.  The
@@ -176,15 +178,20 @@ def fold_histogram(times_s, sync: SyncPulseTrain, delta_q_s: float,
                    bin_count: int) -> ArrivalHistogram:
     """Rescale, fold and histogram sorted detection times.
 
-    Runs `rng.BLOCK_EVENTS` detections at a time; every step is per
-    detection and the counts add, so blocks give the counts of one pass.
-    times_s may instead be their `rescale` against sync, made already
-    for another use; it is then folded and counted as one block.
+    times_s is a sorted array of receiver seconds or a `DetectionSet`,
+    whose ticks are turned into seconds one block at a time, so no
+    full-length float copy of them is made.  Runs `rng.BLOCK_EVENTS`
+    detections at a time; every step is per detection and the counts
+    add, so blocks give the counts of one pass.  times_s may instead be
+    their `rescale` against sync, made already for another use; it is
+    then folded and counted as one block.
     """
     if isinstance(times_s, RescaledArrivals):
         blocks = (times_s,)
     else:
-        blocks = (rescale(times_s[lo:lo + rng.BLOCK_EVENTS], sync)
+        seconds = ((lambda part: times_s.select(part).times_s)
+                   if isinstance(times_s, DetectionSet) else times_s.__getitem__)
+        blocks = (rescale(seconds(slice(lo, lo + rng.BLOCK_EVENTS)), sync)
                   for lo in range(0, len(times_s), rng.BLOCK_EVENTS))
     counts = np.zeros(bin_count, dtype=np.int64)
     for r in blocks:
@@ -403,10 +410,11 @@ def decimation_sweep(
     delta_q_s: float,
     bin_count: int = DEFAULT_BIN_COUNT,
 ) -> SweepTable:
-    """Rescale/fold/fit the same detection times at each sync decimation N.
+    """Rescale/fold/fit the same detections at each sync decimation N.
 
-    Rows where the Gaussian fit fails fall back to the Gaussian-equivalent
-    width and are flagged fit_ok=false, never dropped.
+    times_s is sorted seconds or a `DetectionSet`, as `fold_histogram`
+    takes them.  Rows where the Gaussian fit fails fall back to the
+    Gaussian-equivalent width and are flagged fit_ok=false, never dropped.
     """
     n_values = [int(v) for v in n_values]
     if any(v < 1 for v in n_values):

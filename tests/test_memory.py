@@ -1,4 +1,5 @@
-"""Traced allocation peaks of the per-detection and per-pulse stages.
+"""Traced allocation peaks of the per-detection and per-pulse stages,
+of whole blocking and arrival runs, and of the anchor scan.
 
 tracemalloc counts numpy's array buffers exactly, so the peaks are
 deterministic for a given numpy.  The stages walk their events in
@@ -7,7 +8,16 @@ outputs (18 bytes per detection for the sampled set, 27 for the matched
 pairs, 17 per pulse for the sync train).  On this config whole-array
 passes peak at about 114 bytes per detection when sampling, 94 when
 matching and 5.0 times the train when synthesizing sync; blocks give
-about 41, 45 and 1.3 times.
+about 36, 45 and 1.3 times.
+
+A whole run peaks at the sampler's sort or at its detections plus its
+sync train, with the anchor scan's working blocks on top: for blocking
+on this config about 55 bytes per detection (46 once the receiver
+clock's frequency-walk table is cached), against 95 (86) when the
+train was held through sampling and the bin edges took a full-length
+copy of the times; for arrival 39, against 46 when its folds took one.  The
+anchor scan scores its shifts x pairs in blocks, so its peak stays flat
+in the search width; scored at once it grew ~0.11 MB per shift.
 """
 
 import tracemalloc
@@ -15,11 +25,14 @@ import tracemalloc
 import numpy as np
 
 from qkdsync import config, simulate
-from qkdsync.qkd_analysis import PhaseOffset, match_detections
+from qkdsync.qkd_analysis import PhaseOffset, match_detections, refine_anchor
 
 SAMPLING_BYTES_PER_DETECTION = 47
 MATCHING_BYTES_PER_DETECTION = 75
 SYNC_PEAK_PER_TRAIN_BYTE = 1.5
+BLOCKING_RUN_BYTES_PER_DETECTION = 60
+ARRIVAL_RUN_BYTES_PER_DETECTION = 43
+ANCHOR_PEAK_WIDTH_RATIO = 1.5  # peak at +-2000 shifts over the peak at +-50
 
 
 def _traced_peak(run):
@@ -57,3 +70,32 @@ def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():
         qubit_rate_hz=CFG["qubit_rate_hz"], window_s=CFG["match_window_s"]))
     assert len(pairs) > 0.99 * len(det)
     assert peak / len(det) < MATCHING_BYTES_PER_DETECTION
+
+
+def test_whole_blocking_run_peak_stays_within_a_per_detection_budget():
+    result, peak = _traced_peak(lambda: simulate.run_blocking_experiment(CFG))
+    assert result.n_detections > 150_000 and result.phase_ok.any()
+    assert peak / result.n_detections < BLOCKING_RUN_BYTES_PER_DETECTION
+
+
+def test_whole_arrival_run_peak_stays_within_a_per_detection_budget():
+    cfg = config.resolve("arrival", {"duration_s": 10.0}, 11)
+    result, peak = _traced_peak(lambda: simulate.run_arrival_experiment(cfg))
+    assert result.n_detections > 150_000
+    assert peak / result.n_detections < ARRIVAL_RUN_BYTES_PER_DETECTION
+
+
+def test_anchor_scan_peak_stays_flat_in_the_search_width():
+    cfg = {**CFG, "duration_s": 1.0, "block_start_s": 0.0, "block_end_s": 0.0}
+    tx, rx = simulate.build_clocks(cfg)
+    det = simulate.detections_from_config(tx, rx, cfg)
+    sync = simulate.make_sync_train(tx, rx, cfg)
+    assert len(det) > 4000  # the scan's full sample
+
+    def peak(search_slots):
+        return _traced_peak(lambda: refine_anchor(
+            det, sync, PhaseOffset(1e-9), simulate.pattern_from_config(cfg),
+            search_slots=search_slots, qubit_rate_hz=cfg["qubit_rate_hz"],
+            window_s=cfg["match_window_s"]))[1]
+
+    assert peak(2000) < ANCHOR_PEAK_WIDTH_RATIO * peak(50)

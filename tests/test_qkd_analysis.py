@@ -262,6 +262,38 @@ def test_refine_anchor_scores_equal_a_match_per_shift():
     assert scan.best_shift == 0
 
 
+@pytest.mark.parametrize("search_slots", [0, 1, 50])
+@pytest.mark.parametrize("n_slots", [41, 600], ids=["rows-per-block", "one-row-per-block"])
+def test_refine_anchor_in_blocks_equals_the_whole_array_scan(search_slots, n_slots, monkeypatch):
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)
+    pat = QubitPattern.from_seed(44)
+    gen = np.random.default_rng(6)
+    sync = ideal_sync(start_boundary=0)
+    slots = np.sort(gen.choice(np.arange(3 * n_slots), size=n_slots, replace=False))
+    from qkdsync.quantum_link import measure_polarization
+    ds = detections_for_slots(slots, measure_polarization(pat.states(slots), gen))
+    phase = PhaseOffset(offset_s=5e-9)
+    _, scan = refine_anchor(ds, sync, phase, pat, search_slots=search_slots, **kwargs())
+
+    # the whole shifts x pairs array at once
+    pairs = match_detections(ds, sync, PhaseOffset(5e-9, search_slots), pat, **kwargs())
+    assert (4 * rng.BLOCK_EVENTS // len(pairs) == 0) == (n_slots > 4 * 97)
+    shifts = np.arange(-search_slots, search_slots + 1)
+    slot = pairs.slot[None, :] + (shifts - search_slots)[:, None]
+    kept = slot >= 0
+    bad = kept & ((pat.states(np.maximum(slot, 0)) == H) & (pairs.detector == V)
+                  | (pat.states(np.maximum(slot, 0)) == V) & (pairs.detector == H)
+                  | (pat.states(np.maximum(slot, 0)) == D) & (pairs.detector == A))
+    scores = np.count_nonzero(bad, axis=1) / np.count_nonzero(kept, axis=1)
+    best = int(np.nanargmin(scores))
+    others = np.delete(scores, best)
+    margin = np.nanmin(others) - scores[best] if others.size else float("nan")
+
+    assert scan.incompatibility.tobytes() == scores.tobytes()
+    assert scan.best_shift == shifts[best] == 0
+    assert np.array_equal(scan.margin, margin, equal_nan=True)
+
+
 # -------------------------------------------------------------- sifting / QBER
 
 

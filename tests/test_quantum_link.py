@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qkdsync import rng
 from qkdsync.quantum_link import (
     A,
     D,
@@ -20,6 +21,7 @@ from qkdsync.quantum_link import (
     ORIGIN_BACKGROUND,
     ORIGIN_SIGNAL,
 )
+from qkdsync.timebase import quantize
 
 # ----------------------------------------------------------------- validation
 
@@ -209,6 +211,55 @@ def test_time_tag_carries_ground_truth():
     assert ds.detector.tolist() == [H, D]
     assert ds.origin.tolist() == [ORIGIN_BACKGROUND, ORIGIN_SIGNAL]
     assert ds.slot.tolist() == [-1, 7]
+
+
+def test_time_tag_gathers_truth_through_the_sort_in_small_blocks(monkeypatch):
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)
+    gen = np.random.default_rng(8)
+    n = 1000  # ~10 blocks, the last one partial
+    truth = gen.random(n) * 1e-6 - 5e-8  # unsorted, some before t = 0
+    det = gen.integers(0, 4, n).astype(np.int8)
+    origin = gen.integers(0, 3, n).astype(np.int8)
+    slot = gen.integers(-1, 10**9, n)
+    ds = time_tag(truth, det, chain_jitter_sigma_s=0.0, tdc_resolution_s=81e-12,
+                  generator=gen, origin=origin, slot=slot)
+    ticks = np.where(truth < 0, -1, quantize(np.maximum(truth, 0.0), 81e-12))
+    order = np.argsort(ticks, kind="stable")
+    order = order[ticks[order] >= 0]
+    assert ds.dropped_before_epoch == n - order.size > 0
+    assert np.array_equal(ds.ticks, ticks[order])
+    assert np.array_equal(ds.detector, det[order])
+    assert np.array_equal(ds.origin, origin[order])
+    assert np.array_equal(ds.slot, slot[order])
+
+
+def test_time_tag_rejects_more_arrival_times_than_detector_codes():
+    kw = dict(chain_jitter_sigma_s=0.0, tdc_resolution_s=81e-12,
+              generator=np.random.default_rng(3))
+    with pytest.raises(ValueError, match="5 arrival times for 4 detector codes"):
+        time_tag(np.arange(5) * 1e-9, np.zeros(4, dtype=np.int8), **kw)
+    with pytest.raises(ValueError, match="5 arrival times for 4 detector codes"):
+        time_tag(iter([np.arange(3) * 1e-9, np.arange(2) * 1e-9]),
+                 np.zeros(4, dtype=np.int8), **kw)
+
+
+@pytest.mark.parametrize("name", ["origin", "slot"])
+def test_time_tag_rejects_ground_truth_longer_than_the_detector_codes(name):
+    with pytest.raises(ValueError, match=f"5 {name} values for 4 detector codes"):
+        time_tag(np.arange(4) * 1e-9, np.zeros(4, dtype=np.int8), chain_jitter_sigma_s=0.0,
+                 tdc_resolution_s=81e-12, generator=np.random.default_rng(3),
+                 **{name: np.zeros(5, dtype=np.int8)})
+
+
+def test_detection_set_searchsorted_in_small_blocks_equals_one_pass(monkeypatch):
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)
+    ticks = np.sort(np.random.default_rng(4).integers(0, 5000, 1000))  # shared ticks too
+    ds = DetectionSet(ticks=ticks, detector=np.zeros(ticks.size, dtype=np.int8),
+                      tdc_resolution_s=81e-12)
+    # one edge exactly on a detection's time, and edges before and past them all
+    edges = np.array([-1.0, 0.0, ticks[500] * 81e-12, 2e-7, 1e-6])
+    assert np.count_nonzero(ds.times_s == edges[2]) >= 1
+    assert np.array_equal(ds.searchsorted(edges), np.searchsorted(ds.times_s, edges))
 
 
 def test_detection_set_select_keeps_resolution_and_drops_truth():
