@@ -235,7 +235,7 @@ def refine_anchor(
     pairs = match_detections(sample, sync, widest, pattern,
                              qubit_rate_hz=qubit_rate_hz, **match_kwargs)
     n_kept, n_bad = np.empty(shifts.size, dtype=np.int64), np.empty(shifts.size, dtype=np.int64)
-    # rows of shifts per block, ~4 blocks of lookups: smaller blocks run slower
+    # shifts per block, for ~4 x BLOCK_EVENTS lookups: smaller blocks ran slower
     rows = max(4 * rng.BLOCK_EVENTS // max(len(pairs), 1), 1)
     for lo in range(0, shifts.size, rows):
         slot = pairs.slot[None, :] + (shifts[lo:lo + rows] - search_slots)[:, None]

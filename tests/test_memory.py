@@ -12,8 +12,8 @@ about 36, 45 and 1.3 times.
 
 A whole run peaks at the sampler's sort or at its detections plus its
 sync train, with the anchor scan's working blocks on top: for blocking
-on this config about 55 bytes per detection (46 once the receiver
-clock's frequency-walk table is cached), against 95 (86) when the
+on this config about 55 bytes per detection in a fresh process (46
+once numpy's lazily imported submodules are loaded), against 95 (86) when the
 train was held through sampling and the bin edges took a full-length
 copy of the times; for arrival 39, against 46 when its folds took one.  The
 anchor scan scores its shifts x pairs in blocks, so its peak stays flat
