@@ -49,7 +49,6 @@ from .quantum_link import (
 from .sync_recovery import (
     ArrivalHistogram,
     FitError,
-    FoldedArrivals,
     GaussianFit,
     RescaledArrivals,
     SweepTable,
@@ -70,7 +69,6 @@ from .qkd_analysis import (
     PhaseOffset,
     QberSeries,
     assign_slots,
-    incompatible_fraction,
     match_detections,
     recover_phase,
     refine_anchor,

@@ -132,10 +132,6 @@ class RecoveredClock:
     symbol_period_nominal_s: float
 
     @property
-    def has_lock(self) -> bool:
-        return bool(np.any(self.locked))
-
-    @property
     def lock_index(self) -> int:
         """Index of the first locked edge, or -1 if lock was never reached."""
         hits = np.flatnonzero(self.locked)
@@ -176,8 +172,8 @@ def cdr_track(
     at 50 s, the scan in offsets from the nominal grid).  Lock flags
     come from a cumulative sum of squared phase errors.
 
-    A stream that never locks yields a RecoveredClock with has_lock
-    False; downstream consumers refuse to derive pulses from it.
+    A stream that never locks yields a RecoveredClock with lock_index
+    -1; downstream consumers refuse to derive pulses from it.
     """
     t_emit = edges.times_s
     n = t_emit.size
@@ -332,17 +328,17 @@ def _lock_flags(err, bindex, t_nom):
     return (since >= LOCK_WINDOW_EDGES) & (window < thr_sq)
 
 
-def recovered_fractional_offset(rc: RecoveredClock, skip_fraction: float = 0.25) -> float:
+def recovered_fractional_offset(rc: RecoveredClock) -> float:
     """Fractional symbol-rate offset seen by the loop, from a linear fit.
 
     Regresses the tracked boundary phase against boundary index over the
-    locked span (discarding the first skip_fraction of locked samples,
-    which still carry the acquisition transient).
+    locked span (discarding the first quarter of locked samples, which
+    still carry the acquisition transient).
     """
     idx = np.flatnonzero(rc.locked)
     if idx.size < 100:
         raise NoLockError("not enough locked samples to estimate the frequency offset")
-    idx = idx[int(skip_fraction * idx.size):]
+    idx = idx[idx.size // 4:]
     x = rc.boundary_index[idx] * rc.symbol_period_nominal_s
     y = rc.boundary_phase_s[idx]
     slope = np.polyfit(x - x[0], y - y[0], 1)[0]
@@ -428,9 +424,10 @@ def derive_sync_pulses(rc: RecoveredClock, divisor: int) -> SyncPulseTrain:
     """
     if divisor < 1:
         raise ValueError("divisor must be >= 1")
-    if not rc.has_lock:
+    first = rc.lock_index
+    if first < 0:
         raise NoLockError("clock recovery never locked; no sync pulses available")
-    b_first = int(rc.boundary_index[rc.lock_index])
+    b_first = int(rc.boundary_index[first])
     b_last = int(rc.boundary_index[-1])
     k_first = -(-b_first // divisor)  # ceil
     k_last = b_last // divisor

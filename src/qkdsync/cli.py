@@ -30,18 +30,16 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-_RUNNERS = {
-    "arrival": simulate.run_arrival_experiment,
-    "decimation": simulate.run_decimation_experiment,
-    "blocking": simulate.run_blocking_experiment,
-    "doppler": simulate.run_doppler_check,
-}
-
-_HELP = {
-    "arrival": "folded arrival-time peak, CDR sync vs ideal cable sync",
-    "decimation": "arrival-peak FWHM versus sync pulse decimation",
-    "blocking": "QBER timeline across a classical-channel blocking interval",
-    "doppler": "arrival-peak width under a common Doppler shift, with control",
+# scenario -> (runner, help line)
+_SCENARIOS = {
+    "arrival": (simulate.run_arrival_experiment,
+                "folded arrival-time peak, CDR sync vs ideal cable sync"),
+    "decimation": (simulate.run_decimation_experiment,
+                   "arrival-peak FWHM versus sync pulse decimation"),
+    "blocking": (simulate.run_blocking_experiment,
+                 "QBER timeline across a classical-channel blocking interval"),
+    "doppler": (simulate.run_doppler_check,
+                "arrival-peak width under a common Doppler shift, with control"),
 }
 
 
@@ -99,8 +97,8 @@ def main(argv=None) -> int:
                     "and QBER scenarios.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="scenario")
-    for name in _RUNNERS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_line) in _SCENARIOS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="key = value config file (defaults if omitted)")
         p.add_argument("--out", help="output directory (default <scenario>-seed<seed>)")
         p.add_argument("--seed", type=int, help="master seed; overrides the config file")
@@ -128,7 +126,7 @@ def main(argv=None) -> int:
         return _fail("io", f"cannot write to {out_dir}: {exc}", EXIT_IO)
 
     try:
-        result = _RUNNERS[args.scenario](cfg, out_dir)
+        result = _SCENARIOS[args.scenario][0](cfg, out_dir)
     except (ConfigError, ClockConfigError, ChannelConfigError) as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     except OSError as exc:

@@ -100,8 +100,6 @@ class MatchedPairs:
     slot: np.ndarray          # absolute transmitted slot index
     detector: np.ndarray      # detector code of the click
     sent: np.ndarray          # transmitted state code looked up per slot
-    basis: np.ndarray         # measurement basis implied by the detector
-    residual_s: np.ndarray    # q' distance from the assigned slot center
     source_index: np.ndarray  # index into the input detection set
     n_unmatched: int
 
@@ -126,8 +124,9 @@ def match_detections(
     every detection, and slot_base the interval's first pulse boundary
     count in slots; pairs farther than window_s/2 from the slot center
     are rejected and counted in n_unmatched.  The detections are
-    rescaled `rng.BLOCK_EVENTS` at a time, unless the caller passes
-    their `rescale` against sync as `rescaled`, which is used whole.
+    rescaled `rng.BLOCK_EVENTS` at a time (see `rng` on blocks), unless
+    the caller passes their `rescale` against sync as `rescaled`, which
+    is used whole.
     """
     delta_q = 1.0 / qubit_rate_hz
     if not 0 < window_s <= delta_q:
@@ -136,10 +135,9 @@ def match_detections(
         raise TypeError("match_detections needs a DetectionSet")
     per_boundary = _slots_per_boundary(sync, qubit_rate_hz)
 
-    # in blocks of detections: every step is per detection, as in one pass
     n = len(detections)
     slot, src = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    resid, sent = np.empty(n), np.empty(n, dtype=np.int8)
+    sent = np.empty(n, dtype=np.int8)
     n_matched = n_unmatched = 0
     if rescaled is not None:
         if len(rescaled) + rescaled.dropped_before + rescaled.dropped_after != n:
@@ -158,20 +156,16 @@ def match_detections(
         i = r.source_index[inside]
         matched = slice(n_matched, n_matched + i.size)
         slot[matched] = s[inside]
-        resid[matched] = res[inside]
         src[matched] = i + lo
         sent[matched] = pattern.states(slot[matched])
         n_unmatched += r.q_prime.size - i.size + r.dropped_before + r.dropped_after
         n_matched = matched.stop
 
     src = src[:n_matched]
-    det = detections.detector[src]
     return MatchedPairs(
         slot=slot[:n_matched],
-        detector=det,
+        detector=detections.detector[src],
         sent=sent[:n_matched],
-        basis=detector_basis(det),
-        residual_s=resid[:n_matched],
         source_index=src,
         n_unmatched=n_unmatched,
     )
@@ -183,17 +177,6 @@ def _incompatible(sent, detector) -> np.ndarray:
     return ((sent == H) & (detector == V)) \
         | ((sent == V) & (detector == H)) \
         | ((sent == D) & (detector == A))
-
-
-def incompatible_fraction(pairs: MatchedPairs) -> float:
-    """Fraction of pairs impossible at zero error rate.
-
-    A correct slot assignment drives this to the noise floor while a
-    wrong one sits near 3/16.
-    """
-    if len(pairs) == 0:
-        return float("nan")
-    return float(np.count_nonzero(_incompatible(pairs.sent, pairs.detector))) / len(pairs)
 
 
 @dataclass(frozen=True)
@@ -220,13 +203,14 @@ def refine_anchor(
     """Resolve the whole-slot part of the delay by pattern correlation.
 
     Scans slot_origin over +-search_slots, scoring each shift by the
-    state-incompatible fraction on a detection sample, and returns the
-    phase with slot_origin set to the minimizing shift.  A shift moves
-    every slot index by the same constant, so it changes only which
-    pairs pass slot >= 0: one match at the largest shift holds the pairs
-    of every shift, and all shifts are scored from it.  They are scored
-    in blocks of rows of about 4 x `rng.BLOCK_EVENTS` pattern lookups, so
-    memory stays flat in the search width.
+    state-incompatible fraction on a detection sample (the noise floor at
+    the right shift, near RANDOM_INCOMPATIBLE_FRACTION at a wrong one),
+    and returns the phase with slot_origin set to the minimizing shift.
+    A shift moves every slot index by the same constant, so it changes
+    only which pairs pass slot >= 0: one match at the largest shift holds
+    the pairs of every shift, and all shifts are scored from it, in
+    blocks of rows of about 4 x `rng.BLOCK_EVENTS` pattern lookups (see
+    `rng` on blocks), so memory stays flat in the search width.
     """
     step = max(len(detections) // sample_size, 1)
     sample = detections.select(slice(None, None, step))
@@ -299,8 +283,9 @@ def sift(pairs: MatchedPairs):
     Z keeps sent H/V measured in Z (error: detector != sent state);
     X keeps sent D measured in X (error: detector A).
     """
-    z_keep = (pairs.basis == Z) & ((pairs.sent == H) | (pairs.sent == V))
+    basis = detector_basis(pairs.detector)
+    z_keep = (basis == Z) & ((pairs.sent == H) | (pairs.sent == V))
     z_err = z_keep & (pairs.detector != pairs.sent)
-    x_keep = (pairs.basis == X) & (pairs.sent == D)
+    x_keep = (basis == X) & (pairs.sent == D)
     x_err = x_keep & (pairs.detector == A)
     return z_keep, z_err, x_keep, x_err

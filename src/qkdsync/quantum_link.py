@@ -98,10 +98,10 @@ class QubitPattern:
 def measure_polarization(state, generator: np.random.Generator, basis=None) -> np.ndarray:
     """Passive-basis polarization measurement of an array of sent state codes.
 
-    Basis is chosen uniformly (or forced via `basis`: "Z", "X" or an
-    array of Z/X codes); within the basis, detector probabilities follow
-    the projection of the sent state: same-basis states project onto
-    their own detector, the cross-basis state splits 50/50 on a coin.
+    Basis is chosen uniformly (or forced via `basis`: "Z" or "X");
+    within the basis, detector probabilities follow the projection of
+    the sent state: same-basis states project onto their own detector,
+    the cross-basis state splits 50/50 on a coin.
     Returns detector codes.
     """
     s = np.asarray(state, dtype=np.int8)
@@ -110,14 +110,10 @@ def measure_polarization(state, generator: np.random.Generator, basis=None) -> n
     n = s.size
     if basis is None:
         in_z = generator.random(n) < 0.5
-    elif isinstance(basis, str):
-        if basis not in ("Z", "X"):
-            raise ValueError(f"basis must be 'Z', 'X' or None, got {basis!r}")
+    elif isinstance(basis, str) and basis in ("Z", "X"):
         in_z = np.full(n, basis == "Z")
     else:
-        in_z = np.asarray(basis) == Z
-        if in_z.shape != s.shape:
-            raise ValueError(f"basis shape {in_z.shape} differs from the states' {s.shape}")
+        raise ValueError(f"basis must be 'Z', 'X' or None, got {basis!r}")
     coin = generator.random(n)
     return _DETECTOR_OF_CELL[6 * in_z.view(np.int8) + 2 * s + (coin < 0.5)]
 
@@ -160,9 +156,9 @@ class DetectionSet:
     def searchsorted(self, times_s) -> np.ndarray:
         """The number of detections earlier than each of times_s.
 
-        Equals `np.searchsorted(self.times_s, times_s)`: the ticks are
-        sorted, so the counts of `rng.BLOCK_EVENTS`-long blocks add, and
-        no full-length copy of the times is made.
+        Equals `np.searchsorted(self.times_s, times_s)`, summed over
+        `rng.BLOCK_EVENTS`-long blocks (see `rng` on blocks), so no
+        full-length copy of the times is made.
         """
         counts = np.zeros(np.shape(times_s), dtype=np.int64)
         for lo in range(0, len(self), rng.BLOCK_EVENTS):

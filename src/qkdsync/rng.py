@@ -16,10 +16,11 @@ Two kinds of generators are used throughout the simulator:
   (`tests/dense_reference.py`, checked in `tests/test_sampling.py`).
 
 Counter-based draws, like the per-event stages of `simulate`,
-`quantum_link.time_tag`, `classical_link.synthesize_sync_train` and
-`qkd_analysis`, run `BLOCK_EVENTS` events at a time.  Every step is
-elementwise (or draws a sequential stream in order), so blocks give
-the bits of one whole-array pass.
+`quantum_link.time_tag`, `classical_link.synthesize_sync_train`,
+`sync_recovery.fold_histogram` and `qkd_analysis`, run `BLOCK_EVENTS`
+events at a time.  Every step is elementwise (or draws a sequential
+stream in order), and counts over blocks of sorted events add, so
+blocks give the bits of one whole-array pass.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import rng
 from .classical_link import SyncPulseTrain, synthesize_sync_train
+from .config import ConfigError
 from .qkd_analysis import (
     PhaseOffset,
     QberSeries,
@@ -202,18 +203,16 @@ def make_sync_train(
     rx_clock: ClockModel,
     cfg: dict,
     *,
-    variant: str = "cdr",
+    cable: bool = False,
     blocks: tuple = (),
     doppler_beta: float | None = None,
 ) -> SyncPulseTrain:
-    """Receiver sync pulses, either CDR-derived or via an ideal cable.
+    """Receiver sync pulses, CDR-derived or (cable=True) via an ideal cable.
 
-    The cable variant carries the same transmitter pulses with no
-    recovery residual — only the receiver TDC's own jitter — and is the
-    reference the CDR path is compared against.
+    The cable train carries the same transmitter pulses with no recovery
+    residual — only the receiver TDC's own jitter — and is the reference
+    the CDR path is compared against.
     """
-    if variant not in ("cdr", "cable"):
-        raise ValueError(f"variant must be 'cdr' or 'cable', got {variant!r}")
     return synthesize_sync_train(
         tx_clock,
         rx_clock,
@@ -221,22 +220,17 @@ def make_sync_train(
         cfg["symbol_rate_hz"],
         cfg["sync_divisor"],
         seed=cfg["seed"],
-        cdr_residual_sigma_s=(cfg["cdr_residual_jitter_ps"] * 1e-12
-                              if variant == "cdr" else 0.0),
+        cdr_residual_sigma_s=0.0 if cable else cfg["cdr_residual_jitter_ps"] * 1e-12,
         propagation_delay_s=cfg["propagation_delay_s"],
         doppler_beta=cfg["doppler_beta"] if doppler_beta is None else doppler_beta,
         blocks=blocks,
         relock_delay_s=cfg["relock_delay_s"],
-        rx_jitter_stream="sync-read" if variant == "cdr" else "cable-read",
+        rx_jitter_stream="cable-read" if cable else "sync-read",
     )
 
 
-def _delta_q_s(cfg: dict) -> float:
-    return 1.0 / cfg["qubit_rate_hz"]
-
-
 def _fold_and_bin(detections, sync: SyncPulseTrain, cfg: dict) -> ArrivalHistogram:
-    return fold_histogram(detections, sync, _delta_q_s(cfg), cfg["histogram_bins"])
+    return fold_histogram(detections, sync, 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"])
 
 
 @dataclass(frozen=True)
@@ -284,8 +278,8 @@ def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
     """Folded arrival peak with CDR sync and with ideal cable sync."""
     tx, rx = build_clocks(cfg)
     det = detections_from_config(tx, rx, cfg)
-    cdr = _arrival_variant("cdr", det, make_sync_train(tx, rx, cfg, variant="cdr"), cfg)
-    cable = _arrival_variant("cable", det, make_sync_train(tx, rx, cfg, variant="cable"), cfg)
+    cdr = _arrival_variant("cdr", det, make_sync_train(tx, rx, cfg), cfg)
+    cable = _arrival_variant("cable", det, make_sync_train(tx, rx, cfg, cable=True), cfg)
     result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, len(det))
     if out_dir is not None:
         result.write(out_dir)
@@ -306,16 +300,13 @@ class DecimationResult:
             fh.write(f"{'' if self.growth_n is None else self.growth_n}\n")
 
 
-def run_decimation_experiment(cfg: dict, out_dir=None, n_list=None) -> DecimationResult:
+def run_decimation_experiment(cfg: dict, out_dir=None) -> DecimationResult:
     """FWHM-vs-N sweep of the same detections at increasing decimation."""
     tx, rx = build_clocks(cfg)
     det = detections_from_config(tx, rx, cfg)
-    sync = make_sync_train(tx, rx, cfg, variant="cdr")
-    table = decimation_sweep(
-        det, sync, cfg["n_values"] if n_list is None else list(n_list),
-        delta_q_s=_delta_q_s(cfg),
-        bin_count=cfg["histogram_bins"],
-    )
+    sync = make_sync_train(tx, rx, cfg)
+    table = decimation_sweep(det, sync, cfg["n_values"], delta_q_s=1.0 / cfg["qubit_rate_hz"],
+                             bin_count=cfg["histogram_bins"])
     result = DecimationResult(table, table.growth_point(2.0))
     if out_dir is not None:
         result.write(out_dir)
@@ -341,36 +332,28 @@ class DopplerResult:
                     fh.write(f"{beta:.9g},{w * 1e12:.3f},{delta:.3f}\n")
 
 
-def run_doppler_check(cfg: dict, out_dir=None, beta_list=None) -> DopplerResult:
+def run_doppler_check(cfg: dict, out_dir=None) -> DopplerResult:
     """Folded-peak width vs common Doppler shift, with a one-sided control.
 
     For each beta the shift is applied to both the classical and the
     quantum stream (the co-propagation case): the rescaling cancels it
     and the width must not move.  The control applies the same beta to
     the quantum stream only, which smears the fold and demonstrates why
-    co-propagation matters.
+    co-propagation matters.  At beta = 0 both arms are the baseline, which
+    is folded and fitted once.
     """
-    betas = [float(b) for b in (cfg["beta_values"] if beta_list is None else beta_list)]
+    betas = [float(b) for b in cfg["beta_values"]]
     tx, rx = build_clocks(cfg)
+    sync0 = make_sync_train(tx, rx, cfg, doppler_beta=0.0)
+    fwhm0 = fit_or_equivalent(_fold_and_bin(
+        detections_from_config(tx, rx, {**cfg, "doppler_beta": 0.0}), sync0, cfg))[0]
 
-    def detections_at(beta: float) -> DetectionSet:
-        return detections_from_config(tx, rx, {**cfg, "doppler_beta": beta})
-
-    sync0 = make_sync_train(tx, rx, cfg, variant="cdr", doppler_beta=0.0)
-    det0 = detections_at(0.0)
-    fwhm0 = fit_or_equivalent(_fold_and_bin(det0, sync0, cfg))[0]
-
-    fwhm = np.empty(len(betas))
-    control = np.empty(len(betas))
-    for i, beta in enumerate(betas):
-        if beta == 0.0:
-            det_b = det0
-            sync_b = sync0
-        else:
-            det_b = detections_at(beta)
-            sync_b = make_sync_train(tx, rx, cfg, variant="cdr", doppler_beta=beta)
-        fwhm[i] = fit_or_equivalent(_fold_and_bin(det_b, sync_b, cfg))[0]
-        control[i] = fit_or_equivalent(_fold_and_bin(det_b, sync0, cfg))[0]
+    fwhm, control = np.full(len(betas), fwhm0), np.full(len(betas), fwhm0)
+    for i in np.flatnonzero(betas):
+        det = detections_from_config(tx, rx, {**cfg, "doppler_beta": betas[i]})
+        sync = make_sync_train(tx, rx, cfg, doppler_beta=betas[i])
+        fwhm[i] = fit_or_equivalent(_fold_and_bin(det, sync, cfg))[0]
+        control[i] = fit_or_equivalent(_fold_and_bin(det, sync0, cfg))[0]
     result = DopplerResult(np.asarray(betas), fwhm, control, fwhm0)
     if out_dir is not None:
         result.write(out_dir)
@@ -415,14 +398,15 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     """
     bs, be = cfg["block_start_s"], cfg["block_end_s"]
     if not 0.0 <= bs <= be <= cfg["duration_s"]:
-        raise ValueError("block interval must satisfy 0 <= start <= end <= duration")
+        raise ConfigError(f"block_start_s = {bs:g} and block_end_s = {be:g} must satisfy 0 <= "
+                          f"block_start_s <= block_end_s <= duration_s = {cfg['duration_s']:g}")
     blocks = ((bs, be),) if be > bs else ()
 
     tx, rx = build_clocks(cfg)
     pattern = pattern_from_config(cfg)
     det = detections_from_config(tx, rx, cfg)
-    sync = make_sync_train(tx, rx, cfg, variant="cdr", blocks=blocks)
-    dq = _delta_q_s(cfg)
+    sync = make_sync_train(tx, rx, cfg, blocks=blocks)
+    dq = 1.0 / cfg["qubit_rate_hz"]
     bin_s = cfg["qber_bin_s"]
     n_bins = int(math.ceil(cfg["duration_s"] / bin_s))
     match_kwargs = dict(qubit_rate_hz=cfg["qubit_rate_hz"], window_s=cfg["match_window_s"])

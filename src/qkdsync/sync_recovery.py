@@ -22,7 +22,6 @@ import numpy as np
 
 from . import rng
 from .classical_link import SyncPulseTrain
-from .quantum_link import DetectionSet
 
 # finest bin count that divides the 20 ns slot while staying within one
 # TDC tick of 81 ps: 20 ns / 247 = 80.97 ps
@@ -106,29 +105,15 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     )
 
 
-@dataclass(frozen=True)
-class FoldedArrivals:
-    """Arrival offsets a = q' mod delta_q, all in [0, delta_q)."""
-
-    values: np.ndarray
-    delta_q_s: float
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def fold(q_prime, delta_q: float) -> FoldedArrivals:
-    """Fold rescaled arrivals into one nominal qubit slot."""
+def fold(q_prime, delta_q: float) -> np.ndarray:
+    """Arrival offsets q' mod delta_q, all in [0, delta_q): rescaled
+    arrivals folded into one nominal qubit slot."""
     if not delta_q > 0:
         raise ValueError("delta_q must be > 0")
-    if isinstance(q_prime, RescaledArrivals):
-        q_prime = q_prime.q_prime
-    elif isinstance(q_prime, FoldedArrivals):
-        q_prime = q_prime.values
     q = np.asarray(q_prime, dtype=np.float64)
     if np.any(q < 0):
         raise ValueError("rescaled arrivals must be non-negative")
-    return FoldedArrivals(np.mod(q, delta_q), delta_q)
+    return np.mod(q, delta_q)
 
 
 @dataclass(frozen=True)
@@ -167,35 +152,29 @@ class ArrivalHistogram:
                 fh.write(f"{k * self.bin_width_s * 1e12:.6f},{int(c)}\n")
 
 
-def histogram(folded: FoldedArrivals, bin_count: int) -> ArrivalHistogram:
+def histogram(folded, delta_q: float, bin_count: int) -> ArrivalHistogram:
     """Count folded arrivals into bin_count uniform bins tiling [0, delta_q)."""
-    dq = folded.delta_q_s
-    counts, _ = np.histogram(folded.values, bins=bin_count, range=(0.0, dq))
-    return ArrivalHistogram(counts.astype(np.int64), dq)
+    counts, _ = np.histogram(folded, bins=bin_count, range=(0.0, delta_q))
+    return ArrivalHistogram(counts.astype(np.int64), delta_q)
 
 
-def fold_histogram(times_s, sync: SyncPulseTrain, delta_q_s: float,
+def fold_histogram(detections, sync: SyncPulseTrain, delta_q_s: float,
                    bin_count: int) -> ArrivalHistogram:
-    """Rescale, fold and histogram sorted detection times.
+    """Rescale, fold and histogram a `DetectionSet`.
 
-    times_s is a sorted array of receiver seconds or a `DetectionSet`,
-    whose ticks are turned into seconds one block at a time, so no
-    full-length float copy of them is made.  Runs `rng.BLOCK_EVENTS`
-    detections at a time; every step is per detection and the counts
-    add, so blocks give the counts of one pass.  times_s may instead be
-    their `rescale` against sync, made already for another use; it is
-    then folded and counted as one block.
+    Its ticks are turned into seconds `rng.BLOCK_EVENTS` detections at a
+    time (see `rng` on blocks), so no full-length float copy of them is
+    made.  detections may instead be their `rescale` against sync, made
+    already for another use; it is then folded and counted as one block.
     """
-    if isinstance(times_s, RescaledArrivals):
-        blocks = (times_s,)
+    if isinstance(detections, RescaledArrivals):
+        blocks = (detections,)
     else:
-        seconds = ((lambda part: times_s.select(part).times_s)
-                   if isinstance(times_s, DetectionSet) else times_s.__getitem__)
-        blocks = (rescale(seconds(slice(lo, lo + rng.BLOCK_EVENTS)), sync)
-                  for lo in range(0, len(times_s), rng.BLOCK_EVENTS))
+        blocks = (rescale(detections.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s, sync)
+                  for lo in range(0, len(detections), rng.BLOCK_EVENTS))
     counts = np.zeros(bin_count, dtype=np.int64)
     for r in blocks:
-        counts += histogram(fold(r, delta_q_s), bin_count).counts
+        counts += histogram(fold(r.q_prime, delta_q_s), delta_q_s, bin_count).counts
     return ArrivalHistogram(counts, delta_q_s)
 
 
@@ -209,11 +188,6 @@ class GaussianFit:
     baseline: float
     fwhm_s: float
     fit_residual: float
-
-    @property
-    def peak_to_baseline(self) -> float:
-        """Peak height over baseline — the fit's confidence figure."""
-        return (self.amplitude + self.baseline) / max(self.baseline, 1e-9)
 
 
 def _gaussian(x, amplitude, mu, sigma, baseline):
@@ -403,7 +377,7 @@ class SweepTable:
 
 
 def decimation_sweep(
-    times_s,
+    detections,
     base_sync: SyncPulseTrain,
     n_values,
     *,
@@ -412,9 +386,9 @@ def decimation_sweep(
 ) -> SweepTable:
     """Rescale/fold/fit the same detections at each sync decimation N.
 
-    times_s is sorted seconds or a `DetectionSet`, as `fold_histogram`
-    takes them.  Rows where the Gaussian fit fails fall back to the
-    Gaussian-equivalent width and are flagged fit_ok=false, never dropped.
+    detections is a `DetectionSet`.  Rows where the Gaussian fit fails
+    fall back to the Gaussian-equivalent width and are flagged
+    fit_ok=false, never dropped.
     """
     n_values = [int(v) for v in n_values]
     if any(v < 1 for v in n_values):
@@ -426,7 +400,7 @@ def decimation_sweep(
     resid = np.empty(len(n_values))
     ok = np.zeros(len(n_values), dtype=bool)
     for k, nv in enumerate(n_values):
-        h = fold_histogram(times_s, base_sync.decimate(nv), delta_q_s, bin_count)
+        h = fold_histogram(detections, base_sync.decimate(nv), delta_q_s, bin_count)
         try:
             fwhm[k], resid[k], ok[k], _ = fit_or_equivalent(h)
         except FitError:

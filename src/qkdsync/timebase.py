@@ -112,7 +112,7 @@ def local_time(clock: ClockModel, t_sched, jitter_index=None, jitter_stream="def
     Deterministic offset/drift/walk transform; if `jitter_index` is given
     and the clock has nonzero jitter, adds one Gaussian jitter sample per
     index (jitter_stream namespaces independent jitter draws through the
-    same clock).  Accepts scalars or arrays.
+    same clock).
     """
     t = np.asarray(t_sched, dtype=np.float64)
     if np.any(t < 0):
@@ -124,8 +124,6 @@ def local_time(clock: ClockModel, t_sched, jitter_index=None, jitter_stream="def
         out = out + clock.white_jitter_sigma_s * rng.normal_at(
             clock._jitter_key(jitter_stream), jitter_index
         )
-    if np.ndim(t_sched) == 0:
-        return float(out)
     return out
 
 
@@ -159,8 +157,6 @@ def reading_time(clock: ClockModel, t_phys, jitter_index=None, jitter_stream="de
         out = out + clock.white_jitter_sigma_s * rng.normal_at(
             clock._jitter_key(jitter_stream), jitter_index
         )
-    if np.ndim(t_phys) == 0:
-        return float(out)
     return out
 
 
@@ -190,7 +186,4 @@ def quantize(t, resolution_s: float):
     if np.any(arr < 0):
         raise ValueError("cannot quantize negative times")
     ticks = np.divide(arr, resolution_s, out=np.empty_like(arr))  # an array even if 0-d
-    ticks = np.floor(ticks, out=ticks).astype(np.int64)
-    if np.ndim(t) == 0:
-        return int(ticks)
-    return ticks
+    return np.floor(ticks, out=ticks).astype(np.int64)

@@ -125,6 +125,16 @@ def test_no_peak_is_runtime_error(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "runtime"
 
 
+def test_block_interval_past_the_run_is_config_error(tmp_path, capsys):
+    # the default 20-40 s block does not fit a 10 s run
+    cfg = write_cfg(tmp_path, seed=1, duration_s=10.0)
+    out = tmp_path / "short"
+    assert main(["blocking", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "config"
+    assert "block_end_s" in payload["message"]
+
+
 def test_doppler_beta_out_of_range_fails_before_any_output(tmp_path, capsys):
     cfg = write_cfg(tmp_path, seed=1, duration_s=0.3, doppler_beta="2e-4")
     out = tmp_path / "fast"

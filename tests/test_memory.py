@@ -4,31 +4,37 @@ of whole blocking and arrival runs, and of the anchor scan.
 tracemalloc counts numpy's array buffers exactly, so the peaks are
 deterministic for a given numpy.  The stages walk their events in
 blocks of `rng.BLOCK_EVENTS`; their peaks then hold little beyond their
-outputs (18 bytes per detection for the sampled set, 27 for the matched
+outputs (18 bytes per detection for the sampled set, 18 for the matched
 pairs, 17 per pulse for the sync train).  On this config whole-array
 passes peak at about 114 bytes per detection when sampling, 94 when
 matching and 5.0 times the train when synthesizing sync; blocks give
-about 36, 45 and 1.3 times.
+about 36, 37 and 1.3 times.
 
 A whole run peaks at the sampler's sort or at its detections plus its
 sync train, with the anchor scan's working blocks on top: for blocking
-on this config about 55 bytes per detection in a fresh process (46
-once numpy's lazily imported submodules are loaded), against 95 (86) when the
-train was held through sampling and the bin edges took a full-length
-copy of the times; for arrival 39, against 46 when its folds took one.  The
+on this config about 46 bytes per detection, against 86 when the train
+was held through sampling and the bin edges took a full-length copy of
+the times; for arrival 39, against 46 when its folds took one.  The
 anchor scan scores its shifts x pairs in blocks, so its peak stays flat
 in the search width; scored at once it grew ~0.11 MB per shift.
+
+The first run in a process imports numpy submodules that numpy loads
+lazily (`numpy.ma`, its random pickling modules), which a first traced
+blocking run would count as about 9 more bytes per detection; a short
+untraced run before the budgets loads them, so each budget reads the
+same alone and in the full suite.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from qkdsync import config, simulate
 from qkdsync.qkd_analysis import PhaseOffset, match_detections, refine_anchor
 
 SAMPLING_BYTES_PER_DETECTION = 47
-MATCHING_BYTES_PER_DETECTION = 75
+MATCHING_BYTES_PER_DETECTION = 40
 SYNC_PEAK_PER_TRAIN_BYTE = 1.5
 BLOCKING_RUN_BYTES_PER_DETECTION = 60
 ARRIVAL_RUN_BYTES_PER_DETECTION = 43
@@ -46,6 +52,12 @@ def _traced_peak(run):
 
 CFG = config.resolve("blocking", {"duration_s": 10.0, "block_start_s": 3.0,
                                   "block_end_s": 6.0}, 11)  # 10 s of the blocking scenario
+
+
+@pytest.fixture(scope="module", autouse=True)
+def numpy_submodules_loaded():
+    simulate.run_blocking_experiment({**CFG, "duration_s": 2.0, "block_start_s": 0.5,
+                                      "block_end_s": 1.0})
 
 
 def test_sync_synthesis_peak_stays_within_a_budget_per_train_byte():

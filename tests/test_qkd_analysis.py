@@ -11,14 +11,13 @@ from qkdsync.qkd_analysis import (
     PhaseOffset,
     QberSeries,
     assign_slots,
-    incompatible_fraction,
     match_detections,
     recover_phase,
     refine_anchor,
     sift,
     RANDOM_INCOMPATIBLE_FRACTION,
 )
-from qkdsync.quantum_link import A, D, H, V, X, Z, DetectionSet, QubitPattern
+from qkdsync.quantum_link import A, D, H, V, DetectionSet, QubitPattern, measure_polarization
 from qkdsync.sync_recovery import DEFAULT_BIN_COUNT, FitError, fold, histogram
 from qkdsync.timebase import EdgeTrain
 
@@ -96,8 +95,10 @@ def test_match_finds_planted_slots():
     assert pairs.n_unmatched == 0
     assert np.array_equal(np.sort(pairs.slot), slots)
     assert np.array_equal(pairs.sent, pat.states(pairs.slot))
-    assert np.all(np.abs(pairs.residual_s) < 1e-12)
-    assert incompatible_fraction(pairs) == 0.0
+    _, z_err, _, x_err = sift(pairs)
+    assert not z_err.any() and not x_err.any()
+    # every detection sits within 1 ps of its slot center
+    assert len(match_detections(ds, sync, phase, pat, **kwargs(window_s=2e-12))) == 2000
 
 
 def test_match_window_rejects_outliers():
@@ -158,7 +159,7 @@ def test_match_in_small_blocks_gives_the_pairs_of_one_block(monkeypatch):
     blocked = match_detections(ds, sync, phase, pat, **kwargs(window_s=2e-9))
     assert 0 < len(whole) < len(ds) - 300
     assert blocked.n_unmatched == whole.n_unmatched == len(ds) - len(whole)
-    for name in ("slot", "detector", "sent", "basis", "residual_s", "source_index"):
+    for name in ("slot", "detector", "sent", "source_index"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
@@ -194,7 +195,7 @@ def test_match_rejects_misaligned_sync_boundaries():
 def test_recover_phase_from_folded_values():
     gen = np.random.default_rng(8)
     vals = np.mod(gen.normal(7e-9, 0.4e-9, 50_000), DELTA_Q)
-    phase = recover_phase(histogram(fold(vals, DELTA_Q), DEFAULT_BIN_COUNT))
+    phase = recover_phase(histogram(fold(vals, DELTA_Q), DELTA_Q, DEFAULT_BIN_COUNT))
     assert phase.offset_s == pytest.approx(7e-9, abs=30e-12)
     assert phase.slot_origin == 0
 
@@ -203,23 +204,29 @@ def test_recover_phase_propagates_fit_failure():
     gen = np.random.default_rng(8)
     vals = gen.uniform(0, DELTA_Q, 10_000)
     with pytest.raises(FitError):
-        recover_phase(histogram(fold(vals, DELTA_Q), DEFAULT_BIN_COUNT))
+        recover_phase(histogram(fold(vals, DELTA_Q), DELTA_Q, DEFAULT_BIN_COUNT))
 
 
-def test_incompatible_fraction_of_random_pairs():
+def _error_fraction(pairs):
+    """Share of pairs sifted as errors: exactly the pairs impossible at
+    zero error rate, which the anchor scan scores."""
+    _, z_err, _, x_err = sift(pairs)
+    return (np.count_nonzero(z_err) + np.count_nonzero(x_err)) / len(pairs)
+
+
+def test_refine_anchor_scores_wrong_shifts_as_random_pairs():
     pat = QubitPattern.from_seed(33)
     gen = np.random.default_rng(6)
-    n = 40_000
-    sent_true = pat.states(np.arange(n))
-    from qkdsync.quantum_link import measure_polarization
-    det = measure_polarization(sent_true, gen)
-    wrong_slots = np.arange(n) + 12345  # independent states
-    pairs = MatchedPairs(
-        slot=wrong_slots, detector=det, sent=pat.states(wrong_slots),
-        basis=np.zeros(n, dtype=np.int8), residual_s=np.zeros(n),
-        source_index=np.arange(n), n_unmatched=0)
-    frac = incompatible_fraction(pairs)
-    assert frac == pytest.approx(RANDOM_INCOMPATIBLE_FRACTION, abs=0.01)
+    first_slot = DIVISOR // 25
+    slots = np.sort(gen.choice(np.arange(first_slot, first_slot + 59 * SLOTS_PER_INTERVAL),
+                               size=20_000, replace=False))
+    ds = detections_for_slots(slots, measure_polarization(pat.states(slots), gen))
+    _, scan = refine_anchor(ds, ideal_sync(), PhaseOffset(5e-9), pat,
+                            search_slots=10, sample_size=20_000, **kwargs())
+    wrong = scan.incompatibility[scan.shifts != 0]
+    assert scan.best_shift == 0 and scan.incompatibility[scan.shifts == 0] == 0.0
+    # a wrong shift pairs each click with an independent state
+    assert np.median(wrong) == pytest.approx(RANDOM_INCOMPATIBLE_FRACTION, abs=0.02)
 
 
 def test_refine_anchor_finds_planted_shift():
@@ -230,7 +237,6 @@ def test_refine_anchor_finds_planted_shift():
     true_slots = np.sort(gen.choice(
         np.arange(first_slot, first_slot + 59 * SLOTS_PER_INTERVAL),
         size=3000, replace=False))
-    from qkdsync.quantum_link import measure_polarization
     det = measure_polarization(pat.states(true_slots), gen)
     # the optical path delays every qubit by exactly 7 slots
     ds = detections_for_slots(true_slots + 7, det)
@@ -240,7 +246,8 @@ def test_refine_anchor_finds_planted_shift():
     assert scan.best_shift == -7
     assert scan.margin > 0.05
     pairs = match_detections(ds, sync, refined, pat, **kwargs())
-    assert incompatible_fraction(pairs) == 0.0
+    _, z_err, _, x_err = sift(pairs)
+    assert not z_err.any() and not x_err.any()
 
 
 def test_refine_anchor_scores_equal_a_match_per_shift():
@@ -248,13 +255,11 @@ def test_refine_anchor_scores_equal_a_match_per_shift():
     gen = np.random.default_rng(2)
     sync = ideal_sync(start_boundary=0)
     slots = np.arange(41)  # negative shifts push the early slots below 0
-    from qkdsync.quantum_link import measure_polarization
     ds = detections_for_slots(slots, measure_polarization(pat.states(slots), gen))
     phase = PhaseOffset(offset_s=5e-9)
     _, scan = refine_anchor(ds, sync, phase, pat, search_slots=15, **kwargs())
     per_shift = [
-        incompatible_fraction(match_detections(
-            ds, sync, PhaseOffset(5e-9, int(d)), pat, **kwargs()))
+        _error_fraction(match_detections(ds, sync, PhaseOffset(5e-9, int(d)), pat, **kwargs()))
         for d in scan.shifts
     ]
     assert scan.shifts.tolist() == list(range(-15, 16))
@@ -270,7 +275,6 @@ def test_refine_anchor_in_blocks_equals_the_whole_array_scan(search_slots, n_slo
     gen = np.random.default_rng(6)
     sync = ideal_sync(start_boundary=0)
     slots = np.sort(gen.choice(np.arange(3 * n_slots), size=n_slots, replace=False))
-    from qkdsync.quantum_link import measure_polarization
     ds = detections_for_slots(slots, measure_polarization(pat.states(slots), gen))
     phase = PhaseOffset(offset_s=5e-9)
     _, scan = refine_anchor(ds, sync, phase, pat, search_slots=search_slots, **kwargs())
@@ -301,10 +305,8 @@ def _pairs(sent, detector):
     sent = np.asarray(sent, dtype=np.int8)
     det = np.asarray(detector, dtype=np.int8)
     n = sent.size
-    return MatchedPairs(
-        slot=np.arange(n), detector=det, sent=sent,
-        basis=np.where(det < D, Z, X).astype(np.int8),
-        residual_s=np.zeros(n), source_index=np.arange(n), n_unmatched=0)
+    return MatchedPairs(slot=np.arange(n), detector=det, sent=sent,
+                        source_index=np.arange(n), n_unmatched=0)
 
 
 def test_sift_masks():
