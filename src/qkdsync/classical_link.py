@@ -27,7 +27,6 @@ Two levels of fidelity coexist here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -329,7 +328,7 @@ def _lock_flags(err, bindex, t_nom):
 
 
 def recovered_fractional_offset(rc: RecoveredClock) -> float:
-    """Fractional symbol-rate offset seen by the loop, from a linear fit.
+    """The fractional symbol-rate offset seen by the loop, from a linear fit.
 
     Regresses the tracked boundary phase against boundary index over the
     locked span (discarding the first quarter of locked samples, which
@@ -349,33 +348,32 @@ def recovered_fractional_offset(rc: RecoveredClock) -> float:
 class SyncPulseTrain:
     """Receiver-side timestamps s_i of the divided-down recovered clock.
 
-    step_spacing_s is the nominal time between pulses one boundary step
-    apart; the stored pulses are that far apart except where pulses are
-    missing.  The pulse_boundary_index array carries, for each pulse, the
-    absolute symbol boundary count it corresponds to (the receiver's own
-    count of recovered boundaries), from which slot matching, rescaling
-    and decimation work; locked is False for pulses generated while the
-    recovery loop was free-running on the local oscillator.
+    Pulse k sits on symbol boundary (first_pulse + k) * boundary_step of
+    the receiver's own count of recovered boundaries, so the pulses lie
+    on an evenly spaced boundary grid with no gap; slot matching,
+    rescaling and decimation work from that grid.  step_spacing_s is
+    the nominal time between adjacent pulses.  locked is False for
+    pulses generated while the recovery loop was free-running on the
+    local oscillator.
     """
 
     pulses: EdgeTrain
     step_spacing_s: float
-    pulse_boundary_index: np.ndarray
+    first_pulse: int
+    boundary_step: int
     locked: np.ndarray
 
     def __post_init__(self):
         if not self.step_spacing_s > 0:
             raise ValueError("step_spacing_s must be > 0")
+        if self.boundary_step < 1:
+            raise ValueError("boundary_step must be >= 1")
         n = len(self.pulses)
-        if len(self.pulse_boundary_index) != n:
-            raise ValueError("pulse_boundary_index length mismatch")
         if len(self.locked) != n:
             raise ValueError("locked length mismatch")
         if n >= 2:
-            if self.boundary_step < 1:
-                raise ValueError("pulse_boundary_index must be strictly increasing")
-            b, t, step_s = self.pulse_boundary_index, self.times_s, self.step_spacing_s
-            mean = float(t[-1] - t[0]) / ((b[-1] - b[0]) / self.boundary_step)
+            t, step_s = self.times_s, self.step_spacing_s
+            mean = float(t[-1] - t[0]) / (n - 1)
             if abs(mean - step_s) > SYNC_SPACING_TOLERANCE * step_s:
                 raise ValueError(
                     f"mean sync spacing {mean:g} s per boundary step deviates from "
@@ -385,15 +383,6 @@ class SyncPulseTrain:
     @property
     def times_s(self) -> np.ndarray:
         return self.pulses.times_s
-
-    @cached_property
-    def boundary_step(self) -> int:
-        """Symbol boundaries between adjacent pulses where none is missing:
-        the smallest step of pulse_boundary_index (needs 2 pulses), taken
-        `rng.BLOCK_EVENTS` steps at a time."""
-        b = self.pulse_boundary_index
-        return int(min(np.diff(b[lo:lo + rng.BLOCK_EVENTS + 1]).min()
-                       for lo in range(0, b.size - 1, rng.BLOCK_EVENTS)))
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -405,12 +394,13 @@ class SyncPulseTrain:
             raise ValueError("decimation needs a factor >= 1 and at least 2 pulses")
         if factor == 1:
             return self
-        keep = self.pulse_boundary_index % (factor * self.boundary_step) == 0
+        k0 = -self.first_pulse % factor
         return SyncPulseTrain(
-            pulses=EdgeTrain(self.times_s[keep]),
+            pulses=EdgeTrain(self.times_s[k0::factor]),
             step_spacing_s=factor * self.step_spacing_s,
-            pulse_boundary_index=self.pulse_boundary_index[keep],
-            locked=self.locked[keep],
+            first_pulse=(self.first_pulse + k0) // factor,
+            boundary_step=factor * self.boundary_step,
+            locked=self.locked[k0::factor],
         )
 
 
@@ -442,7 +432,8 @@ def derive_sync_pulses(rc: RecoveredClock, divisor: int) -> SyncPulseTrain:
     return SyncPulseTrain(
         pulses=EdgeTrain(times),
         step_spacing_s=divisor * rc.symbol_period_nominal_s,
-        pulse_boundary_index=targets,
+        first_pulse=k_first,
+        boundary_step=divisor,
         locked=np.ones(targets.size, dtype=bool),
     )
 
@@ -471,11 +462,12 @@ def synthesize_sync_train(
     relock_delay_s after it clears) the receiver free-runs: pulses
     continue at exactly the nominal spacing of its own reading frame,
     extrapolated from the last locked pulse.  Residual jitter is keyed
-    by the absolute boundary index, which every pulse carries, so
-    `SyncPulseTrain.decimate` keeps each pulse's own timing.
+    by the absolute boundary index, which every pulse's place on the
+    train's grid gives, so `SyncPulseTrain.decimate` keeps each pulse's
+    own timing.
 
     The pulses run in blocks of an eighth of `rng.BLOCK_EVENTS` (a
-    pulse's chain holds ~130 bytes of temporaries, the train 17) into a
+    pulse's chain holds ~130 bytes of temporaries, the train 9) into a
     train allocated once; a free-running pulse finds its anchor among
     the pulses already written.
     """
@@ -487,13 +479,12 @@ def synthesize_sync_train(
             raise ValueError(f"blocking interval is inverted: [{bs}, {be})")
     spacing_nom = divisor / symbol_rate_hz
     key = rng.derive_key(seed, "cdr-residual")
-    boundary = np.arange(0, n_pulses * divisor, divisor, dtype=np.int64)
     reading = np.empty(n_pulses)
     locked = np.ones(n_pulses, dtype=bool)
     last = -1  # index of the last locked pulse so far, -1 before the first
     pulses_per_block = max(rng.BLOCK_EVENTS // 8, 1)
     for lo in range(0, n_pulses, pulses_per_block):
-        b = boundary[lo:lo + pulses_per_block]
+        b = np.arange(lo, min(lo + pulses_per_block, n_pulses), dtype=np.int64) * divisor
         emit = local_time(tx_clock, b / symbol_rate_hz, jitter_index=b,
                           jitter_stream="sync-emit")
         arrival = (emit + propagation_delay_s) * (1.0 + doppler_beta)
@@ -523,6 +514,7 @@ def synthesize_sync_train(
     return SyncPulseTrain(
         pulses=EdgeTrain(reading),
         step_spacing_s=spacing_nom,
-        pulse_boundary_index=boundary,
+        first_pulse=0,
+        boundary_step=divisor,
         locked=locked,
     )

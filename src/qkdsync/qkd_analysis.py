@@ -14,7 +14,6 @@ counts into time-binned QBER.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -64,22 +63,20 @@ def recover_phase(h: ArrivalHistogram) -> PhaseOffset:
     return PhaseOffset(offset_s=fit_gaussian(h).mu_s)
 
 
-def _slots_per_boundary(sync: SyncPulseTrain, qubit_rate_hz: float) -> Fraction:
-    """Qubit slots per symbol boundary, from the train's step spacing.
+def _slots_per_step(sync: SyncPulseTrain, qubit_rate_hz: float) -> int:
+    """Qubit slots per boundary step, from the train's step spacing.
 
     The slot grid must repeat with the pulses: one boundary step has to
-    hold a whole number of slots (within 1e-6), so the fraction has a
-    denominator that divides the step.
+    hold a whole number of slots (within 1e-6).
     """
-    step = sync.boundary_step
     slots_per_step = qubit_rate_hz * sync.step_spacing_s
     k = round(slots_per_step)
     if k < 1 or abs(k - slots_per_step) > 1e-6 * slots_per_step:
         raise MatchingError(
             f"qubit rate {qubit_rate_hz:g} and sync step spacing {sync.step_spacing_s:g} s "
-            f"are not commensurate over the sync boundary step of {step}"
+            f"are not commensurate over the sync boundary step of {sync.boundary_step}"
         )
-    return Fraction(k, step)
+    return k
 
 
 def assign_slots(q_prime, offset_s: float, delta_q: float):
@@ -133,7 +130,7 @@ def match_detections(
         raise MatchingError(f"window must be in (0, {delta_q:g}] s, got {window_s:g}")
     if not isinstance(detections, DetectionSet):
         raise TypeError("match_detections needs a DetectionSet")
-    per_boundary = _slots_per_boundary(sync, qubit_rate_hz)
+    per_step = _slots_per_step(sync, qubit_rate_hz)
 
     n = len(detections)
     slot, src = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
@@ -148,12 +145,9 @@ def match_detections(
                   for lo in range(0, n, rng.BLOCK_EVENTS))
     for lo, r in blocks:
         k, res = assign_slots(r.q_prime, phase.offset_s, delta_q)
-        base = sync.pulse_boundary_index[r.interval_index] * per_boundary.numerator
-        if np.any(base % per_boundary.denominator):
-            raise MatchingError("sync pulse boundaries do not land on qubit slots")
-        s = base // per_boundary.denominator + k + phase.slot_origin
+        s = (sync.first_pulse + r.interval_index) * per_step + k + phase.slot_origin
         inside = (np.abs(res) <= window_s / 2.0) & (s >= 0)
-        i = r.source_index[inside]
+        i = r.dropped_before + np.flatnonzero(inside)
         matched = slice(n_matched, n_matched + i.size)
         slot[matched] = s[inside]
         src[matched] = i + lo

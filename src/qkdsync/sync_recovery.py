@@ -43,14 +43,14 @@ class FitError(RuntimeError):
 class RescaledArrivals:
     """Rescaled detection times q' with their sync-interval indices.
 
-    source_index points back into the detection set the values came
-    from; detections outside the sync-covered span are dropped and
-    counted, Eq.-style rescaling needs bracketing pulses.
+    Detections outside the sync-covered span are dropped and counted,
+    Eq.-style rescaling needs bracketing pulses; the kept ones are one
+    contiguous run, so kept value k comes from detection
+    dropped_before + k of the set rescaled.
     """
 
     q_prime: np.ndarray
     interval_index: np.ndarray
-    source_index: np.ndarray
     dropped_before: int
     dropped_after: int
 
@@ -61,12 +61,10 @@ class RescaledArrivals:
 def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     """Map each detection time onto the nominal timeline of its sync interval.
 
-    For q in [s_i, s_{i+1}): q' = (q - s_i)/(s_{i+1} - s_i) * delta_i,
-    where delta_i is the interval's boundary count in units of the
-    train's boundary step, times sync.step_spacing_s, so an interval
-    that spans a missing pulse keeps its true length.  times_s is a
-    sorted array of receiver seconds, such as the `times_s` of one
-    `DetectionSet.select` block.
+    For q in [s_i, s_{i+1}): q' = (q - s_i)/(s_{i+1} - s_i) * delta_s,
+    with delta_s = sync.step_spacing_s.  times_s is a sorted array of
+    receiver seconds, such as the `times_s` of one `DetectionSet.select`
+    block.
 
     Detections before s_0 or at or after the last pulse are dropped;
     since times_s is sorted, the kept ones are one contiguous run.  The
@@ -74,8 +72,8 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     is first guessed by linear interpolation between the first and last
     pulse (Perl, Itai & Avni 1978) and checked against its two pulses;
     only the misses, where the train bends away from a straight line (a
-    gap, a free-running span), fall back to a binary search.  Either way
-    i is the one interval with s_i <= q < s_{i+1}.
+    free-running span), fall back to a binary search.  Either way i is
+    the one interval with s_i <= q < s_{i+1}.
     """
     q = np.asarray(times_s, dtype=np.float64)
     if np.any(q[1:] < q[:-1]):
@@ -93,13 +91,9 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
     miss = np.flatnonzero((qq < s_i) | (qq >= s_next))
     i[miss] = np.searchsorted(s, qq[miss], side="right") - 1
     s_i[miss], s_next[miss] = s[i[miss]], s[i[miss] + 1]
-    b = sync.pulse_boundary_index
-    delta_i = (b[i + 1] - b[i]) / sync.boundary_step * sync.step_spacing_s
-    q_prime = (qq - s_i) / (s_next - s_i) * delta_i
     return RescaledArrivals(
-        q_prime=q_prime,
+        q_prime=(qq - s_i) / (s_next - s_i) * sync.step_spacing_s,
         interval_index=i,
-        source_index=np.arange(lo, hi, dtype=np.int64),
         dropped_before=int(lo),
         dropped_after=int(q.size - hi),
     )

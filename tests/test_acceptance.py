@@ -140,7 +140,7 @@ def test_criterion_5_rescaling_formula_oracle(report):
     q = s[:-1] + rng.uniform(0.0, 1.0, n) * gaps
     q.sort()
     sync = SyncPulseTrain(EdgeTrain(s), delta_s,
-                          pulse_boundary_index=np.arange(n + 1) * 125_000,
+                          first_pulse=0, boundary_step=125_000,
                           locked=np.ones(n + 1, dtype=bool))
     r = rescale(q, sync)
     assert len(r.q_prime) == n
@@ -148,7 +148,7 @@ def test_criterion_5_rescaling_formula_oracle(report):
     mismatch = 0
     for k in range(n):
         i = int(r.interval_index[k])
-        qk = float(q[r.source_index[k]])
+        qk = float(q[r.dropped_before + k])
         expected = (qk - float(s[i])) / (float(s[i + 1]) - float(s[i])) * delta_s
         if round(float(r.q_prime[k]) / 1e-12) != round(expected / 1e-12):
             mismatch += 1

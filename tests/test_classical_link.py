@@ -34,8 +34,13 @@ def pulse_train(times, nominal):
     """A locked train whose pulses sit DIVISOR boundaries apart."""
     n = len(times)
     return SyncPulseTrain(EdgeTrain(times), nominal,
-                          pulse_boundary_index=np.arange(1, n + 1) * DIVISOR,
+                          first_pulse=1, boundary_step=DIVISOR,
                           locked=np.ones(n, dtype=bool))
+
+
+def boundaries(sp):
+    """Each pulse's symbol boundary count, from the train's grid."""
+    return (sp.first_pulse + np.arange(len(sp), dtype=np.int64)) * sp.boundary_step
 
 
 def make_clock(offset=0.0, jitter=0.0, seed=1, rate=SYMBOL_RATE, **kw):
@@ -273,16 +278,19 @@ def test_derive_sync_pulses_spacing():
     nominal = DIVISOR / SYMBOL_RATE
     assert abs(spacing.mean() - nominal * (1 + 1e-6)) < 1e-7 * nominal
     assert sp.step_spacing_s == pytest.approx(nominal)
-    assert np.all(np.diff(sp.pulse_boundary_index) == DIVISOR)
+    # the first pulse is the first divisor multiple at or after lock
+    assert sp.boundary_step == DIVISOR
+    b_lock = rc.boundary_index[rc.lock_index]
+    assert (sp.first_pulse - 1) * DIVISOR < b_lock <= sp.first_pulse * DIVISOR
 
 
 def test_decimate_derived_train_keeps_boundary_multiples():
     sp = derive_sync_pulses(_tracked(symbols=400_000), DIVISOR)
-    b = sp.pulse_boundary_index
+    b = boundaries(sp)
     assert b[0] % (4 * DIVISOR) != 0  # every 4th stored pulse would be the wrong set
     dec = sp.decimate(4)
     keep = b % (4 * DIVISOR) == 0
-    assert np.array_equal(dec.pulse_boundary_index, b[keep])
+    assert np.array_equal(boundaries(dec), b[keep])
     assert np.array_equal(dec.times_s, sp.times_s[keep])
     assert np.array_equal(dec.locked, sp.locked[keep])
     assert dec.step_spacing_s == 4 * sp.step_spacing_s
@@ -303,17 +311,9 @@ def test_sync_train_spacing_invariant_enforced():
     bad = np.arange(50) * nominal * (1 + 5e-4)    # 500 ppm off: rejected
     with pytest.raises(ValueError):
         pulse_train(bad[1:], nominal)
-    # spacing counts boundary steps, so a missing pulse keeps it nominal
-    full = pulse_train(np.arange(1, 61) * nominal, nominal)
-    keep = np.arange(60) != 3
-    gapped = SyncPulseTrain(EdgeTrain(full.times_s[keep]), nominal,
-                            pulse_boundary_index=full.pulse_boundary_index[keep],
-                            locked=full.locked[keep])
-    assert gapped.boundary_step == DIVISOR
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SyncPulseTrain(EdgeTrain(full.times_s), nominal,
-                       pulse_boundary_index=full.pulse_boundary_index[::-1],
-                       locked=full.locked)
+    with pytest.raises(ValueError, match="boundary_step"):
+        SyncPulseTrain(EdgeTrain(good), nominal, first_pulse=1, boundary_step=0,
+                       locked=np.ones(good.size, dtype=bool))
 
 
 def test_sync_train_rejects_nonpositive_spacing():
@@ -370,7 +370,7 @@ def test_synthesize_block_free_runs_at_nominal_spacing():
     assert np.allclose(spacing, sp.step_spacing_s, rtol=0, atol=1e-12)
     # pulses degrade: the free-run train drifts away from where the true
     # boundaries would be read (tx runs at +5e-7, rx reads at 1/(1-5e-7))
-    b = np.asarray(sp.pulse_boundary_index[inside], dtype=np.float64)
+    b = boundaries(sp)[inside].astype(np.float64)
     truth_reading = b / FULL_RATE * (1 + 5e-7) / (1 - 5e-7)
     drift = np.abs(t[inside] - truth_reading)
     assert drift[0] < 1e-9
@@ -433,8 +433,9 @@ def test_synthesize_in_small_blocks_gives_the_same_arrays(block, monkeypatch):
     # 613 pulses; the free run starts at t = 0 (no anchor) or inside a
     # block and goes on through later ones (anchor carried over)
     assert len(whole) == 613 and not whole.locked[int(block[0] * 1e4) + 1]
-    for name in ("times_s", "pulse_boundary_index", "locked"):
+    for name in ("times_s", "locked"):
         assert getattr(small, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert (small.first_pulse, small.boundary_step) == (whole.first_pulse, whole.boundary_step)
 
 
 def test_synthesize_doppler_scales_times():
@@ -474,8 +475,8 @@ def test_cdr_loop_matches_the_synthesized_sync_train():
                               divisor)
     synth = synthesize_sync_train(tx, rx, bits.size / rate, rate, divisor, seed=cfg["seed"],
                                   cdr_residual_sigma_s=0.0, propagation_delay_s=delay)
-    common, i_loop, i_synth = np.intersect1d(loop.pulse_boundary_index,
-                                             synth.pulse_boundary_index, return_indices=True)
+    common, i_loop, i_synth = np.intersect1d(boundaries(loop), boundaries(synth),
+                                             return_indices=True)
     assert common.size == len(loop) >= 300
     diff = loop.times_s[i_loop] - synth.times_s[i_synth]
     # same boundary on both sides: a count off by one symbol would move

@@ -5,16 +5,16 @@ tracemalloc counts numpy's array buffers exactly, so the peaks are
 deterministic for a given numpy.  The stages walk their events in
 blocks of `rng.BLOCK_EVENTS`; their peaks then hold little beyond their
 outputs (18 bytes per detection for the sampled set, 18 for the matched
-pairs, 17 per pulse for the sync train).  On this config whole-array
-passes peak at about 114 bytes per detection when sampling, 94 when
-matching and 5.0 times the train when synthesizing sync; blocks give
-about 36, 37 and 1.3 times.
+pairs, 9 per pulse for the sync train: its times and lock flags).  On
+this config whole-array passes peak at about 114 bytes per detection
+when sampling, 94 when matching and 85 per pulse when synthesizing
+sync; blocks give about 36, 33 and 14.7.
 
 A whole run peaks at the sampler's sort or at its detections plus its
 sync train, with the anchor scan's working blocks on top: for blocking
-on this config about 46 bytes per detection, against 86 when the train
+on this config about 42 bytes per detection, against 86 when the train
 was held through sampling and the bin edges took a full-length copy of
-the times; for arrival 39, against 46 when its folds took one.  The
+the times; for arrival 36, against 46 when its folds took one.  The
 anchor scan scores its shifts x pairs in blocks, so its peak stays flat
 in the search width; scored at once it grew ~0.11 MB per shift.
 
@@ -35,9 +35,9 @@ from qkdsync.qkd_analysis import PhaseOffset, match_detections, refine_anchor
 
 SAMPLING_BYTES_PER_DETECTION = 47
 MATCHING_BYTES_PER_DETECTION = 40
-SYNC_PEAK_PER_TRAIN_BYTE = 1.5
-BLOCKING_RUN_BYTES_PER_DETECTION = 60
-ARRIVAL_RUN_BYTES_PER_DETECTION = 43
+SYNC_PEAK_BYTES_PER_PULSE = 16
+BLOCKING_RUN_BYTES_PER_DETECTION = 50
+ARRIVAL_RUN_BYTES_PER_DETECTION = 40
 ANCHOR_PEAK_WIDTH_RATIO = 1.5  # peak at +-2000 shifts over the peak at +-50
 
 
@@ -65,8 +65,7 @@ def test_sync_synthesis_peak_stays_within_a_budget_per_train_byte():
     sync, peak = _traced_peak(lambda: simulate.make_sync_train(tx, rx, CFG,
                                                                blocks=((3.0, 6.0),)))
     assert len(sync) == 100_000 and not sync.locked.all()
-    own = sync.times_s.nbytes + sync.pulse_boundary_index.nbytes + sync.locked.nbytes
-    assert peak / own < SYNC_PEAK_PER_TRAIN_BYTE
+    assert peak / len(sync) < SYNC_PEAK_BYTES_PER_PULSE
 
 
 def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():

@@ -30,12 +30,13 @@ SLOTS_PER_INTERVAL = 5000
 RES = 1e-12  # picosecond ticks keep constructed times exact
 
 
-def ideal_sync(n_pulses=60, start_boundary=DIVISOR):
-    b = start_boundary + np.arange(n_pulses) * DIVISOR
+def ideal_sync(n_pulses=60, first_pulse=1):
+    b = (first_pulse + np.arange(n_pulses)) * DIVISOR
     return SyncPulseTrain(
         EdgeTrain(b / SYMBOL_RATE),
         DELTA_S,
-        pulse_boundary_index=b,
+        first_pulse=first_pulse,
+        boundary_step=DIVISOR,
         locked=np.ones(n_pulses, dtype=bool),
     )
 
@@ -163,32 +164,6 @@ def test_match_in_small_blocks_gives_the_pairs_of_one_block(monkeypatch):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
-def test_match_after_a_missing_sync_pulse_keeps_slots():
-    pat = QubitPattern.from_seed(5)
-    full = ideal_sync()
-    keep = np.arange(len(full)) != 3
-    gapped = SyncPulseTrain(EdgeTrain(full.times_s[keep]), DELTA_S,
-                            pulse_boundary_index=full.pulse_boundary_index[keep],
-                            locked=full.locked[keep])
-    # slots from pulse 2 on: the interval that spans the missing pulse 3
-    # is rescaled over its two boundary steps, and the slots after it
-    slots = DIVISOR // 25 + 2 * SLOTS_PER_INTERVAL + np.arange(0, 5 * SLOTS_PER_INTERVAL, 7)
-    ds = detections_for_slots(slots, pat.states(slots))
-    for sync in (full, gapped):
-        pairs = match_detections(ds, sync, PhaseOffset(5e-9), pat, **kwargs())
-        assert np.array_equal(pairs.slot, slots)
-
-
-def test_match_rejects_misaligned_sync_boundaries():
-    pat = QubitPattern.from_seed(3)
-    b = 7 + np.arange(60) * DIVISOR  # boundaries off the qubit-slot grid
-    sync = SyncPulseTrain(EdgeTrain(b / SYMBOL_RATE), DELTA_S, pulse_boundary_index=b,
-                          locked=np.ones(b.size, dtype=bool))
-    ds = detections_for_slots(np.array([DIVISOR // 25 + 5]), [0])
-    with pytest.raises(MatchingError, match="do not land on qubit slots"):
-        match_detections(ds, sync, PhaseOffset(0.0), pat, **kwargs())
-
-
 # ---------------------------------------------------------------- phase/anchor
 
 
@@ -253,7 +228,7 @@ def test_refine_anchor_finds_planted_shift():
 def test_refine_anchor_scores_equal_a_match_per_shift():
     pat = QubitPattern.from_seed(44)
     gen = np.random.default_rng(2)
-    sync = ideal_sync(start_boundary=0)
+    sync = ideal_sync(first_pulse=0)
     slots = np.arange(41)  # negative shifts push the early slots below 0
     ds = detections_for_slots(slots, measure_polarization(pat.states(slots), gen))
     phase = PhaseOffset(offset_s=5e-9)
@@ -273,7 +248,7 @@ def test_refine_anchor_in_blocks_equals_the_whole_array_scan(search_slots, n_slo
     monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)
     pat = QubitPattern.from_seed(44)
     gen = np.random.default_rng(6)
-    sync = ideal_sync(start_boundary=0)
+    sync = ideal_sync(first_pulse=0)
     slots = np.sort(gen.choice(np.arange(3 * n_slots), size=n_slots, replace=False))
     ds = detections_for_slots(slots, measure_polarization(pat.states(slots), gen))
     phase = PhaseOffset(offset_s=5e-9)

@@ -30,8 +30,7 @@ DELTA_Q = 20e-9
 
 def sync_train(n=51, scale=1.0, start=0.0):
     times = start + np.arange(1, n + 1) * DELTA_S * scale
-    return SyncPulseTrain(EdgeTrain(times), DELTA_S,
-                          pulse_boundary_index=np.arange(1, n + 1) * 125_000,
+    return SyncPulseTrain(EdgeTrain(times), DELTA_S, first_pulse=1, boundary_step=125_000,
                           locked=np.ones(n, dtype=bool))
 
 
@@ -43,7 +42,7 @@ def test_rescale_matches_direct_formula():
     q = np.sort(np.random.default_rng(1).uniform(sync.times_s[0], sync.times_s[-1], 500))
     r = rescale(q, sync)
     s = sync.times_s
-    for qi, ii, qp in zip(q[r.source_index], r.interval_index, r.q_prime):
+    for qi, ii, qp in zip(q[r.dropped_before:], r.interval_index, r.q_prime):
         direct = (qi - s[ii]) / (s[ii + 1] - s[ii]) * DELTA_S
         assert qp == pytest.approx(direct, abs=1e-18)
 
@@ -56,7 +55,7 @@ def test_rescale_drops_out_of_span_detections():
     assert r.dropped_before == 1
     assert r.dropped_after == 1
     assert len(r) == 2
-    assert np.array_equal(r.source_index, [1, 2])
+    assert r.q_prime[0] == pytest.approx(1e-5, rel=1e-6)
 
 
 def test_rescale_of_detection_set_times():
@@ -91,7 +90,9 @@ def test_rescale_uses_decimation_for_effective_interval():
 
 def _rescale_by_binary_search(q, sync):
     """The interval lookup as a binary search over every detection: the
-    reference the interpolated lookup must reproduce bit for bit."""
+    reference the interpolated lookup must reproduce bit for bit.  Each
+    interval's length is its boundary count in boundary steps times the
+    step spacing, and the kept detections' indices come back as idx."""
     s = sync.times_s
     delta_s = sync.step_spacing_s
     i = np.searchsorted(s, q, side="right") - 1
@@ -99,12 +100,11 @@ def _rescale_by_binary_search(q, sync):
     dropped_after = int(np.count_nonzero(i > s.size - 2))
     idx = np.flatnonzero((i >= 0) & (i <= s.size - 2))
     i = i[idx]
-    b = sync.pulse_boundary_index
+    b = (sync.first_pulse + np.arange(s.size, dtype=np.int64)) * sync.boundary_step
     delta_i = (b[i + 1] - b[i]) / sync.boundary_step * delta_s
     q_prime = (q[idx] - s[i]) / (s[i + 1] - s[i]) * delta_i
     return dict(q_prime=q_prime, interval_index=i.astype(np.int64),
-                source_index=idx.astype(np.int64),
-                dropped_before=dropped_before, dropped_after=dropped_after)
+                dropped_before=dropped_before, dropped_after=dropped_after), idx
 
 
 def _with_edge_cases(q, s):
@@ -117,7 +117,8 @@ def _with_edge_cases(q, s):
 
 def _assert_rescale_identical(q, sync):
     got = rescale(q, sync)
-    want = _rescale_by_binary_search(q, sync)
+    want, idx = _rescale_by_binary_search(q, sync)
+    assert np.array_equal(idx, got.dropped_before + np.arange(len(got)))
     for name, value in want.items():
         have = getattr(got, name)
         if isinstance(value, np.ndarray):
@@ -145,20 +146,26 @@ def test_rescale_is_the_binary_search_on_the_blocking_train():
         _assert_rescale_identical(q[a:a + 20_000], sync)
 
 
-def test_rescale_is_the_binary_search_on_a_train_with_missing_pulses():
-    full = sync_train(n=2001, scale=1 + 3e-5)
-    keep = np.ones(len(full), dtype=bool)
-    keep[[1, 7, 8, 500]] = False
-    keep[1000:1400] = False  # a long gap moves every later guess
-    gapped = SyncPulseTrain(EdgeTrain(full.times_s[keep]), DELTA_S,
-                            pulse_boundary_index=full.pulse_boundary_index[keep],
-                            locked=full.locked[keep])
-    s = gapped.times_s
+def test_rescale_is_the_binary_search_on_a_bent_train():
+    # 1.5x spacing over pulses 1000-1400 and 0.5x over 1400-1800 keep the
+    # mean spacing nominal but move the straight-line guess up to 200
+    # intervals off there: about 2 in 5 first guesses miss
+    gaps = np.full(2000, DELTA_S * (1 + 3e-5))
+    gaps[1000:1400] *= 1.5
+    gaps[1400:1800] *= 0.5
+    s = DELTA_S + np.concatenate([[0.0], np.cumsum(gaps)])
+    bent = SyncPulseTrain(EdgeTrain(s), DELTA_S, first_pulse=1, boundary_step=125_000,
+                          locked=np.ones(s.size, dtype=bool))
     q = _with_edge_cases(np.random.default_rng(4).uniform(0.0, s[-1] + DELTA_S, 50_000), s)
-    _assert_rescale_identical(q, gapped)
-    _assert_rescale_identical(q, gapped.decimate(10))
+    guess = ((q - s[0]) * ((s.size - 1) / (s[-1] - s[0]))).astype(np.int64)
+    kept = (q >= s[0]) & (q < s[-1])
+    guess = np.clip(guess[kept], 0, s.size - 2)
+    miss = (q[kept] < s[guess]) | (q[kept] >= s[guess + 1])
+    assert 0.3 < miss.mean() < 0.5
+    _assert_rescale_identical(q, bent)
+    _assert_rescale_identical(q, bent.decimate(10))
     for q_few in (q[:0], q[:1], s[-1:], s[:1]):
-        _assert_rescale_identical(q_few, gapped)
+        _assert_rescale_identical(q_few, bent)
 
 
 # ---------------------------------------------------------------------- fold
