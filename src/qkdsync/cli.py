@@ -48,6 +48,11 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
+def _nanmean(values) -> float:
+    """np.nanmean, but nan without numpy's warning where every value is nan."""
+    return float(np.nanmean(values)) if np.any(~np.isnan(values)) else float("nan")
+
+
 def _summary_lines(scenario: str, result) -> list[str]:
     if scenario == "arrival":
         return [
@@ -71,13 +76,13 @@ def _summary_lines(scenario: str, result) -> list[str]:
         lines = [f"{result.n_detections} detections, slot anchor = {result.slot_origin}"]
         if np.any(inside & ~np.isnan(s.qber_z)):
             lines.append(
-                f"in-block  mean QBER: Z = {np.nanmean(s.qber_z[inside]):.3f}, "
-                f"X = {np.nanmean(s.qber_x[inside]):.3f}"
+                f"in-block  mean QBER: Z = {_nanmean(s.qber_z[inside]):.3f}, "
+                f"X = {_nanmean(s.qber_x[inside]):.3f}"
             )
         if np.any(outside):
             lines.append(
-                f"unblocked mean QBER: Z = {np.nanmean(s.qber_z[outside]):.3f}, "
-                f"X = {np.nanmean(s.qber_x[outside]):.3f}"
+                f"unblocked mean QBER: Z = {_nanmean(s.qber_z[outside]):.3f}, "
+                f"X = {_nanmean(s.qber_x[outside]):.3f}"
             )
         return lines
     lines = [
@@ -127,7 +132,7 @@ def main(argv=None) -> int:
 
     try:
         result = _SCENARIOS[args.scenario][0](cfg, out_dir)
-    except (ConfigError, ClockConfigError, ChannelConfigError) as exc:
+    except (ClockConfigError, ChannelConfigError) as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)

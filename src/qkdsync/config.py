@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quantum_link import MAX_DOPPLER_BETA
+from .timebase import MAX_FRACTIONAL_OFFSET
 
 
 class ConfigError(ValueError):
@@ -131,7 +132,7 @@ def _convert(key: str, text: str):
     return value
 
 
-def _validate(cfg: dict) -> None:
+def _validate(cfg: dict, scenario: str) -> None:
     def positive(*keys):
         for k in keys:
             if not cfg[k] > 0:
@@ -151,6 +152,16 @@ def _validate(cfg: dict) -> None:
                  "cdr_residual_jitter_ps", "relock_delay_s", "propagation_delay_s",
                  "background_rate_hz", "dark_rate_hz", "chain_jitter_ps",
                  "block_start_s", "block_end_s")
+    for k in ("transmittance", "detector_efficiency"):
+        if cfg[k] > 1:
+            raise ConfigError(f"config key {k!r} must be <= 1, got {cfg[k]}")
+    for k in ("tx_fractional_offset", "rx_fractional_offset"):
+        if abs(cfg[k]) >= MAX_FRACTIONAL_OFFSET:
+            raise ConfigError(f"config key {k!r} must satisfy |offset| < {MAX_FRACTIONAL_OFFSET:g}")
+    bs, be = cfg["block_start_s"], cfg["block_end_s"]
+    if scenario == "blocking" and not 0.0 <= bs <= be <= cfg["duration_s"]:
+        raise ConfigError(f"block_start_s = {bs:g} and block_end_s = {be:g} must satisfy 0 <= "
+                          f"block_start_s <= block_end_s <= duration_s = {cfg['duration_s']:g}")
     if cfg["histogram_bins"] < 5:
         raise ConfigError(f"config key 'histogram_bins' must be >= 5, got {cfg['histogram_bins']}")
     if cfg["anchor_search_slots"] < 0:
@@ -197,7 +208,7 @@ def resolve(scenario: str, file_values: dict | None = None,
         cfg["seed"] = int(seed)
     if cfg["seed"] is _REQUIRED:
         raise ConfigError("config key 'seed' is mandatory (set it in the file or pass --seed)")
-    _validate(cfg)
+    _validate(cfg, scenario)
     return cfg
 
 
@@ -208,7 +219,7 @@ def defaults(scenario: str, seed: int, **overrides) -> dict:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = value
-    _validate(cfg)
+    _validate(cfg, scenario)
     return cfg
 
 

@@ -64,6 +64,17 @@ def test_blocking_writes_outputs(tmp_path, capsys):
     assert "in-block" in capsys.readouterr().out
 
 
+def test_blocking_summary_without_x_pairs_prints_nan(tmp_path, capsys):
+    # no D is sent, so no bin sifts an X pair; the X means are nan
+    cfg = write_cfg(tmp_path, seed=11, duration_s=6.0, block_start_s=2.0, block_end_s=4.0,
+                    state_prob_h=0.5, state_prob_v=0.5, state_prob_d=0.0)
+    out = tmp_path / "blk"
+    assert main(["blocking", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "X = nan" in captured.out
+    assert captured.err == ""
+
+
 def test_default_out_dir_and_seed_override(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, seed=1, duration_s=0.3)
     monkeypatch.chdir(tmp_path)
@@ -125,22 +136,24 @@ def test_no_peak_is_runtime_error(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "runtime"
 
 
-def test_block_interval_past_the_run_is_config_error(tmp_path, capsys):
-    # the default 20-40 s block does not fit a 10 s run
-    cfg = write_cfg(tmp_path, seed=1, duration_s=10.0)
-    out = tmp_path / "short"
-    assert main(["blocking", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    payload = stderr_payload(capsys)
-    assert payload["error"] == "config"
-    assert "block_end_s" in payload["message"]
-
-
 def test_doppler_beta_out_of_range_fails_before_any_output(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, seed=1, duration_s=0.3, doppler_beta="2e-4")
-    out = tmp_path / "fast"
-    assert main(["arrival", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "doppler_beta" in stderr_payload(capsys)["message"]
-    assert not out.exists()
+    # each config passes parsing but is invalid; none may create its output
+    for scenario, key, keys in [
+        ("arrival", "doppler_beta", dict(duration_s=0.3, doppler_beta="2e-4")),
+        # the default 20-40 s block does not fit a 10 s run
+        ("blocking", "block_end_s", dict(duration_s=10.0)),
+        ("arrival", "transmittance", dict(duration_s=0.3, transmittance=2)),
+        ("arrival", "detector_efficiency", dict(duration_s=0.3, detector_efficiency=1.5)),
+        ("arrival", "tx_fractional_offset", dict(duration_s=0.3, tx_fractional_offset=0.01)),
+        ("arrival", "rx_fractional_offset", dict(duration_s=0.3, rx_fractional_offset=-0.01)),
+    ]:
+        cfg = write_cfg(tmp_path, seed=1, **keys)
+        out = tmp_path / key
+        assert main([scenario, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG, key
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "config", key
+        assert key in payload["message"]
+        assert not out.exists(), key
 
 
 def test_console_script_help():

@@ -93,6 +93,10 @@ def test_seed_is_mandatory_and_cli_wins():
     ("seed", "-3"),
     ("seed", str(2**64)),
     ("transmittance", "0"),
+    ("transmittance", "2"),           # a probability
+    ("detector_efficiency", "1.5"),   # the same
+    ("tx_fractional_offset", "0.01"),  # |offset| < 1e-3
+    ("rx_fractional_offset", "-1e-3"),  # the same bound
     ("chain_jitter_ps", "-10"),
     ("histogram_bins", "2"),
     ("state_prob_h", "0.9"),          # probabilities stop summing to 1
@@ -120,8 +124,8 @@ def test_defaults_overrides_are_checked():
 
 
 def test_echo_roundtrips_exactly(tmp_path):
-    cfg = defaults("blocking", seed=123456789, duration_s=12.5,
-                   beta_values=(0.0, -3.25e-5), n_values=(1, 3, 9))
+    cfg = defaults("blocking", seed=123456789, duration_s=12.5, block_start_s=2.5,
+                   block_end_s=7.75, beta_values=(0.0, -3.25e-5), n_values=(1, 3, 9))
     path = tmp_path / "echo.cfg"
     echo(cfg, path)
     again = resolve("blocking", parse_file(path))
