@@ -136,12 +136,21 @@ def test_no_peak_is_runtime_error(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "runtime"
 
 
+def test_block_interval_past_the_run_is_config_error(tmp_path, capsys):
+    # the default 20-40 s block does not fit a 10 s run
+    cfg = write_cfg(tmp_path, seed=1, duration_s=10.0)
+    out = tmp_path / "short"
+    assert main(["blocking", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "config"
+    assert "block_end_s" in payload["message"]
+    assert not out.exists()
+
+
 def test_doppler_beta_out_of_range_fails_before_any_output(tmp_path, capsys):
     # each config passes parsing but is invalid; none may create its output
     for scenario, key, keys in [
         ("arrival", "doppler_beta", dict(duration_s=0.3, doppler_beta="2e-4")),
-        # the default 20-40 s block does not fit a 10 s run
-        ("blocking", "block_end_s", dict(duration_s=10.0)),
         ("arrival", "transmittance", dict(duration_s=0.3, transmittance=2)),
         ("arrival", "detector_efficiency", dict(duration_s=0.3, detector_efficiency=1.5)),
         ("arrival", "tx_fractional_offset", dict(duration_s=0.3, tx_fractional_offset=0.01)),
