@@ -38,8 +38,6 @@ from .classical_link import (
     synthesize_sync_train,
 )
 from .quantum_link import (
-    ChannelConfigError,
-    ChannelParams,
     DetectionSet,
     QubitPattern,
     detector_basis,
@@ -81,8 +79,6 @@ from .simulate import (
     DecimationResult,
     DopplerResult,
     build_clocks,
-    channel_from_config,
-    detections_from_config,
     make_sync_train,
     pattern_from_config,
     run_arrival_experiment,

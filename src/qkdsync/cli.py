@@ -22,7 +22,6 @@ import numpy as np
 
 from . import config, simulate
 from .config import ConfigError
-from .quantum_link import ChannelConfigError
 from .timebase import ClockConfigError
 
 EXIT_OK = 0
@@ -132,7 +131,7 @@ def main(argv=None) -> int:
 
     try:
         result = _SCENARIOS[args.scenario][0](cfg, out_dir)
-    except (ClockConfigError, ChannelConfigError) as exc:
+    except ClockConfigError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)

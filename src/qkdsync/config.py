@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quantum_link import MAX_DOPPLER_BETA
 from .timebase import MAX_FRACTIONAL_OFFSET
+
+MAX_DOPPLER_BETA = 1e-4
 
 
 class ConfigError(ValueError):
@@ -186,6 +187,14 @@ def _validate(cfg: dict, scenario: str) -> None:
         raise ConfigError(
             "sync_divisor * qubit_rate_hz / symbol_rate_hz must be an integer "
             f"(got {slots_per_pulse:g} qubit slots per sync pulse)")
+    # the sync train holds floor(pulses) pulses, and floor(x) >= k iff x >= k
+    # for an integer k; decimating by N keeps ceil(floor(pulses) / N) of them
+    pulses = cfg["duration_s"] * cfg["symbol_rate_hz"] / cfg["sync_divisor"]
+    fits = f"duration_s * symbol_rate_hz / sync_divisor = {pulses:g} sync pulses"
+    if not pulses >= 2:
+        raise ConfigError(f"{fits}; a run needs at least 2")
+    if scenario == "decimation" and not (cfg["n_values"] and pulses >= max(cfg["n_values"]) + 1):
+        raise ConfigError(f"config key 'n_values' must be non-empty, and each factor below the {fits}")
 
 
 def resolve(scenario: str, file_values: dict | None = None,

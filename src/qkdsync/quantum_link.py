@@ -1,12 +1,12 @@
-"""Qubit states, channel parameters, measurement, and time-tagging.
+"""Qubit states, measurement, and time-tagging.
 
 The source emits one polarization-encoded photon candidate per 20 ns
 slot (50 MHz), locked to the same master clock as the classical stream.
 The channel thins the train (transmittance x detector efficiency) and
 adds background/dark events — both sampled by `simulate.sample_detections`
-from the `ChannelParams` defined here; the receiver measures in a random
-basis (passive beam-splitter), adds detection-chain jitter, and
-time-tags with a TDC on a fixed-resolution grid.
+from the loss and noise keys of a resolved config; the receiver measures
+in a random basis (passive beam-splitter), adds detection-chain jitter,
+and time-tags with a TDC on a fixed-resolution grid.
 
 States are drawn per slot with a counter-based generator keyed from the
 scenario seed, so any slot's transmitted state can be recomputed in O(1)
@@ -37,39 +37,8 @@ _DETECTOR_OF_CELL = np.array([A, D, A, D, D, D,
 # origin codes (simulation ground truth)
 ORIGIN_SIGNAL, ORIGIN_BACKGROUND, ORIGIN_DARK = 0, 1, 2
 
-MAX_DOPPLER_BETA = 1e-4
-
 # transmitted-state ensemble over (H, V, D)
 DEFAULT_STATE_PROBS = (0.25, 0.25, 0.5)
-
-
-class ChannelConfigError(ValueError):
-    """A channel parameter violates its sanity bounds."""
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Loss, noise, detector and Doppler parameters of the quantum path."""
-
-    transmittance: float = 1.0
-    background_rate_hz: float = 0.0   # per detector
-    dark_rate_hz: float = 0.0         # per detector
-    detector_efficiency: float = 1.0
-    doppler_beta: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.transmittance <= 1:
-            raise ChannelConfigError(f"transmittance must be in (0, 1], got {self.transmittance}")
-        if not 0 < self.detector_efficiency <= 1:
-            raise ChannelConfigError(
-                f"detector_efficiency must be in (0, 1], got {self.detector_efficiency}"
-            )
-        if self.background_rate_hz < 0 or self.dark_rate_hz < 0:
-            raise ChannelConfigError("noise rates must be >= 0")
-        if abs(self.doppler_beta) >= MAX_DOPPLER_BETA:
-            raise ChannelConfigError(
-                f"|doppler_beta| must be < {MAX_DOPPLER_BETA}, got {self.doppler_beta}"
-            )
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .qkd_analysis import (
     sift,
 )
 from .quantum_link import (
-    ChannelParams,
     DetectionSet,
     QubitPattern,
     measure_polarization,
@@ -48,7 +47,9 @@ from .sync_recovery import (
     SweepTable,
     decimation_sweep,
     fit_or_equivalent,
+    fold,
     fold_histogram,
+    histogram,
     require_peak,
     rescale,
 )
@@ -59,34 +60,18 @@ MIN_DETECTIONS_PER_FIT = 50
 
 def build_clocks(cfg: dict) -> tuple[ClockModel, ClockModel]:
     """Transmitter and receiver oscillators from a resolved config."""
-    span = cfg["duration_s"] + 0.5
-    tx = ClockModel(
+    # only the receiver's frequency walks, over a table spanning the run plus 0.5 s
+    walk = cfg["rx_freq_walk_per_sqrt_s"]
+    walk_keys = {"tx": {}, "rx": {"freq_walk_per_sqrt_s": walk,
+                                  "walk_span_s": cfg["duration_s"] + 0.5 if walk > 0 else 0.0}}
+    return tuple(ClockModel(
         nominal_frequency_hz=cfg["symbol_rate_hz"],
-        fractional_offset=cfg["tx_fractional_offset"],
-        drift_rate_per_s=cfg["tx_drift_per_s"],
-        white_jitter_sigma_s=cfg["tx_jitter_ps"] * 1e-12,
-        seed=rng.derive_key(cfg["seed"], "tx-clock"),
-    )
-    rx = ClockModel(
-        nominal_frequency_hz=cfg["symbol_rate_hz"],
-        fractional_offset=cfg["rx_fractional_offset"],
-        drift_rate_per_s=cfg["rx_drift_per_s"],
-        white_jitter_sigma_s=cfg["rx_jitter_ps"] * 1e-12,
-        seed=rng.derive_key(cfg["seed"], "rx-clock"),
-        freq_walk_per_sqrt_s=cfg["rx_freq_walk_per_sqrt_s"],
-        walk_span_s=span if cfg["rx_freq_walk_per_sqrt_s"] > 0 else 0.0,
-    )
-    return tx, rx
-
-
-def channel_from_config(cfg: dict) -> ChannelParams:
-    return ChannelParams(
-        transmittance=cfg["transmittance"],
-        background_rate_hz=cfg["background_rate_hz"],
-        dark_rate_hz=cfg["dark_rate_hz"],
-        detector_efficiency=cfg["detector_efficiency"],
-        doppler_beta=cfg["doppler_beta"],
-    )
+        fractional_offset=cfg[f"{end}_fractional_offset"],
+        drift_rate_per_s=cfg[f"{end}_drift_per_s"],
+        white_jitter_sigma_s=cfg[f"{end}_jitter_ps"] * 1e-12,
+        seed=rng.derive_key(cfg["seed"], f"{end}-clock"),
+        **walk_keys[end],
+    ) for end in ("tx", "rx"))
 
 
 def pattern_from_config(cfg: dict) -> QubitPattern:
@@ -111,20 +96,9 @@ def _surviving_slots(n_slots: int, p: float, gen: np.random.Generator,
     return np.concatenate(chunks + [np.full(n_after, -1, dtype=np.int64)])
 
 
-def sample_detections(
-    tx_clock: ClockModel,
-    rx_clock: ClockModel,
-    pattern: QubitPattern,
-    params: ChannelParams,
-    duration_s: float,
-    *,
-    seed: int,
-    qubit_rate_hz: float,
-    chain_jitter_sigma_s: float,
-    tdc_resolution_s: float,
-    propagation_delay_s: float = 0.0,
-) -> DetectionSet:
-    """Simulated time-tagged detections over `duration_s` of schedule time.
+def sample_detections(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict) -> DetectionSet:
+    """Simulated time-tagged detections over cfg's `duration_s` of schedule
+    time; cfg, a resolved config, sets every channel and detector value.
 
     Signal slots survive with probability transmittance x efficiency;
     each survivor is emitted on the transmitter clock, Doppler-shifted
@@ -137,10 +111,11 @@ def sample_detections(
     no full-length array of times exists: beside the result the sampler
     holds the slot indices, the detector and origin codes and the ticks.
     """
+    seed, duration_s, qubit_rate_hz = cfg["seed"], cfg["duration_s"], cfg["qubit_rate_hz"]
     noise_gen = rng.generator(seed, "noise")
     noise = []  # (times, detector, origin) per detector and noise kind
-    for rate, origin in ((params.background_rate_hz, ORIGIN_BACKGROUND),
-                         (params.dark_rate_hz, ORIGIN_DARK)):
+    for rate, origin in ((cfg["background_rate_hz"], ORIGIN_BACKGROUND),
+                         (cfg["dark_rate_hz"], ORIGIN_DARK)):
         if rate <= 0:
             continue
         for det in (H, V, D, A):
@@ -148,13 +123,13 @@ def sample_detections(
             noise.append((noise_gen.random(k) * duration_s, det, origin))
 
     n_slots = int(math.floor(duration_s * qubit_rate_hz))
-    p = params.transmittance * params.detector_efficiency
+    p = cfg["transmittance"] * cfg["detector_efficiency"]
     n_noise = sum(t.size for t, _, _ in noise)
     slot_truth = _surviving_slots(n_slots, p, rng.generator(seed, "signal-thinning"), n_noise)
     n = slot_truth.size
     slots = slot_truth[:n - n_noise]
     dets, orig = np.empty(n, dtype=np.int8), np.full(n, ORIGIN_SIGNAL, dtype=np.int8)
-    dets[:slots.size] = measure_polarization(pattern.states(slots),
+    dets[:slots.size] = measure_polarization(pattern_from_config(cfg).states(slots),
                                              rng.generator(seed, "measurement"))
     lo = slots.size
     for t, det, origin in noise:
@@ -167,7 +142,7 @@ def sample_detections(
             emit = local_time(tx_clock, block / qubit_rate_hz,
                               jitter_index=block, jitter_stream="qubit-emit")
             yield reading_time(
-                rx_clock, (emit + propagation_delay_s) * (1.0 + params.doppler_beta),
+                rx_clock, (emit + cfg["propagation_delay_s"]) * (1.0 + cfg["doppler_beta"]),
                 jitter_index=block, jitter_stream="det-read")
         for t, _, _ in noise:
             yield t
@@ -175,25 +150,11 @@ def sample_detections(
     return time_tag(
         arrival_times(),
         dets,
-        chain_jitter_sigma_s=chain_jitter_sigma_s,
-        tdc_resolution_s=tdc_resolution_s,
+        chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
+        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
         generator=rng.generator(seed, "chain-jitter"),
         origin=orig,
         slot=slot_truth,
-    )
-
-
-def detections_from_config(tx_clock: ClockModel, rx_clock: ClockModel,
-                           cfg: dict) -> DetectionSet:
-    """`sample_detections` with every channel and detector setting from `cfg`."""
-    return sample_detections(
-        tx_clock, rx_clock, pattern_from_config(cfg), channel_from_config(cfg),
-        cfg["duration_s"],
-        seed=cfg["seed"],
-        qubit_rate_hz=cfg["qubit_rate_hz"],
-        chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
-        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
-        propagation_delay_s=cfg["propagation_delay_s"],
     )
 
 
@@ -204,7 +165,6 @@ def make_sync_train(
     *,
     cable: bool = False,
     blocks: tuple = (),
-    doppler_beta: float | None = None,
 ) -> SyncPulseTrain:
     """Receiver sync pulses, CDR-derived or (cable=True) via an ideal cable.
 
@@ -221,7 +181,7 @@ def make_sync_train(
         seed=cfg["seed"],
         cdr_residual_sigma_s=0.0 if cable else cfg["cdr_residual_jitter_ps"] * 1e-12,
         propagation_delay_s=cfg["propagation_delay_s"],
-        doppler_beta=cfg["doppler_beta"] if doppler_beta is None else doppler_beta,
+        doppler_beta=cfg["doppler_beta"],
         blocks=blocks,
         relock_delay_s=cfg["relock_delay_s"],
         rx_jitter_stream="cable-read" if cable else "sync-read",
@@ -276,7 +236,7 @@ def _arrival_variant(name, detections, sync, cfg) -> ArrivalVariant:
 def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
     """Folded arrival peak with CDR sync and with ideal cable sync."""
     tx, rx = build_clocks(cfg)
-    det = detections_from_config(tx, rx, cfg)
+    det = sample_detections(tx, rx, cfg)
     cdr = _arrival_variant("cdr", det, make_sync_train(tx, rx, cfg), cfg)
     cable = _arrival_variant("cable", det, make_sync_train(tx, rx, cfg, cable=True), cfg)
     result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, len(det))
@@ -302,7 +262,7 @@ class DecimationResult:
 def run_decimation_experiment(cfg: dict, out_dir=None) -> DecimationResult:
     """FWHM-vs-N sweep of the same detections at increasing decimation."""
     tx, rx = build_clocks(cfg)
-    det = detections_from_config(tx, rx, cfg)
+    det = sample_detections(tx, rx, cfg)
     sync = make_sync_train(tx, rx, cfg)
     table = decimation_sweep(det, sync, cfg["n_values"], delta_q_s=1.0 / cfg["qubit_rate_hz"],
                              bin_count=cfg["histogram_bins"])
@@ -343,14 +303,15 @@ def run_doppler_check(cfg: dict, out_dir=None) -> DopplerResult:
     """
     betas = [float(b) for b in cfg["beta_values"]]
     tx, rx = build_clocks(cfg)
-    sync0 = make_sync_train(tx, rx, cfg, doppler_beta=0.0)
-    fwhm0 = fit_or_equivalent(_fold_and_bin(
-        detections_from_config(tx, rx, {**cfg, "doppler_beta": 0.0}), sync0, cfg))[0]
+    base = {**cfg, "doppler_beta": 0.0}
+    sync0 = make_sync_train(tx, rx, base)
+    fwhm0 = fit_or_equivalent(_fold_and_bin(sample_detections(tx, rx, base), sync0, cfg))[0]
 
     fwhm, control = np.full(len(betas), fwhm0), np.full(len(betas), fwhm0)
     for i in np.flatnonzero(betas):
-        det = detections_from_config(tx, rx, {**cfg, "doppler_beta": betas[i]})
-        sync = make_sync_train(tx, rx, cfg, doppler_beta=betas[i])
+        arm = {**cfg, "doppler_beta": betas[i]}
+        det = sample_detections(tx, rx, arm)
+        sync = make_sync_train(tx, rx, arm)
         fwhm[i] = fit_or_equivalent(_fold_and_bin(det, sync, cfg))[0]
         control[i] = fit_or_equivalent(_fold_and_bin(det, sync0, cfg))[0]
     result = DopplerResult(np.asarray(betas), fwhm, control, fwhm0)
@@ -401,7 +362,7 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
 
     tx, rx = build_clocks(cfg)
     pattern = pattern_from_config(cfg)
-    det = detections_from_config(tx, rx, cfg)
+    det = sample_detections(tx, rx, cfg)
     sync = make_sync_train(tx, rx, cfg, blocks=blocks)
     dq = 1.0 / cfg["qubit_rate_hz"]
     bin_s = cfg["qber_bin_s"]
@@ -421,7 +382,8 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
         if len(sub) >= MIN_DETECTIONS_PER_FIT:
             rescaled = rescale(sub.times_s, sync)
             try:
-                fit = recover_phase(fold_histogram(rescaled, sync, dq, cfg["histogram_bins"]))
+                fit = recover_phase(histogram(fold(rescaled.q_prime, dq), dq,
+                                              cfg["histogram_bins"]))
             except FitError:
                 pass  # washed-out fold: the bin keeps the last good phase
             else:

@@ -158,16 +158,11 @@ def fold_histogram(detections, sync: SyncPulseTrain, delta_q_s: float,
 
     Its ticks are turned into seconds `rng.BLOCK_EVENTS` detections at a
     time (see `rng` on blocks), so no full-length float copy of them is
-    made.  detections may instead be their `rescale` against sync, made
-    already for another use; it is then folded and counted as one block.
+    made.
     """
-    if isinstance(detections, RescaledArrivals):
-        blocks = (detections,)
-    else:
-        blocks = (rescale(detections.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s, sync)
-                  for lo in range(0, len(detections), rng.BLOCK_EVENTS))
     counts = np.zeros(bin_count, dtype=np.int64)
-    for r in blocks:
+    for lo in range(0, len(detections), rng.BLOCK_EVENTS):
+        r = rescale(detections.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s, sync)
         counts += histogram(fold(r.q_prime, delta_q_s), delta_q_s, bin_count).counts
     return ArrivalHistogram(counts, delta_q_s)
 

@@ -28,8 +28,6 @@ from qkdsync.simulate import (
     run_doppler_check,
     sample_detections,
     build_clocks,
-    channel_from_config,
-    pattern_from_config,
     make_sync_train,
 )
 from qkdsync.sync_recovery import fit_gaussian, fold, histogram
@@ -202,13 +200,8 @@ def test_criterion_7_property_suite(report):
 
     cfg = defaults("arrival", seed=SEED, duration_s=0.2)
     tx, rx = build_clocks(cfg)
-    kw = dict(seed=cfg["seed"], qubit_rate_hz=cfg["qubit_rate_hz"],
-              chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
-              tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
-              propagation_delay_s=cfg["propagation_delay_s"])
-    pattern, params = pattern_from_config(cfg), channel_from_config(cfg)
-    d1 = sample_detections(tx, rx, pattern, params, 0.2, **kw)
-    d2 = sample_detections(tx, rx, pattern, params, 0.2, **kw)
+    d1 = sample_detections(tx, rx, cfg)
+    d2 = sample_detections(tx, rx, cfg)
     s1 = make_sync_train(tx, rx, cfg)
     s2 = make_sync_train(tx, rx, cfg)
     checks["determinism"] = (np.array_equal(d1.ticks, d2.ticks)

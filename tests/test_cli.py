@@ -155,9 +155,13 @@ def test_doppler_beta_out_of_range_fails_before_any_output(tmp_path, capsys):
         ("arrival", "detector_efficiency", dict(duration_s=0.3, detector_efficiency=1.5)),
         ("arrival", "tx_fractional_offset", dict(duration_s=0.3, tx_fractional_offset=0.01)),
         ("arrival", "rx_fractional_offset", dict(duration_s=0.3, rx_fractional_offset=-0.01)),
+        ("arrival", "duration_s", dict(duration_s=0.0001)),  # one sync pulse
+        ("decimation", "duration_s", dict(duration_s=0.01)),  # fewer pulses than N = 500
+        ("decimation", "n_values", dict(n_values="1, 2, 40000")),
+        ("decimation", "n_values", dict(n_values="")),
     ]:
         cfg = write_cfg(tmp_path, seed=1, **keys)
-        out = tmp_path / key
+        out = tmp_path / f"{scenario}-{key}"
         assert main([scenario, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG, key
         payload = stderr_payload(capsys)
         assert payload["error"] == "config", key

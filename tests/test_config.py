@@ -1,9 +1,11 @@
 """Config file parsing, scenario defaults, validation, and echo roundtrip."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdsync.config import (
     SCENARIO_DEFAULTS,
+    SCENARIOS,
     SCHEMA,
     ConfigError,
     defaults,
@@ -11,6 +13,7 @@ from qkdsync.config import (
     parse_file,
     resolve,
 )
+from qkdsync.simulate import build_clocks, make_sync_train
 
 
 def test_schema_covers_scenario_overlays():
@@ -95,6 +98,9 @@ def test_seed_is_mandatory_and_cli_wins():
     ("transmittance", "0"),
     ("transmittance", "2"),           # a probability
     ("detector_efficiency", "1.5"),   # the same
+    ("detector_efficiency", "0"),
+    ("background_rate_hz", "-1"),
+    ("dark_rate_hz", "-1"),
     ("tx_fractional_offset", "0.01"),  # |offset| < 1e-3
     ("rx_fractional_offset", "-1e-3"),  # the same bound
     ("chain_jitter_ps", "-10"),
@@ -104,6 +110,8 @@ def test_seed_is_mandatory_and_cli_wins():
     ("n_values", "0, 5"),             # must be >= 1
     ("beta_values", "0, 2e-4"),       # |beta| < 1e-4
     ("doppler_beta", "2e-4"),         # the same bound
+    ("doppler_beta", "1e-4"),         # the bound is exclusive
+    ("duration_s", "0.0001"),         # one sync pulse at the default 10 kHz
     ("sync_divisor", "7"),            # non-integer slots per sync pulse
     ("match_window_s", "30e-9"),      # wider than the 20 ns slot
     ("qubit_rate_hz", "5e9"),         # default 20 ns window now exceeds the slot
@@ -112,6 +120,38 @@ def test_validation_rejects(key, value):
     cli_seed = None if key == "seed" else 1
     with pytest.raises(ConfigError):
         resolve("arrival", {key: value}, seed=cli_seed)
+
+
+@pytest.mark.parametrize("keys", [
+    {"duration_s": "0.01"},            # 100 pulses, default factors up to 500
+    {"n_values": "1, 2, 40000"},       # 20,000 pulses in the default 2 s
+    {"n_values": ""},                  # nothing to sweep
+])
+def test_decimation_needs_more_sync_pulses_than_its_largest_factor(keys):
+    with pytest.raises(ConfigError, match="n_values.*duration_s"):
+        resolve("decimation", keys, seed=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), duration_s=st.floats(1e-6, 4e-3),
+       slots_per_pulse=st.integers(500, 10_000),
+       n_values=st.lists(st.integers(1, 400), max_size=4, unique=True).map(sorted))
+def test_every_accepted_config_has_a_sync_train(scenario, duration_s, slots_per_pulse, n_values):
+    # at most 200 sync pulses (25 symbol boundaries to a qubit slot).  The block
+    # covers the middle third of the run, as the default one does; one over the
+    # first pulse of a run this short trips the train's mean-spacing check
+    raw = {"duration_s": repr(duration_s), "sync_divisor": str(25 * slots_per_pulse),
+           "n_values": ", ".join(map(str, n_values)),
+           "block_start_s": repr(duration_s / 3), "block_end_s": repr(2 * duration_s / 3)}
+    try:
+        cfg = resolve(scenario, raw, seed=3)
+    except ConfigError:
+        return
+    blocks = ((cfg["block_start_s"], cfg["block_end_s"]),) if scenario == "blocking" else ()
+    sync = make_sync_train(*build_clocks(cfg), cfg, blocks=blocks)
+    assert len(sync) >= 2
+    if scenario == "decimation":
+        assert len(sync.decimate(max(n_values))) >= 2
 
 
 def test_defaults_overrides_are_checked():

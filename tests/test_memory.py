@@ -72,7 +72,7 @@ def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():
     # ~200 k detections, ~6 blocks
     tx, rx = simulate.build_clocks(CFG)
     sync = simulate.make_sync_train(tx, rx, CFG, blocks=((3.0, 6.0),))
-    det, peak = _traced_peak(lambda: simulate.detections_from_config(tx, rx, CFG))
+    det, peak = _traced_peak(lambda: simulate.sample_detections(tx, rx, CFG))
     assert len(det) > 150_000
     assert peak / len(det) < SAMPLING_BYTES_PER_DETECTION
 
@@ -99,7 +99,7 @@ def test_whole_arrival_run_peak_stays_within_a_per_detection_budget():
 def test_anchor_scan_peak_stays_flat_in_the_search_width():
     cfg = {**CFG, "duration_s": 1.0, "block_start_s": 0.0, "block_end_s": 0.0}
     tx, rx = simulate.build_clocks(cfg)
-    det = simulate.detections_from_config(tx, rx, cfg)
+    det = simulate.sample_detections(tx, rx, cfg)
     sync = simulate.make_sync_train(tx, rx, cfg)
     assert len(det) > 4000  # the scan's full sample
 

@@ -11,8 +11,6 @@ from qkdsync.quantum_link import (
     V,
     X,
     Z,
-    ChannelConfigError,
-    ChannelParams,
     DetectionSet,
     QubitPattern,
     detector_basis,
@@ -22,23 +20,6 @@ from qkdsync.quantum_link import (
     ORIGIN_SIGNAL,
 )
 from qkdsync.timebase import quantize
-
-# ----------------------------------------------------------------- validation
-
-
-def test_channel_params_bounds():
-    ChannelParams()  # defaults valid
-    with pytest.raises(ChannelConfigError):
-        ChannelParams(transmittance=0.0)
-    with pytest.raises(ChannelConfigError):
-        ChannelParams(transmittance=1.5)
-    with pytest.raises(ChannelConfigError):
-        ChannelParams(detector_efficiency=0.0)
-    with pytest.raises(ChannelConfigError):
-        ChannelParams(background_rate_hz=-1.0)
-    with pytest.raises(ChannelConfigError):
-        ChannelParams(doppler_beta=1e-4)  # bound is exclusive
-
 
 # --------------------------------------------------------------- state pattern
 

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_detections
+from qkdsync import config
 from qkdsync.quantum_link import (A, D, H, V, ORIGIN_BACKGROUND, ORIGIN_DARK,
-                                  ORIGIN_SIGNAL, ChannelParams, QubitPattern)
-from qkdsync.simulate import sample_detections
+                                  ORIGIN_SIGNAL)
+from qkdsync.simulate import pattern_from_config, sample_detections
 from qkdsync.timebase import ClockModel
 
-QUBIT_RATE_HZ = 50e6
 DURATION_S = 0.02
-PARAMS = ChannelParams(transmittance=0.1, detector_efficiency=0.8,
-                       background_rate_hz=5e5, dark_rate_hz=2.5e5, doppler_beta=2.6e-5)
+CFG = config.defaults("arrival", seed=7, duration_s=DURATION_S, transmittance=0.1,
+                      detector_efficiency=0.8, background_rate_hz=5e5, dark_rate_hz=2.5e5,
+                      doppler_beta=2.6e-5, chain_jitter_ps=0.0, propagation_delay_s=3.5e-7)
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +28,9 @@ def runs():
                     white_jitter_sigma_s=30e-12, seed=11)
     rx = ClockModel(1.25e9, fractional_offset=-4e-7, white_jitter_sigma_s=30e-12,
                     seed=12, freq_walk_per_sqrt_s=3.5e-6, walk_span_s=0.1)
-    pattern = QubitPattern.from_seed(7)
-    kw = dict(seed=7, qubit_rate_hz=QUBIT_RATE_HZ, chain_jitter_sigma_s=0.0,
-              tdc_resolution_s=81e-12, propagation_delay_s=3.5e-7)
-    sampled = sample_detections(tx, rx, pattern, PARAMS, DURATION_S, **kw)
-    dense, tick_of_slot, sent_of_slot = dense_detections(tx, rx, pattern, PARAMS,
-                                                         DURATION_S, **kw)
+    pattern = pattern_from_config(CFG)
+    sampled = sample_detections(tx, rx, CFG)
+    dense, tick_of_slot, sent_of_slot = dense_detections(tx, rx, pattern, CFG)
     return pattern, sampled, dense, tick_of_slot, sent_of_slot
 
 
@@ -52,7 +50,7 @@ def test_signal_ticks_and_states_equal_dense_pass(runs):
 def test_survival_fraction_matches_dense_pass(runs):
     _, sampled, dense, tick_of_slot, _ = runs
     n = tick_of_slot.size
-    p = PARAMS.transmittance * PARAMS.detector_efficiency
+    p = CFG["transmittance"] * CFG["detector_efficiency"]
     counts = [np.count_nonzero(d.origin == ORIGIN_SIGNAL) for d in (sampled, dense)]
     assert within_4_sigma(counts[0] / n, counts[1] / n, 2 * p * (1 - p) / n)
 
@@ -75,8 +73,8 @@ def test_sent_detector_frequencies_match_dense_pass(runs):
 
 def test_noise_counts_per_detector_and_origin_match_dense_pass(runs):
     _, sampled, dense, _, _ = runs
-    for origin, rate in ((ORIGIN_BACKGROUND, PARAMS.background_rate_hz),
-                         (ORIGIN_DARK, PARAMS.dark_rate_hz)):
+    for origin, rate in ((ORIGIN_BACKGROUND, CFG["background_rate_hz"]),
+                         (ORIGIN_DARK, CFG["dark_rate_hz"])):
         for det in (H, V, D, A):
             counts = [np.count_nonzero((d.origin == origin) & (d.detector == det))
                       for d in (sampled, dense)]

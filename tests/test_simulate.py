@@ -9,8 +9,6 @@ from qkdsync.quantum_link import ORIGIN_SIGNAL
 from qkdsync.simulate import (
     _fold_and_bin,
     build_clocks,
-    channel_from_config,
-    detections_from_config,
     make_sync_train,
     pattern_from_config,
     run_arrival_experiment,
@@ -98,15 +96,10 @@ def test_doppler_beta0_row_is_the_baseline():
 
 def test_sparse_sampling_statistics_and_truth():
     cfg = defaults("arrival", seed=31, duration_s=0.1,
-                   background_rate_hz=0.0, dark_rate_hz=0.0)
+                   background_rate_hz=0.0, dark_rate_hz=0.0, chain_jitter_ps=0.0)
     tx, rx = build_clocks(cfg)
     pattern = pattern_from_config(cfg)
-    det = sample_detections(
-        tx, rx, pattern, channel_from_config(cfg), cfg["duration_s"],
-        seed=cfg["seed"], qubit_rate_hz=cfg["qubit_rate_hz"],
-        chain_jitter_sigma_s=0.0,
-        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
-        propagation_delay_s=cfg["propagation_delay_s"])
+    det = sample_detections(tx, rx, cfg)
     n_slots = cfg["duration_s"] * cfg["qubit_rate_hz"]
     expect = n_slots * cfg["transmittance"]
     assert abs(len(det) - expect) < 4 * np.sqrt(expect)
@@ -146,7 +139,7 @@ def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
     sync = make_sync_train(tx, rx, cfg)
 
     def run():
-        det = detections_from_config(tx, rx, cfg)
+        det = sample_detections(tx, rx, cfg)
         return det, _fold_and_bin(det, sync, cfg).counts
 
     det, counts = run()
@@ -165,11 +158,11 @@ def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
 def test_sampling_in_small_blocks_gives_the_same_arrays(overrides, monkeypatch):
     cfg = defaults("arrival", seed=21, duration_s=0.01, **overrides)
     tx, rx = build_clocks(cfg)
-    det = detections_from_config(tx, rx, cfg)
+    det = sample_detections(tx, rx, cfg)
     sampled = len(det) + det.dropped_before_epoch
     assert sampled > 5 * 997 and sampled % 997
     monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
-    small = detections_from_config(tx, rx, cfg)
+    small = sample_detections(tx, rx, cfg)
     for name in ("ticks", "detector", "origin", "slot"):
         assert getattr(small, name).tobytes() == getattr(det, name).tobytes(), name
     assert small.dropped_before_epoch == det.dropped_before_epoch
@@ -184,8 +177,8 @@ def test_sampling_counts_the_events_jitter_moves_before_the_epoch():
     tx, rx = build_clocks(cfg)
     # chain jitter has its own random stream: without it the same events are
     # sampled, and none lies before t = 0
-    sampled = detections_from_config(tx, rx, {**cfg, "chain_jitter_ps": 0.0})
-    det = detections_from_config(tx, rx, {**cfg, "chain_jitter_ps": 1e7})
+    sampled = sample_detections(tx, rx, {**cfg, "chain_jitter_ps": 0.0})
+    det = sample_detections(tx, rx, {**cfg, "chain_jitter_ps": 1e7})
     assert sampled.dropped_before_epoch == 0 and det.dropped_before_epoch > 0
     assert len(sampled) == len(det) + det.dropped_before_epoch
 
