@@ -194,7 +194,8 @@ def _validate(cfg: dict, scenario: str) -> None:
     if not pulses >= 2:
         raise ConfigError(f"{fits}; a run needs at least 2")
     if scenario == "decimation" and not (cfg["n_values"] and pulses >= max(cfg["n_values"]) + 1):
-        raise ConfigError(f"config key 'n_values' must be non-empty, and each factor below the {fits}")
+        raise ConfigError(
+            f"config key 'n_values' must be non-empty, and each factor below the {fits}")
 
 
 def resolve(scenario: str, file_values: dict | None = None,
