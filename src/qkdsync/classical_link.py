@@ -21,7 +21,8 @@ Two levels of fidelity coexist here:
   scales to minutes.  With the residual at zero it matches `cdr_track`
   + `derive_sync_pulses` boundary for boundary, within the pulses' own
   emit and read jitter (tests/test_classical_link.py compares the two
-  over 4 M symbols).
+  over 4 M symbols).  One emission gives several readouts, as the CDR
+  and the cable sync of the arrival scenario read the same clock edges.
 """
 
 from __future__ import annotations
@@ -446,29 +447,30 @@ def synthesize_sync_train(
     divisor: int,
     *,
     seed: int,
-    cdr_residual_sigma_s: float = 90e-12,
+    readouts: tuple = (("sync-read", 90e-12),),
     propagation_delay_s: float = 0.0,
     doppler_beta: float = 0.0,
     blocks: tuple = (),
     relock_delay_s: float = 1e-5,
-    rx_jitter_stream: str = "sync-read",
-) -> SyncPulseTrain:
-    """Scenario-scale sync train without per-symbol simulation.
+) -> tuple[SyncPulseTrain, ...]:
+    """Scenario-scale sync trains without per-symbol simulation.
 
     Each pulse is the transmitter chain's true symbol boundary (every
     divisor symbols) propagated, Doppler-scaled, and read through the
     receiver clock, plus Gaussian residual jitter standing in for the
-    CDR tracking noise.  While the channel is blocked (and for
-    relock_delay_s after it clears) the receiver free-runs: pulses
-    continue at exactly the nominal spacing of its own reading frame,
-    extrapolated from the last locked pulse.  Residual jitter is keyed
-    by the absolute boundary index, which every pulse's place on the
-    train's grid gives, so `SyncPulseTrain.decimate` keeps each pulse's
-    own timing.
+    CDR tracking noise.  Each readout `(rx_jitter_stream,
+    cdr_residual_sigma_s)` gives one train of the one emission: the
+    emission, its arrival times and its lock flags are shared.  While
+    the channel is blocked (and for relock_delay_s after it clears) the
+    receiver free-runs: pulses continue at exactly the nominal spacing
+    of its own reading frame, extrapolated from the last locked pulse.
+    Residual jitter is keyed by the absolute boundary index, which every
+    pulse's place on the train's grid gives, so `SyncPulseTrain.decimate`
+    keeps each pulse's own timing.
 
     The pulses run in blocks of an eighth of `rng.BLOCK_EVENTS` (a
-    pulse's chain holds ~130 bytes of temporaries, the train 9) into a
-    train allocated once; a free-running pulse finds its anchor among
+    pulse's chain holds ~130 bytes of temporaries, a train 9) into
+    trains allocated once; a free-running pulse finds its anchor among
     the pulses already written.
     """
     n_pulses = int(np.floor(duration_s * symbol_rate_hz / divisor))
@@ -479,42 +481,40 @@ def synthesize_sync_train(
             raise ValueError(f"blocking interval is inverted: [{bs}, {be})")
     spacing_nom = divisor / symbol_rate_hz
     key = rng.derive_key(seed, "cdr-residual")
-    reading = np.empty(n_pulses)
+    readings = [np.empty(n_pulses) for _ in readouts]
     locked = np.ones(n_pulses, dtype=bool)
     last = -1  # index of the last locked pulse so far, -1 before the first
     pulses_per_block = max(rng.BLOCK_EVENTS // 8, 1)
     for lo in range(0, n_pulses, pulses_per_block):
-        b = np.arange(lo, min(lo + pulses_per_block, n_pulses), dtype=np.int64) * divisor
+        hi = min(lo + pulses_per_block, n_pulses)
+        b = np.arange(lo, hi, dtype=np.int64) * divisor
         emit = local_time(tx_clock, b / symbol_rate_hz, jitter_index=b,
                           jitter_stream="sync-emit")
         arrival = (emit + propagation_delay_s) * (1.0 + doppler_beta)
-        lk, out = locked[lo:lo + b.size], reading[lo:lo + b.size]
+        lk = locked[lo:hi]
         for bs, be in blocks:
             lk &= ~((arrival >= bs) & (arrival < be + relock_delay_s))
+        whole = bool(lk.all())  # every pulse locked: the block is read whole
+        if not whole:  # only locked pulses are read; the free-running ones are set below
+            arrival, b, idx = arrival[lk], b[lk], np.arange(lo, hi)
+            anchor = np.maximum.accumulate(np.where(lk, idx, last))
+            free = ~lk & (anchor >= 0)
+        last = hi - 1 if whole else int(anchor[-1])
+        for (stream, sigma_s), reading in zip(readouts, readings):
+            read = reading_time(rx_clock, arrival, jitter_index=b, jitter_stream=stream)
+            if sigma_s > 0:
+                read += sigma_s * rng.normal_at(key, b)
+            out = reading[lo:hi]
+            out[slice(None) if whole else lk] = read
+            if not whole:
+                out[free] = reading[anchor[free]] + (idx[free] - anchor[free]) * spacing_nom
+                # never locked yet: free-run from the receiver's own time zero
+                out[anchor < 0] = idx[anchor < 0] * spacing_nom
 
-        # only locked pulses are read; the free-running ones are set below
-        out[lk] = reading_time(rx_clock, arrival[lk], jitter_index=b[lk],
-                               jitter_stream=rx_jitter_stream)
-        if cdr_residual_sigma_s > 0:
-            out[lk] += cdr_residual_sigma_s * rng.normal_at(key, b[lk])
-        if lk.all():
-            last = lo + b.size - 1
-            continue
-        idx = np.arange(lo, lo + b.size)
-        anchor = np.maximum.accumulate(np.where(lk, idx, last))
-        with_anchor = ~lk & (anchor >= 0)
-        out[with_anchor] = reading[anchor[with_anchor]] + (
-            idx[with_anchor] - anchor[with_anchor]
-        ) * spacing_nom
-        # never locked yet: free-run from the receiver's own time zero
-        no_anchor = anchor < 0
-        out[no_anchor] = idx[no_anchor] * spacing_nom
-        last = int(anchor[-1])
-
-    return SyncPulseTrain(
+    return tuple(SyncPulseTrain(
         pulses=EdgeTrain(reading),
         step_spacing_s=spacing_nom,
         first_pulse=0,
         boundary_step=divisor,
         locked=locked,
-    )
+    ) for reading in readings)

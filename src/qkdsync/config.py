@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classical_link import SYNC_SPACING_TOLERANCE
 from .timebase import MAX_FRACTIONAL_OFFSET
 
 MAX_DOPPLER_BETA = 1e-4
@@ -178,6 +179,16 @@ def _validate(cfg: dict, scenario: str) -> None:
                        ("beta_values", cfg["beta_values"])):
         if any(abs(beta) >= MAX_DOPPLER_BETA for beta in betas):
             raise ConfigError(f"config key {key!r} must satisfy |beta| < {MAX_DOPPLER_BETA:g}")
+    tx, rx = cfg["tx_fractional_offset"], cfg["rx_fractional_offset"]
+    drift = (cfg["tx_drift_per_s"] - cfg["rx_drift_per_s"]) * cfg["duration_s"] / 2
+    doppler_arms = (0.0, *cfg["beta_values"]) if scenario == "doppler" else ()
+    for beta in (cfg["doppler_beta"], *doppler_arms):  # every beta a run synthesizes at
+        spacing = (1 + tx) * (1 + beta) / (1 + rx) - 1 + drift  # relative mean sync spacing
+        if not abs(spacing) <= SYNC_SPACING_TOLERANCE:
+            raise ConfigError(
+                f"tx_fractional_offset, rx_fractional_offset, doppler_beta or beta_values "
+                f"({beta:g}), tx_drift_per_s and rx_drift_per_s over duration_s put the mean "
+                f"sync spacing {spacing:.3g} off nominal, beyond {SYNC_SPACING_TOLERANCE:g}")
     if cfg["match_window_s"] > 1.0 / cfg["qubit_rate_hz"]:
         raise ConfigError(
             f"config key 'match_window_s' must not exceed the qubit slot "

@@ -21,12 +21,19 @@ Counter-based draws, like the per-event stages of `simulate`,
 events at a time.  Every step is elementwise (or draws a sequential
 stream in order), and counts over blocks of sorted events add, so
 blocks give the bits of one whole-array pass.
+
+A draw computes each block in place, in the order of the whole-array
+expressions (`tests/test_rng.py` pins the bits), in the result block
+and two uint64 scratch rows that each thread keeps.  A normal at index i
+hashes the counter key + (2i + 1) * golden and that counter plus golden
+(mod 2^64).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import threading
 
 import numpy as np
 
@@ -45,53 +52,71 @@ def derive_key(seed: int, stream: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; z is uint64 and wraps mod 2^64 by construction
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of the uint64 block z in place; tmp is scratch."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
-def _hash_at(key: int, index) -> np.ndarray:
-    idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        counter = np.uint64(key) + (idx + np.uint64(1)) * _GOLDEN
-    return _mix64(counter)
+def _counters(key: int, index, out: np.ndarray, scale: int = 1) -> np.ndarray:
+    """key + (scale * index + 1) * golden per index, mod 2^64, into out."""
+    np.copyto(out, index, casting="unsafe")
+    out *= np.uint64(scale * int(_GOLDEN) % 2**64)
+    out += np.uint64((int(_GOLDEN) + key) % 2**64)
+    return out
+
+
+# each thread's two uint64 scratch rows, kept between calls (the importing
+# thread's from import on): rows allocated per call fault their pages in again
+_local = threading.local()
+_local.rows = np.empty((2, BLOCK_EVENTS), dtype=np.uint64)
 
 
 def _blockwise(draw):
-    """draw(key, index) run BLOCK_EVENTS indices at a time; any index shape."""
+    """draw(key, index, out, scratch) on BLOCK_EVENTS indices at a time; any index shape."""
     @functools.wraps(draw)
     def blocked(key: int, index):
         idx = np.asarray(index)
         flat = idx.reshape(-1)
         out = np.empty(flat.size)
-        for lo in range(0, flat.size, BLOCK_EVENTS):
-            out[lo:lo + BLOCK_EVENTS] = draw(key, flat[lo:lo + BLOCK_EVENTS])
+        rows = getattr(_local, "rows", None)  # None in another thread's first call
+        if rows is None or rows.shape[1] < min(flat.size, BLOCK_EVENTS):
+            rows = _local.rows = np.empty((2, BLOCK_EVENTS), dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            for lo in range(0, flat.size, BLOCK_EVENTS):
+                block = out[lo:lo + BLOCK_EVENTS]
+                draw(key, flat[lo:lo + BLOCK_EVENTS], block, rows[:, :block.size])
         return out.reshape(idx.shape)[()]  # [()] makes a 0-d result a scalar
+    del blocked.__wrapped__  # its signature is (key, index), not draw's
     return blocked
 
 
 @_blockwise
-def uniform_at(key: int, index):
+def uniform_at(key: int, index, out, scratch):
     """Uniform variate in [0, 1) for each integer index."""
-    bits = _hash_at(key, index)
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53_INV
+    z = _mix64(_counters(key, index, scratch[0]), out.view(np.uint64))
+    np.multiply(np.right_shift(z, np.uint64(11), out=z), _U53_INV, out=out)
 
 
 @_blockwise
-def normal_at(key: int, index):
+def normal_at(key: int, index, out, scratch):
     """Standard normal variate for each integer index (Box-Muller)."""
-    idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        even = idx * np.uint64(2)
-        odd = even + np.uint64(1)
-    u1 = (_hash_at(key, even) >> np.uint64(11)).astype(np.float64)
-    u2 = (_hash_at(key, odd) >> np.uint64(11)).astype(np.float64)
-    u1 = (u1 + 1.0) * _U53_INV  # (0, 1], keeps log finite
-    u2 = u2 * _U53_INV
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    z, odd = _counters(key, index, scratch[0], scale=2), scratch[1]  # of hash index 2i
+    np.add(z, _GOLDEN, out=odd)  # the counter of hash index 2i + 1
+    np.right_shift(_mix64(z, out.view(np.uint64)), np.uint64(11), out=z)
+    np.add(z, 1.0, out=out)
+    out *= _U53_INV  # u1 in (0, 1], keeps log finite
+    np.right_shift(_mix64(odd, z), np.uint64(11), out=odd)
+    u2 = np.multiply(odd, _U53_INV, out=z.view(np.float64))
+    np.log(out, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    out *= u2
 
 
 def choice_at(key: int, index, probabilities) -> np.ndarray:

@@ -163,15 +163,17 @@ def make_sync_train(
     rx_clock: ClockModel,
     cfg: dict,
     *,
-    cable: bool = False,
+    readouts: tuple = ("cdr",),
     blocks: tuple = (),
-) -> SyncPulseTrain:
-    """Receiver sync pulses, CDR-derived or (cable=True) via an ideal cable.
+) -> tuple[SyncPulseTrain, ...]:
+    """Receiver sync pulses, one train per readout ("cdr" or "cable") of one emission.
 
     The cable train carries the same transmitter pulses with no recovery
     residual — only the receiver TDC's own jitter — and is the reference
     the CDR path is compared against.
     """
+    streams = {"cdr": ("sync-read", cfg["cdr_residual_jitter_ps"] * 1e-12),
+               "cable": ("cable-read", 0.0)}
     return synthesize_sync_train(
         tx_clock,
         rx_clock,
@@ -179,12 +181,11 @@ def make_sync_train(
         cfg["symbol_rate_hz"],
         cfg["sync_divisor"],
         seed=cfg["seed"],
-        cdr_residual_sigma_s=0.0 if cable else cfg["cdr_residual_jitter_ps"] * 1e-12,
+        readouts=tuple(streams[r] for r in readouts),
         propagation_delay_s=cfg["propagation_delay_s"],
         doppler_beta=cfg["doppler_beta"],
         blocks=blocks,
         relock_delay_s=cfg["relock_delay_s"],
-        rx_jitter_stream="cable-read" if cable else "sync-read",
     )
 
 
@@ -237,8 +238,9 @@ def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
     """Folded arrival peak with CDR sync and with ideal cable sync."""
     tx, rx = build_clocks(cfg)
     det = sample_detections(tx, rx, cfg)
-    cdr = _arrival_variant("cdr", det, make_sync_train(tx, rx, cfg), cfg)
-    cable = _arrival_variant("cable", det, make_sync_train(tx, rx, cfg, cable=True), cfg)
+    cdr_sync, cable_sync = make_sync_train(tx, rx, cfg, readouts=("cdr", "cable"))
+    cdr = _arrival_variant("cdr", det, cdr_sync, cfg)
+    cable = _arrival_variant("cable", det, cable_sync, cfg)
     result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, len(det))
     if out_dir is not None:
         result.write(out_dir)
@@ -263,7 +265,7 @@ def run_decimation_experiment(cfg: dict, out_dir=None) -> DecimationResult:
     """FWHM-vs-N sweep of the same detections at increasing decimation."""
     tx, rx = build_clocks(cfg)
     det = sample_detections(tx, rx, cfg)
-    sync = make_sync_train(tx, rx, cfg)
+    (sync,) = make_sync_train(tx, rx, cfg)
     table = decimation_sweep(det, sync, cfg["n_values"], delta_q_s=1.0 / cfg["qubit_rate_hz"],
                              bin_count=cfg["histogram_bins"])
     result = DecimationResult(table, table.growth_point(2.0))
@@ -304,14 +306,14 @@ def run_doppler_check(cfg: dict, out_dir=None) -> DopplerResult:
     betas = [float(b) for b in cfg["beta_values"]]
     tx, rx = build_clocks(cfg)
     base = {**cfg, "doppler_beta": 0.0}
-    sync0 = make_sync_train(tx, rx, base)
+    (sync0,) = make_sync_train(tx, rx, base)
     fwhm0 = fit_or_equivalent(_fold_and_bin(sample_detections(tx, rx, base), sync0, cfg))[0]
 
     fwhm, control = np.full(len(betas), fwhm0), np.full(len(betas), fwhm0)
     for i in np.flatnonzero(betas):
         arm = {**cfg, "doppler_beta": betas[i]}
         det = sample_detections(tx, rx, arm)
-        sync = make_sync_train(tx, rx, arm)
+        (sync,) = make_sync_train(tx, rx, arm)
         fwhm[i] = fit_or_equivalent(_fold_and_bin(det, sync, cfg))[0]
         control[i] = fit_or_equivalent(_fold_and_bin(det, sync0, cfg))[0]
     result = DopplerResult(np.asarray(betas), fwhm, control, fwhm0)
@@ -363,7 +365,7 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     tx, rx = build_clocks(cfg)
     pattern = pattern_from_config(cfg)
     det = sample_detections(tx, rx, cfg)
-    sync = make_sync_train(tx, rx, cfg, blocks=blocks)
+    (sync,) = make_sync_train(tx, rx, cfg, blocks=blocks)
     dq = 1.0 / cfg["qubit_rate_hz"]
     bin_s = cfg["qber_bin_s"]
     n_bins = int(math.ceil(cfg["duration_s"] / bin_s))

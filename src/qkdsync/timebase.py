@@ -117,11 +117,13 @@ def local_time(clock: ClockModel, t_sched, jitter_index=None, jitter_stream="def
     t = np.asarray(t_sched, dtype=np.float64)
     if np.any(t < 0):
         raise ValueError("schedule time must be non-negative")
-    out = t * (1.0 + clock.fractional_offset) + 0.5 * clock.drift_rate_per_s * t * t
+    out = t * (1.0 + clock.fractional_offset)
+    if clock.drift_rate_per_s != 0.0:  # a zero drift term adds +0.0 to t >= 0
+        out += 0.5 * clock.drift_rate_per_s * t * t
     if clock.freq_walk_per_sqrt_s > 0:
-        out = out + _walk_phase(clock, t)
+        out += _walk_phase(clock, t)
     if jitter_index is not None and clock.white_jitter_sigma_s > 0:
-        out = out + clock.white_jitter_sigma_s * rng.normal_at(
+        out += clock.white_jitter_sigma_s * rng.normal_at(
             clock._jitter_key(jitter_stream), jitter_index
         )
     return out
@@ -154,7 +156,7 @@ def reading_time(clock: ClockModel, t_phys, jitter_index=None, jitter_stream="de
             f = out * a + 0.5 * d * out * out + _walk_phase(clock, out) - t
             out = out - f / (a + d * out)
     if jitter_index is not None and clock.white_jitter_sigma_s > 0:
-        out = out + clock.white_jitter_sigma_s * rng.normal_at(
+        out += clock.white_jitter_sigma_s * rng.normal_at(
             clock._jitter_key(jitter_stream), jitter_index
         )
     return out

@@ -202,8 +202,8 @@ def test_criterion_7_property_suite(report):
     tx, rx = build_clocks(cfg)
     d1 = sample_detections(tx, rx, cfg)
     d2 = sample_detections(tx, rx, cfg)
-    s1 = make_sync_train(tx, rx, cfg)
-    s2 = make_sync_train(tx, rx, cfg)
+    (s1,) = make_sync_train(tx, rx, cfg)
+    (s2,) = make_sync_train(tx, rx, cfg)
     checks["determinism"] = (np.array_equal(d1.ticks, d2.ticks)
                              and np.array_equal(d1.detector, d2.detector)
                              and np.array_equal(s1.times_s, s2.times_s))

@@ -334,6 +334,7 @@ def test_sync_train_decimate_validates_factor():
 
 FULL_RATE = 1.25e9
 FULL_DIVISOR = 125_000
+NO_RESIDUAL = ("sync-read", 0.0)  # a readout with the CDR residual off
 
 
 def _ideal_full_clock(seed, offset=0.0):
@@ -349,8 +350,8 @@ def _ideal_full_clock(seed, offset=0.0):
 def test_synthesize_ideal_chain_reproduces_boundaries():
     tx = _ideal_full_clock(1)
     rx = _ideal_full_clock(2)
-    sp = synthesize_sync_train(tx, rx, 0.01, FULL_RATE, FULL_DIVISOR,
-                               seed=5, cdr_residual_sigma_s=0.0)
+    (sp,) = synthesize_sync_train(tx, rx, 0.01, FULL_RATE, FULL_DIVISOR,
+                                  seed=5, readouts=(NO_RESIDUAL,))
     expected = np.arange(len(sp)) * FULL_DIVISOR / FULL_RATE
     assert np.allclose(sp.times_s, expected, rtol=0, atol=1e-12)
     assert np.all(sp.locked)
@@ -360,8 +361,8 @@ def test_synthesize_block_free_runs_at_nominal_spacing():
     tx = _ideal_full_clock(1, offset=5e-7)
     rx = _ideal_full_clock(2, offset=-5e-7)
     block = (0.02, 0.04)
-    sp = synthesize_sync_train(tx, rx, 0.06, FULL_RATE, FULL_DIVISOR,
-                               seed=5, cdr_residual_sigma_s=0.0, blocks=(block,))
+    (sp,) = synthesize_sync_train(tx, rx, 0.06, FULL_RATE, FULL_DIVISOR,
+                                  seed=5, readouts=(NO_RESIDUAL,), blocks=(block,))
     t = sp.times_s
     inside = np.flatnonzero((t >= block[0]) & (t < block[1]))
     assert not np.any(sp.locked[inside])
@@ -408,9 +409,9 @@ def _synthesized_reading_reference(tx, rx, duration_s, seed, blocks, delay_s, be
 def test_synthesize_reads_only_locked_pulses_with_the_same_bits(block):
     tx = make_clock(offset=5e-7, jitter=30e-12, seed=1, rate=FULL_RATE)
     rx = make_clock(offset=-5e-7, jitter=30e-12, seed=2, rate=FULL_RATE)
-    sp = synthesize_sync_train(tx, rx, 0.06, FULL_RATE, FULL_DIVISOR, seed=5,
-                               propagation_delay_s=3e-6, doppler_beta=1e-6,
-                               blocks=(block,))
+    (sp,) = synthesize_sync_train(tx, rx, 0.06, FULL_RATE, FULL_DIVISOR, seed=5,
+                                  propagation_delay_s=3e-6, doppler_beta=1e-6,
+                                  blocks=(block,))
     reading, locked = _synthesized_reading_reference(tx, rx, 0.06, 5, (block,), 3e-6, 1e-6)
     assert 0 < np.count_nonzero(locked) < locked.size
     assert np.array_equal(sp.locked, locked)
@@ -425,7 +426,7 @@ def test_synthesize_in_small_blocks_gives_the_same_arrays(block, monkeypatch):
 
     def run():
         return synthesize_sync_train(tx, rx, 0.06135, FULL_RATE, FULL_DIVISOR, seed=5,
-                                     propagation_delay_s=3e-6, blocks=(block,))
+                                     propagation_delay_s=3e-6, blocks=(block,))[0]
 
     whole = run()
     monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)  # 12 pulses a block
@@ -441,20 +442,20 @@ def test_synthesize_in_small_blocks_gives_the_same_arrays(block, monkeypatch):
 def test_synthesize_doppler_scales_times():
     tx = _ideal_full_clock(1)
     rx = _ideal_full_clock(2)
-    base = synthesize_sync_train(tx, rx, 0.01, FULL_RATE, FULL_DIVISOR,
-                                 seed=5, cdr_residual_sigma_s=0.0)
-    shifted = synthesize_sync_train(tx, rx, 0.01, FULL_RATE, FULL_DIVISOR,
-                                    seed=5, cdr_residual_sigma_s=0.0,
-                                    doppler_beta=2e-5)
+    (base,) = synthesize_sync_train(tx, rx, 0.01, FULL_RATE, FULL_DIVISOR,
+                                    seed=5, readouts=(NO_RESIDUAL,))
+    (shifted,) = synthesize_sync_train(tx, rx, 0.01, FULL_RATE, FULL_DIVISOR,
+                                       seed=5, readouts=(NO_RESIDUAL,),
+                                       doppler_beta=2e-5)
     assert np.allclose(shifted.times_s, base.times_s * (1 + 2e-5), rtol=0, atol=1e-12)
 
 
 def test_synthesize_is_deterministic():
     tx = make_clock(offset=5e-7, jitter=30e-12, seed=1, rate=FULL_RATE)
     rx = make_clock(offset=-5e-7, jitter=30e-12, seed=2, rate=FULL_RATE)
-    a = synthesize_sync_train(tx, rx, 0.02, FULL_RATE, FULL_DIVISOR, seed=5)
-    b = synthesize_sync_train(tx, rx, 0.02, FULL_RATE, FULL_DIVISOR, seed=5)
-    c = synthesize_sync_train(tx, rx, 0.02, FULL_RATE, FULL_DIVISOR, seed=6)
+    (a,) = synthesize_sync_train(tx, rx, 0.02, FULL_RATE, FULL_DIVISOR, seed=5)
+    (b,) = synthesize_sync_train(tx, rx, 0.02, FULL_RATE, FULL_DIVISOR, seed=5)
+    (c,) = synthesize_sync_train(tx, rx, 0.02, FULL_RATE, FULL_DIVISOR, seed=6)
     assert np.array_equal(a.times_s, b.times_s)
     assert not np.array_equal(a.times_s, c.times_s)
 
@@ -473,8 +474,9 @@ def test_cdr_loop_matches_the_synthesized_sync_train():
     first_edge = int(np.flatnonzero(bits)[0])
     loop = derive_sync_pulses(replace(rc, boundary_index=rc.boundary_index + first_edge),
                               divisor)
-    synth = synthesize_sync_train(tx, rx, bits.size / rate, rate, divisor, seed=cfg["seed"],
-                                  cdr_residual_sigma_s=0.0, propagation_delay_s=delay)
+    (synth,) = synthesize_sync_train(tx, rx, bits.size / rate, rate, divisor,
+                                     seed=cfg["seed"], readouts=(NO_RESIDUAL,),
+                                     propagation_delay_s=delay)
     common, i_loop, i_synth = np.intersect1d(boundaries(loop), boundaries(synth),
                                              return_indices=True)
     assert common.size == len(loop) >= 300

@@ -159,6 +159,13 @@ def test_doppler_beta_out_of_range_fails_before_any_output(tmp_path, capsys):
         ("decimation", "duration_s", dict(duration_s=0.01)),  # fewer pulses than N = 500
         ("decimation", "n_values", dict(n_values="1, 2, 40000")),
         ("decimation", "n_values", dict(n_values="")),
+        # each value inside its own bound; the sync train's mean spacing is not
+        ("arrival", "tx_fractional_offset",
+         dict(duration_s=0.3, tx_fractional_offset=9e-4, rx_fractional_offset=-9e-4)),
+        ("arrival", "rx_fractional_offset", dict(duration_s=0.3, tx_fractional_offset=5e-5,
+                                                 rx_fractional_offset=-5e-5, doppler_beta=9e-5)),
+        ("arrival", "doppler_beta",
+         dict(duration_s=0.3, doppler_beta=9.9e-5, tx_fractional_offset=1e-6)),
     ]:
         cfg = write_cfg(tmp_path, seed=1, **keys)
         out = tmp_path / f"{scenario}-{key}"

@@ -132,6 +132,40 @@ def test_decimation_needs_more_sync_pulses_than_its_largest_factor(keys):
         resolve("decimation", keys, seed=1)
 
 
+@pytest.mark.parametrize("scenario, keys", [
+    ("arrival", {"duration_s": "0.3", "tx_fractional_offset": "9e-4",
+                 "rx_fractional_offset": "-9e-4"}),
+    ("arrival", {"duration_s": "0.3", "tx_fractional_offset": "5e-5",
+                 "rx_fractional_offset": "-5e-5", "doppler_beta": "9e-5"}),
+    ("arrival", {"duration_s": "0.3", "doppler_beta": "9.9e-5", "tx_fractional_offset": "1e-6"}),
+    ("arrival", {"tx_drift_per_s": "2.2e-5"}),  # over the default 10 s run
+    ("doppler", {"tx_fractional_offset": "3e-5", "rx_fractional_offset": "-3e-5",
+                 "beta_values": "0, 5e-5"}),
+])
+def test_mean_sync_spacing_off_nominal_is_rejected(scenario, keys):
+    # each key is inside its own bound; together they move the sync train's
+    # mean spacing further from nominal than the train allows
+    with pytest.raises(ConfigError, match="tx_fractional_offset.*doppler_beta.*duration_s"):
+        resolve(scenario, keys, seed=1)
+
+
+@pytest.mark.parametrize("keys", [
+    {"tx_fractional_offset": "4.9e-5", "rx_fractional_offset": "-4.9e-5"},
+    {"doppler_beta": "-9.5e-5", "rx_fractional_offset": "-4e-6"},
+    {"tx_drift_per_s": "1.9e-5", "duration_s": "10"},
+])
+def test_accepted_spacing_gives_a_train_at_the_predicted_spacing(keys):
+    cfg = resolve("arrival", {"duration_s": "0.3", **keys}, seed=1)
+    (sync,) = make_sync_train(*build_clocks(cfg), cfg)
+    t = sync.times_s
+    spacing = (t[-1] - t[0]) / (len(sync) - 1) / sync.step_spacing_s - 1
+    tx, rx, beta = (cfg[k] for k in ("tx_fractional_offset", "rx_fractional_offset",
+                                     "doppler_beta"))
+    drift = (cfg["tx_drift_per_s"] - cfg["rx_drift_per_s"]) * cfg["duration_s"] / 2
+    assert 9e-5 < abs(spacing) < 1e-4
+    assert abs(spacing - ((1 + tx) * (1 + beta) / (1 + rx) - 1 + drift)) < 1e-6
+
+
 @settings(max_examples=100, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), duration_s=st.floats(1e-6, 4e-3),
        slots_per_pulse=st.integers(500, 10_000),
@@ -148,7 +182,7 @@ def test_every_accepted_config_has_a_sync_train(scenario, duration_s, slots_per_
     except ConfigError:
         return
     blocks = ((cfg["block_start_s"], cfg["block_end_s"]),) if scenario == "blocking" else ()
-    sync = make_sync_train(*build_clocks(cfg), cfg, blocks=blocks)
+    (sync,) = make_sync_train(*build_clocks(cfg), cfg, blocks=blocks)
     assert len(sync) >= 2
     if scenario == "decimation":
         assert len(sync.decimate(max(n_values))) >= 2

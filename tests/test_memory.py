@@ -62,7 +62,7 @@ def numpy_submodules_loaded():
 
 def test_sync_synthesis_peak_stays_within_a_budget_per_train_byte():
     tx, rx = simulate.build_clocks(CFG)
-    sync, peak = _traced_peak(lambda: simulate.make_sync_train(tx, rx, CFG,
+    (sync,), peak = _traced_peak(lambda: simulate.make_sync_train(tx, rx, CFG,
                                                                blocks=((3.0, 6.0),)))
     assert len(sync) == 100_000 and not sync.locked.all()
     assert peak / len(sync) < SYNC_PEAK_BYTES_PER_PULSE
@@ -71,7 +71,7 @@ def test_sync_synthesis_peak_stays_within_a_budget_per_train_byte():
 def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():
     # ~200 k detections, ~6 blocks
     tx, rx = simulate.build_clocks(CFG)
-    sync = simulate.make_sync_train(tx, rx, CFG, blocks=((3.0, 6.0),))
+    (sync,) = simulate.make_sync_train(tx, rx, CFG, blocks=((3.0, 6.0),))
     det, peak = _traced_peak(lambda: simulate.sample_detections(tx, rx, CFG))
     assert len(det) > 150_000
     assert peak / len(det) < SAMPLING_BYTES_PER_DETECTION
@@ -100,7 +100,7 @@ def test_anchor_scan_peak_stays_flat_in_the_search_width():
     cfg = {**CFG, "duration_s": 1.0, "block_start_s": 0.0, "block_end_s": 0.0}
     tx, rx = simulate.build_clocks(cfg)
     det = simulate.sample_detections(tx, rx, cfg)
-    sync = simulate.make_sync_train(tx, rx, cfg)
+    (sync,) = simulate.make_sync_train(tx, rx, cfg)
     assert len(det) > 4000  # the scan's full sample
 
     def peak(search_slots):

@@ -1,5 +1,7 @@
 """Determinism and distribution sanity of the seeded RNG utilities."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,12 +188,31 @@ def test_blocked_draws_equal_one_whole_array_pass(size, dtype):
     # scattered indices; the uint64 ones reach past 2^63
     start = 2**63 + 5 if dtype == np.uint64 else 3
     index = np.arange(size, dtype=dtype) * dtype(7919) + dtype(start)
-    _assert_same_bits(rng.uniform_at(key, index), _uniform_reference(key, index))
-    _assert_same_bits(rng.normal_at(key, index), _normal_reference(key, index))
+    wide = np.repeat(index, 3)
+    keep = np.arange(wide.size) % 3 == 0
+    # as given, as a boolean-mask gather (what b[lk] gives), and as a strided view
+    for view in (index, wide[keep], wide[::3]):
+        _assert_same_bits(rng.uniform_at(key, view), _uniform_reference(key, index))
+        _assert_same_bits(rng.normal_at(key, view), _normal_reference(key, index))
+    assert size < 2 or not wide[::3].flags.c_contiguous
     probs = (0.25, 0.25, 0.5)
     codes = np.searchsorted(np.cumsum(probs), _uniform_reference(key, index),
                             side="right").astype(np.int8)
     _assert_same_bits(rng.choice_at(key, index, probs), codes)
+
+
+def test_threads_draw_through_their_own_scratch_rows():
+    # numpy releases the GIL inside each step, so scratch rows shared between
+    # threads would mix their draws; each task has its own key
+    index = np.arange(4 * B, dtype=np.int64) * 7
+
+    def draw(task):
+        key = rng.derive_key(task, "threads")
+        return rng.normal_at(key, index), _normal_reference(key, index)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for got, want in pool.map(draw, range(12), timeout=120):
+            _assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("index", [12345, np.int64(12345), np.uint64(2**63 + 1)])

@@ -133,10 +133,32 @@ def test_blocking_counts_every_detection_once(block):
         assert first == 0 and result.n_not_offered < result.n_detections / 1000
 
 
+@pytest.mark.parametrize("duration_s, blocks", [
+    (10.0, ()),                 # the arrival defaults: 100,000 pulses
+    (10.0, ((3.0, 6.0),)),      # a block mid-run
+    (10.0, ((0.0, 2.0),)),      # a block from t = 0: no anchor to free-run from
+    (1.2345, ((0.4, 0.9),)),    # 12,345 pulses: a block across two block boundaries
+], ids=["defaults", "mid-run", "from-start", "short-run"])
+def test_both_readouts_of_one_emission_equal_one_readout_calls(duration_s, blocks):
+    cfg = defaults("arrival", seed=11, duration_s=duration_s)
+    tx, rx = build_clocks(cfg)
+    both = make_sync_train(tx, rx, cfg, readouts=("cdr", "cable"), blocks=blocks)
+    assert len(both) == 2 and len(both[0]) % (rng.BLOCK_EVENTS // 8)  # a partial last block
+    for readout, train in zip(("cdr", "cable"), both):
+        (alone,) = make_sync_train(tx, rx, cfg, readouts=(readout,), blocks=blocks)
+        for name in ("times_s", "locked"):
+            assert getattr(train, name).tobytes() == getattr(alone, name).tobytes(), readout
+        assert (train.first_pulse, train.boundary_step) == (alone.first_pulse,
+                                                            alone.boundary_step)
+        assert blocks == () or not train.locked.all()
+    # the readouts share the emission but not their read jitter
+    assert not np.array_equal(both[0].times_s, both[1].times_s)
+
+
 def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
     cfg = defaults("arrival", seed=12, duration_s=0.5)
     tx, rx = build_clocks(cfg)
-    sync = make_sync_train(tx, rx, cfg)
+    (sync,) = make_sync_train(tx, rx, cfg)
 
     def run():
         det = sample_detections(tx, rx, cfg)

@@ -136,7 +136,7 @@ def test_rescale_is_the_binary_search_on_the_blocking_train():
 
     cfg = defaults("blocking", seed=3, duration_s=12.0, block_start_s=4.0, block_end_s=8.0)
     tx, rx = build_clocks(cfg)
-    sync = make_sync_train(tx, rx, cfg, blocks=((4.0, 8.0),))
+    (sync,) = make_sync_train(tx, rx, cfg, blocks=((4.0, 8.0),))
     assert not sync.locked.all()
     s = sync.times_s
     q = _with_edge_cases(np.random.default_rng(3).uniform(s[0] - 0.1, s[-1] + 0.1, 200_000), s)
