@@ -79,6 +79,7 @@ from .simulate import (
     DecimationResult,
     DopplerResult,
     build_clocks,
+    detection_stream,
     make_sync_train,
     pattern_from_config,
     run_arrival_experiment,
@@ -86,6 +87,7 @@ from .simulate import (
     run_decimation_experiment,
     run_doppler_check,
     sample_detections,
+    split_at,
 )
 
 __version__ = "0.1.0"

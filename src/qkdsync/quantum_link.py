@@ -83,8 +83,14 @@ def measure_polarization(state, generator: np.random.Generator, basis=None) -> n
         in_z = np.full(n, basis == "Z")
     else:
         raise ValueError(f"basis must be 'Z', 'X' or None, got {basis!r}")
-    coin = generator.random(n)
-    return _DETECTOR_OF_CELL[6 * in_z.view(np.int8) + 2 * s + (coin < 0.5)]
+    return detector_codes(s, in_z, generator.random(n))
+
+
+def detector_codes(state, in_z, coin) -> np.ndarray:
+    """The detector that clicks for each sent state code (H, V or D), measured
+    in Z where the bool array in_z holds and in X elsewhere, with a coin in
+    [0, 1) per event splitting the cross-basis outcomes."""
+    return _DETECTOR_OF_CELL[6 * in_z.view(np.int8) + 2 * np.asarray(state) + (coin < 0.5)]
 
 
 def detector_basis(detector) -> np.ndarray:
@@ -112,7 +118,8 @@ class DetectionSet:
     def __post_init__(self):
         if not self.tdc_resolution_s > 0:
             raise ValueError(f"TDC resolution must be > 0, got {self.tdc_resolution_s}")
-        if np.any(np.asarray(self.ticks) < 0):
+        ticks = np.asarray(self.ticks)
+        if ticks.size and ticks.min() < 0:
             raise ValueError("TDC ticks must be non-negative")
 
     def __len__(self) -> int:
@@ -121,19 +128,6 @@ class DetectionSet:
     @property
     def times_s(self) -> np.ndarray:
         return self.ticks * self.tdc_resolution_s
-
-    def searchsorted(self, times_s) -> np.ndarray:
-        """The number of detections earlier than each of times_s.
-
-        Equals `np.searchsorted(self.times_s, times_s)`, summed over
-        `rng.BLOCK_EVENTS`-long blocks (see `rng` on blocks), so no
-        full-length copy of the times is made.
-        """
-        counts = np.zeros(np.shape(times_s), dtype=np.int64)
-        for lo in range(0, len(self), rng.BLOCK_EVENTS):
-            counts += np.searchsorted(self.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s,
-                                      times_s)
-        return counts
 
     def select(self, index) -> "DetectionSet":
         """The detections at index (a slice or an index array), without ground truth."""

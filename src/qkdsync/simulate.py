@@ -12,12 +12,19 @@ Bernoulli process via geometric gaps, so a 60 s run touches only the
 and jitter lookups are counter-based, so they equal those of a dense
 pass that thins every slot; `tests/dense_reference.py` is that pass and
 `tests/test_sampling.py` checks the two against each other.
+
+`detection_stream` hands the detections out in time order, a batch of
+`rng.BLOCK_EVENTS` slots at a time, with the bits of one pass over the
+whole run.  The blocking runner splits it at its QBER bins and the
+arrival runner folds each part as it comes, so their memory holds the
+sync trains, the noise and one part of the stream, not the run;
+`sample_detections` collects it into one set for the other runners.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from .qkd_analysis import (
 from .quantum_link import (
     DetectionSet,
     QubitPattern,
-    measure_polarization,
+    detector_codes,
     time_tag,
     ORIGIN_BACKGROUND,
     ORIGIN_DARK,
@@ -79,21 +86,146 @@ def pattern_from_config(cfg: dict) -> QubitPattern:
     return QubitPattern.from_seed(cfg["seed"], probs)
 
 
-def _surviving_slots(n_slots: int, p: float, gen: np.random.Generator,
-                     n_after: int = 0) -> np.ndarray:
-    """Sorted indices of a Bernoulli(p) process over range(n_slots),
-    followed by n_after entries of -1."""
-    chunks = []
+def _signal_slots(n_slots: int, p: float, gen: np.random.Generator):
+    """Sorted indices of a Bernoulli(p) process over range(n_slots), in
+    batches of at most `rng.BLOCK_EVENTS` (a batch may be empty).
+
+    The gaps are geometric draws of gen; numpy draws them one after
+    another whatever the batch size, so any batching gives the same slots.
+    """
     last = -1
     while n_slots > 0 and p > 0 and last < n_slots:
         expect = max((n_slots - last) * p, 1.0)
-        k = int(expect + 6.0 * math.sqrt(expect) + 16.0)
+        k = min(int(expect + 6.0 * math.sqrt(expect) + 16.0), rng.BLOCK_EVENTS)
         slots = last + np.cumsum(gen.geometric(p, size=k))
-        chunks.append(slots)
         last = int(slots[-1])
-    if chunks:  # only the last chunk reaches n_slots; strictly increasing
-        chunks[-1] = chunks[-1][:np.searchsorted(chunks[-1], n_slots)]
-    return np.concatenate(chunks + [np.full(n_after, -1, dtype=np.int64)])
+        yield slots[:np.searchsorted(slots, n_slots)]  # only the last batch reaches n_slots
+
+
+def _truth_slice(det: DetectionSet, index) -> DetectionSet:
+    """The detections at index, with their ground truth."""
+    return DetectionSet(det.ticks[index], det.detector[index], det.tdc_resolution_s,
+                        det.origin[index], det.slot[index])
+
+
+def _joined(parts, tdc_resolution_s: float) -> DetectionSet:
+    """The detections of parts, one after another, in one set."""
+    if len(parts) == 1:
+        return parts[0]
+    ticks, detector, origin, slot = (
+        np.concatenate([getattr(d, name) for d in parts] or [np.empty(0, dtype)])
+        for name, dtype in (("ticks", np.int64), ("detector", np.int8),
+                            ("origin", np.int8), ("slot", np.int64)))
+    return DetectionSet(ticks, detector, tdc_resolution_s, origin, slot)
+
+
+def _merged(first: DetectionSet, second: DetectionSet, dropped: int = 0) -> DetectionSet:
+    """Two sets sorted by ticks merged into one, first's detections first
+    among equal ticks; either set itself where the other is empty."""
+    if not len(second) or not len(first):
+        return replace(second if len(second) else first, dropped_before_epoch=dropped)
+    at = np.searchsorted(first.ticks, second.ticks, side="right")
+    return DetectionSet(np.insert(first.ticks, at, second.ticks),
+                        np.insert(first.detector, at, second.detector),
+                        first.tdc_resolution_s,
+                        np.insert(first.origin, at, second.origin),
+                        np.insert(first.slot, at, second.slot), dropped)
+
+
+def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
+    """(events sampled, time-ordered stream of the detections `sample_detections` returns).
+
+    The stream yields `DetectionSet`s with ground truth; joined in order
+    they are, array for array, the set `sample_detections` returns, and
+    each carries in `dropped_before_epoch` the events dropped at t = 0
+    since the one before.  Its memory is one batch of signals, the noise
+    and the events not yet released, not the run.
+
+    Noise events are drawn and tagged at once.  Surviving slots follow in
+    batches of `rng.BLOCK_EVENTS`: each is measured, run through the emit
+    -> arrival -> read chain and tagged, which sorts it.  Every event
+    pending from earlier batches, and every noise event, whose tick lies
+    below the new batch's first tick (its horizon) is then released, in
+    order of (tick, event index), signals in slot order before noise.  A
+    batch whose first tick lies below the previous horizon would reorder
+    released events and raises ValueError; only chain jitter spanning a
+    whole batch (some 100 us at transmittance 1) can cause it, and
+    `config` keeps it under a tenth of that.
+
+    Four draws are sequential streams, read at the place a whole-run pass
+    reads them: the thinning gaps in order; the measurement draws every
+    basis and then every coin, so the coins come from a second generator
+    advanced past the n_sig bases; chain jitter draws the signals' normals
+    and then the noise's, so the noise is tagged by a generator that has
+    drawn n_sig normals.  n_sig comes from a counting pass over the
+    thinning stream, which keeps nothing.
+    """
+    seed, duration_s, qubit_rate_hz = cfg["seed"], cfg["duration_s"], cfg["qubit_rate_hz"]
+    sigma_s, tdc_s = cfg["chain_jitter_ps"] * 1e-12, cfg["tdc_resolution_ps"] * 1e-12
+    noise_gen = rng.generator(seed, "noise")
+    times, dets, origins = [], [], []  # one entry per detector and noise kind
+    for rate, origin in ((cfg["background_rate_hz"], ORIGIN_BACKGROUND),
+                         (cfg["dark_rate_hz"], ORIGIN_DARK)):
+        if rate <= 0:
+            continue
+        for det in (H, V, D, A):
+            k = int(noise_gen.poisson(rate * duration_s))
+            times.append(noise_gen.random(k) * duration_s)
+            dets.append(np.full(k, det, dtype=np.int8))
+            origins.append(np.full(k, origin, dtype=np.int8))
+
+    n_slots = int(math.floor(duration_s * qubit_rate_hz))
+    p = cfg["transmittance"] * cfg["detector_efficiency"]
+    n_sig = sum(b.size for b in _signal_slots(n_slots, p, rng.generator(seed, "signal-thinning")))
+    basis_gen, coin_gen = (rng.generator(seed, "measurement") for _ in range(2))
+    coin_gen.bit_generator.advance(n_sig // 4)  # a Philox step gives 4 draws
+    coin_gen.random(n_sig % 4)
+    signal_jitter, noise_jitter = (rng.generator(seed, "chain-jitter") for _ in range(2))
+    if sigma_s > 0:
+        for lo in range(0, n_sig, rng.BLOCK_EVENTS):
+            noise_jitter.standard_normal(min(rng.BLOCK_EVENTS, n_sig - lo))
+    n_noise = sum(t.size for t in times)
+    noise = time_tag(times, np.concatenate(dets or [np.empty(0, np.int8)]),
+                     chain_jitter_sigma_s=sigma_s, tdc_resolution_s=tdc_s,
+                     generator=noise_jitter,
+                     origin=np.concatenate(origins or [np.empty(0, np.int8)]),
+                     slot=np.full(n_noise, -1, dtype=np.int64))
+    del times, dets, origins
+
+    def release():
+        pattern = pattern_from_config(cfg)
+        pending = _truth_slice(noise, slice(0, 0))  # signals not yet released
+        dropped, released, horizon = noise.dropped_before_epoch, 0, 0
+        for slots in _signal_slots(n_slots, p, rng.generator(seed, "signal-thinning")):
+            in_z = basis_gen.random(slots.size) < 0.5
+            detector = detector_codes(pattern.states(slots), in_z, coin_gen.random(slots.size))
+            emit = local_time(tx_clock, slots / qubit_rate_hz,
+                              jitter_index=slots, jitter_stream="qubit-emit")
+            read = reading_time(
+                rx_clock, (emit + cfg["propagation_delay_s"]) * (1.0 + cfg["doppler_beta"]),
+                jitter_index=slots, jitter_stream="det-read")
+            batch = time_tag(read, detector, chain_jitter_sigma_s=sigma_s,
+                             tdc_resolution_s=tdc_s, generator=signal_jitter,
+                             origin=np.full(slots.size, ORIGIN_SIGNAL, dtype=np.int8),
+                             slot=slots)
+            dropped += batch.dropped_before_epoch
+            if not len(batch):
+                continue
+            if batch.ticks[0] < horizon:
+                raise ValueError(
+                    f"chain jitter moved a batch of {rng.BLOCK_EVENTS} signals to tick "
+                    f"{batch.ticks[0]}, below the previous batch's first tick {horizon}; "
+                    "the detections cannot be streamed in time order")
+            horizon = int(batch.ticks[0])
+            k = int(np.searchsorted(pending.ticks, horizon))
+            upto = int(np.searchsorted(noise.ticks, horizon))
+            yield _merged(_truth_slice(pending, slice(k)),
+                          _truth_slice(noise, slice(released, upto)), dropped)
+            pending = _merged(_truth_slice(pending, slice(k, None)), batch)
+            dropped, released = 0, upto
+        yield _merged(pending, _truth_slice(noise, slice(released, None)), dropped)
+
+    return n_sig + n_noise, release()
 
 
 def sample_detections(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict) -> DetectionSet:
@@ -105,57 +237,47 @@ def sample_detections(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict) -> 
     and delayed, read on the receiver clock, measured, and time-tagged
     together with uniform background/dark events.
 
-    The emit -> arrival -> read chain runs `rng.BLOCK_EVENTS` slots at a
-    time; it is elementwise and keyed by slot.  Each block of read-out
-    times goes straight to `time_tag`, signals first and then noise, so
-    no full-length array of times exists: beside the result the sampler
-    holds the slot indices, the detector and origin codes and the ticks.
+    The events of `detection_stream` are copied into arrays allocated
+    once, so beside the result the sampler holds one batch of the stream.
     """
-    seed, duration_s, qubit_rate_hz = cfg["seed"], cfg["duration_s"], cfg["qubit_rate_hz"]
-    noise_gen = rng.generator(seed, "noise")
-    noise = []  # (times, detector, origin) per detector and noise kind
-    for rate, origin in ((cfg["background_rate_hz"], ORIGIN_BACKGROUND),
-                         (cfg["dark_rate_hz"], ORIGIN_DARK)):
-        if rate <= 0:
+    n, parts = detection_stream(tx_clock, rx_clock, cfg)
+    ticks, slot = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    detector, origin = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
+    lo = dropped = 0
+    for part in parts:
+        hi = lo + len(part)
+        ticks[lo:hi], detector[lo:hi] = part.ticks, part.detector
+        origin[lo:hi], slot[lo:hi] = part.origin, part.slot
+        lo, dropped = hi, dropped + part.dropped_before_epoch
+    return DetectionSet(ticks[:lo], detector[:lo], cfg["tdc_resolution_ps"] * 1e-12,
+                        origin[:lo], slot[:lo], dropped)
+
+
+def split_at(parts, edges_s):
+    """Time-ordered detections regrouped at the sorted times edges_s.
+
+    parts yields `DetectionSet`s in time order, at least one, as the
+    stream of `detection_stream` does; split_at yields len(edges_s) + 1
+    sets: the detections before edges_s[0], those in [edges_s[k],
+    edges_s[k + 1]) for each k, and those at or after edges_s[-1].  A
+    detection's time is its `times_s`, so each set is the joined parts
+    cut where `np.searchsorted` puts the edges in their `times_s`.
+    """
+    edges_s = np.asarray(edges_s, dtype=np.float64)
+    held, k = [], 0  # the pieces of the set being filled, and its index
+    for part in parts:
+        tdc_s, lo = part.tdc_resolution_s, 0
+        if not len(part):
             continue
-        for det in (H, V, D, A):
-            k = int(noise_gen.poisson(rate * duration_s))
-            noise.append((noise_gen.random(k) * duration_s, det, origin))
-
-    n_slots = int(math.floor(duration_s * qubit_rate_hz))
-    p = cfg["transmittance"] * cfg["detector_efficiency"]
-    n_noise = sum(t.size for t, _, _ in noise)
-    slot_truth = _surviving_slots(n_slots, p, rng.generator(seed, "signal-thinning"), n_noise)
-    n = slot_truth.size
-    slots = slot_truth[:n - n_noise]
-    dets, orig = np.empty(n, dtype=np.int8), np.full(n, ORIGIN_SIGNAL, dtype=np.int8)
-    dets[:slots.size] = measure_polarization(pattern_from_config(cfg).states(slots),
-                                             rng.generator(seed, "measurement"))
-    lo = slots.size
-    for t, det, origin in noise:
-        dets[lo:lo + t.size], orig[lo:lo + t.size] = det, origin
-        lo += t.size
-
-    def arrival_times():
-        for lo in range(0, slots.size, rng.BLOCK_EVENTS):
-            block = slots[lo:lo + rng.BLOCK_EVENTS]
-            emit = local_time(tx_clock, block / qubit_rate_hz,
-                              jitter_index=block, jitter_stream="qubit-emit")
-            yield reading_time(
-                rx_clock, (emit + cfg["propagation_delay_s"]) * (1.0 + cfg["doppler_beta"]),
-                jitter_index=block, jitter_stream="det-read")
-        for t, _, _ in noise:
-            yield t
-
-    return time_tag(
-        arrival_times(),
-        dets,
-        chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
-        tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
-        generator=rng.generator(seed, "chain-jitter"),
-        origin=orig,
-        slot=slot_truth,
-    )
+        for hi in np.searchsorted(part.times_s, edges_s[k:]):
+            if hi == len(part):  # later parts may still lie before this edge
+                break
+            yield _joined(held + [_truth_slice(part, slice(lo, hi))], tdc_s)
+            held, lo, k = [], int(hi), k + 1
+        held.append(_truth_slice(part, slice(lo, None)))
+    for _ in range(k, edges_s.size + 1):
+        yield _joined(held, tdc_s)
+        held = []
 
 
 def make_sync_train(
@@ -227,21 +349,32 @@ class ArrivalResult:
             fh.write(f"ratio,{self.fwhm_ratio:.6f},,,\n")
 
 
-def _arrival_variant(name, detections, sync, cfg) -> ArrivalVariant:
-    h = _fold_and_bin(detections, sync, cfg)
-    require_peak(h)  # a fold with no peak has no arrival time to compare
-    fwhm, resid, ok, mu = fit_or_equivalent(h)
-    return ArrivalVariant(name, h, fwhm, mu, resid, ok)
+def _arrival_variant(name, hist: ArrivalHistogram) -> ArrivalVariant:
+    require_peak(hist)  # a fold with no peak has no arrival time to compare
+    fwhm, resid, ok, mu = fit_or_equivalent(hist)
+    return ArrivalVariant(name, hist, fwhm, mu, resid, ok)
 
 
 def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
-    """Folded arrival peak with CDR sync and with ideal cable sync."""
+    """Folded arrival peak with CDR sync and with ideal cable sync.
+
+    Both trains are synthesized first; each part of `detection_stream`
+    is then folded into both trains' counts, so the run holds the trains,
+    the noise and one part of the stream.
+    """
     tx, rx = build_clocks(cfg)
-    det = sample_detections(tx, rx, cfg)
-    cdr_sync, cable_sync = make_sync_train(tx, rx, cfg, readouts=("cdr", "cable"))
-    cdr = _arrival_variant("cdr", det, cdr_sync, cfg)
-    cable = _arrival_variant("cable", det, cable_sync, cfg)
-    result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, len(det))
+    trains = make_sync_train(tx, rx, cfg, readouts=("cdr", "cable"))
+    dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
+    counts = np.zeros((len(trains), bins), dtype=np.int64)
+    n_detections = 0
+    for part in detection_stream(tx, rx, cfg)[1]:  # about one batch: folded as one block
+        n_detections += len(part)
+        times_s = part.times_s
+        for row, sync in zip(counts, trains):
+            row += histogram(fold(rescale(times_s, sync).q_prime, dq), dq, bins).counts
+    cdr, cable = (_arrival_variant(name, ArrivalHistogram(row, dq))
+                  for name, row in zip(("cdr", "cable"), counts))
+    result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, n_detections)
     if out_dir is not None:
         result.write(out_dir)
     return result
@@ -353,18 +486,15 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     the last bin are counted as never offered to the match.  cfg is
     resolved by `config`, which keeps the block inside the run.
 
-    The detections are sampled before the sync train is synthesized (each
-    draws from its own keyed streams), and the bin edges are looked up
-    without a full-length copy of the times, so the run's traced peak is
-    the sampler's sort or the detections plus the train, whichever is
-    higher.
+    The sync train is synthesized first; `detection_stream` is then
+    split at the bin edges, so the run holds the train, the noise and
+    one bin of detections, whatever its duration.
     """
     bs, be = cfg["block_start_s"], cfg["block_end_s"]
     blocks = ((bs, be),) if be > bs else ()
 
     tx, rx = build_clocks(cfg)
     pattern = pattern_from_config(cfg)
-    det = sample_detections(tx, rx, cfg)
     (sync,) = make_sync_train(tx, rx, cfg, blocks=blocks)
     dq = 1.0 / cfg["qubit_rate_hz"]
     bin_s = cfg["qber_bin_s"]
@@ -372,14 +502,15 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     match_kwargs = dict(qubit_rate_hz=cfg["qubit_rate_hz"], window_s=cfg["match_window_s"])
 
     bin_edges = np.arange(n_bins + 1) * bin_s
-    edges = det.searchsorted(bin_edges)  # detection index at each bin edge
+    bins = split_at(detection_stream(tx, rx, cfg)[1], bin_edges)
+    n_detections = len(next(bins))  # none: detections start at t = 0
     counts = np.zeros((4, n_bins), dtype=np.int64)  # n_z, e_z, n_x, e_x per bin
     phase_ok = np.zeros(n_bins, dtype=bool)
     phase: PhaseOffset | None = None
     slot_origin: int | None = None
     n_matched = n_unmatched = n_offered = 0
-    for b in range(n_bins):
-        sub = det.select(slice(edges[b], edges[b + 1]))
+    for b, sub in zip(range(n_bins), bins):
+        n_detections += len(sub)
         rescaled = None  # the bin's rescale, shared by its fold and its match
         if len(sub) >= MIN_DETECTIONS_PER_FIT:
             rescaled = rescale(sub.times_s, sync)
@@ -402,9 +533,10 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
         n_matched, n_unmatched = n_matched + len(pairs), n_unmatched + pairs.n_unmatched
         n_offered += len(sub)
 
+    n_detections += len(next(bins))  # past the last bin: never offered
     series = QberSeries.from_counts(bin_edges[:-1], bin_s, *counts)
-    result = BlockingResult(series, bs, be, phase_ok, slot_origin, len(det),
-                            n_matched, n_unmatched, len(det) - n_offered)
+    result = BlockingResult(series, bs, be, phase_ok, slot_origin, n_detections,
+                            n_matched, n_unmatched, n_detections - n_offered)
     if out_dir is not None:
         result.write(out_dir)
     return result

@@ -16,6 +16,7 @@ effective interval and exposing nonlinear clock drift.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,18 @@ class ArrivalHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
+    @functools.cached_property
+    def baseline(self) -> float:
+        """The 25th-percentile count, interpolated linearly between the two
+        nearest ranks as `np.percentile(counts, 25)` does; for integer counts
+        the value is the same bits."""
+        at = 0.25 * (self.n_bins - 1)
+        lo = int(at)
+        hi = min(lo + 1, self.n_bins - 1)
+        ranked = np.partition(self.counts, [lo, hi])
+        below = float(ranked[lo])
+        return below + (float(ranked[hi]) - below) * (at - lo)
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("bin_start_ps,count\n")
@@ -237,8 +250,7 @@ def _fit_least_squares(x, y, p):
 def require_peak(h: ArrivalHistogram) -> None:
     """Raise FitError unless the highest bin stands clear of counting
     noise above the baseline (the 25th-percentile count)."""
-    counts = np.asarray(h.counts, dtype=np.float64)
-    baseline, peak = float(np.percentile(counts, 25)), float(counts.max())
+    baseline, peak = h.baseline, float(h.counts.max())
     if peak - baseline < 5.0 * np.sqrt(max(peak, 1.0)):
         raise FitError(
             f"peak exceeds baseline by {peak - baseline:.0f} counts, within "
@@ -261,7 +273,7 @@ def fit_gaussian(h: ArrivalHistogram) -> GaussianFit:
     n = h.n_bins
     if np.count_nonzero(counts) < 5:
         raise FitError(f"only {np.count_nonzero(counts)} nonempty bins; need at least 5")
-    baseline0 = float(np.percentile(counts, 25))
+    baseline0 = h.baseline
     peak = float(counts.max())
     if peak < 3.0 * max(baseline0, 1.0):
         raise FitError(

@@ -166,6 +166,14 @@ def test_doppler_beta_out_of_range_fails_before_any_output(tmp_path, capsys):
                                                  rx_fractional_offset=-5e-5, doppler_beta=9e-5)),
         ("arrival", "doppler_beta",
          dict(duration_s=0.3, doppler_beta=9.9e-5, tx_fractional_offset=1e-6)),
+        # 100 us of chain jitter against the 655 us a batch of the detection
+        # stream spans at transmittance 1
+        ("arrival", "chain_jitter_ps", dict(duration_s=0.3, transmittance=1,
+                                            chain_jitter_ps=1e8)),
+        # a receiver blocked from its first pulse jumps by the path delay
+        # when the block clears, 1.8e-4 of this train's span
+        ("blocking", "propagation_delay_s", dict(duration_s=0.002, sync_divisor=12500,
+                                                 block_start_s=0.0, block_end_s=0.001)),
     ]:
         cfg = write_cfg(tmp_path, seed=1, **keys)
         out = tmp_path / f"{scenario}-{key}"

@@ -166,17 +166,51 @@ def test_accepted_spacing_gives_a_train_at_the_predicted_spacing(keys):
     assert abs(spacing - ((1 + tx) * (1 + beta) / (1 + rx) - 1 + drift)) < 1e-6
 
 
+@pytest.mark.parametrize("duration_s, accepted", [
+    (0.002, False),     # 199 pulse steps: the jump alone is 1.8e-4 of the span
+    (0.003375, False),  # 336 steps: 1.04e-4, plus 1e-6 from the clock offsets
+    (0.003735, True),   # 372 steps: 9.4e-5 plus 1e-6
+])
+def test_a_block_over_the_first_pulse_adds_its_jump_to_the_spacing(duration_s, accepted):
+    block = {"sync_divisor": "12500", "block_start_s": "0", "block_end_s": "0.001"}
+    raw = {**block, "duration_s": repr(duration_s)}
+    # the same config unchecked: the train is built whatever the config says
+    cfg = {**resolve("blocking", {**block, "duration_s": "1"}, seed=1), "duration_s": duration_s}
+    try:
+        (sync,) = make_sync_train(*build_clocks(cfg), cfg, blocks=((0.0, 0.001),))
+    except ValueError as exc:
+        assert "mean sync spacing" in str(exc)
+        built = False
+    else:
+        built = True
+    assert built == accepted
+    if not accepted:
+        with pytest.raises(ConfigError, match="first sync pulse"):
+            resolve("blocking", raw, seed=1)
+        return
+    assert resolve("blocking", raw, seed=1) == cfg
+    t = sync.times_s
+    spacing = (t[-1] - t[0]) / (len(sync) - 1) / sync.step_spacing_s - 1
+    assert not sync.locked[0] and sync.locked[-1]
+    offsets = (1 + cfg["tx_fractional_offset"]) / (1 + cfg["rx_fractional_offset"]) - 1
+    jump = cfg["propagation_delay_s"] / ((len(sync) - 1) * sync.step_spacing_s)
+    assert abs(spacing - (offsets + jump)) < 1e-7
+
+
 @settings(max_examples=100, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), duration_s=st.floats(1e-6, 4e-3),
        slots_per_pulse=st.integers(500, 10_000),
-       n_values=st.lists(st.integers(1, 400), max_size=4, unique=True).map(sorted))
-def test_every_accepted_config_has_a_sync_train(scenario, duration_s, slots_per_pulse, n_values):
+       n_values=st.lists(st.integers(1, 400), max_size=4, unique=True).map(sorted),
+       block_from_start=st.booleans())
+def test_every_accepted_config_has_a_sync_train(scenario, duration_s, slots_per_pulse, n_values,
+                                                block_from_start):
     # at most 200 sync pulses (25 symbol boundaries to a qubit slot).  The block
-    # covers the middle third of the run, as the default one does; one over the
-    # first pulse of a run this short trips the train's mean-spacing check
+    # covers the middle third of the run, as the default one does, or its first
+    # third, where the receiver free-runs from its first pulse
     raw = {"duration_s": repr(duration_s), "sync_divisor": str(25 * slots_per_pulse),
            "n_values": ", ".join(map(str, n_values)),
-           "block_start_s": repr(duration_s / 3), "block_end_s": repr(2 * duration_s / 3)}
+           "block_start_s": repr(0.0 if block_from_start else duration_s / 3),
+           "block_end_s": repr((1 if block_from_start else 2) * duration_s / 3)}
     try:
         cfg = resolve(scenario, raw, seed=3)
     except ConfigError:

@@ -8,21 +8,25 @@ outputs (18 bytes per detection for the sampled set, 18 for the matched
 pairs, 9 per pulse for the sync train: its times and lock flags).  On
 this config whole-array passes peak at about 114 bytes per detection
 when sampling, 94 when matching and 85 per pulse when synthesizing
-sync; blocks give about 36, 33 and 14.7.
+sync; blocks give about 35 (the set plus one batch of the detection
+stream), 33 and 12.4.
 
-A whole run peaks at the sampler's sort or at its detections plus its
-sync train, with the anchor scan's working blocks on top: for blocking
-on this config about 42 bytes per detection, against 86 when the train
-was held through sampling and the bin edges took a full-length copy of
-the times; for arrival 36, against 46 when its folds took one.  The
-anchor scan scores its shifts x pairs in blocks, so its peak stays flat
-in the search width; scored at once it grew ~0.11 MB per shift.
+A whole run holds its sync trains, the noise and one window of the
+detection stream (a QBER bin for blocking, a released batch for
+arrival), with the anchor scan's working blocks on top: on this config
+about 34 bytes per detection for blocking and 31 for arrival, against
+37 each when the run held every detection and the sampler sorted them
+all at once.  A run twice as long then adds only its trains' and its
+noise's bytes: blocking grows ~0.96 MB from 10 to 20 s and arrival
+~1.77 MB, where whole-run sampling grew 4.6 and 5.4 MB.  The anchor
+scan scores its shifts x pairs in blocks, so its peak stays flat in
+the search width; scored at once it grew ~0.11 MB per shift.
 
 The first run in a process imports numpy submodules that numpy loads
-lazily (`numpy.ma`, its random pickling modules), which a first traced
-blocking run would count as about 9 more bytes per detection; a short
-untraced run before the budgets loads them, so each budget reads the
-same alone and in the full suite.
+lazily (its random generators' modules), which a first traced blocking
+run would count as about 3.5 more bytes per detection; a short untraced
+run before the budgets loads them, so each budget reads the same alone
+and in the full suite.
 """
 
 import tracemalloc
@@ -39,6 +43,7 @@ SYNC_PEAK_BYTES_PER_PULSE = 16
 BLOCKING_RUN_BYTES_PER_DETECTION = 50
 ARRIVAL_RUN_BYTES_PER_DETECTION = 40
 ANCHOR_PEAK_WIDTH_RATIO = 1.5  # peak at +-2000 shifts over the peak at +-50
+RUN_PEAK_GROWTH_RATIO = 1.25  # 20 s minus 10 s, over the train and noise bytes added
 
 
 def _traced_peak(run):
@@ -94,6 +99,24 @@ def test_whole_arrival_run_peak_stays_within_a_per_detection_budget():
     result, peak = _traced_peak(lambda: simulate.run_arrival_experiment(cfg))
     assert result.n_detections > 150_000
     assert peak / result.n_detections < ARRIVAL_RUN_BYTES_PER_DETECTION
+
+
+@pytest.mark.parametrize("scenario, run, readouts", [
+    ("blocking", simulate.run_blocking_experiment, 1),
+    ("arrival", simulate.run_arrival_experiment, 2),
+])
+def test_whole_run_peak_grows_only_by_the_sync_trains_and_noise(scenario, run, readouts):
+    peaks = []
+    for duration_s in (10.0, 20.0):
+        blocks = {"block_start_s": 3.0, "block_end_s": 6.0} if scenario == "blocking" else {}
+        cfg = config.resolve(scenario, {"duration_s": duration_s, **blocks}, 11)
+        peaks.append(_traced_peak(lambda: run(cfg))[1])
+    # 10 s more adds pulses of 8 bytes per readout plus a shared lock flag,
+    # and noise events tagged as 18 bytes each; detections add nothing
+    pulses = 10.0 * cfg["symbol_rate_hz"] / cfg["sync_divisor"]
+    noise = 10.0 * 4 * (cfg["background_rate_hz"] + cfg["dark_rate_hz"])
+    added = pulses * (8 * readouts + 1) + noise * 18
+    assert peaks[1] - peaks[0] < RUN_PEAK_GROWTH_RATIO * added
 
 
 def test_anchor_scan_peak_stays_flat_in_the_search_width():

@@ -231,17 +231,6 @@ def test_time_tag_rejects_ground_truth_longer_than_the_detector_codes(name):
                  **{name: np.zeros(5, dtype=np.int8)})
 
 
-def test_detection_set_searchsorted_in_small_blocks_equals_one_pass(monkeypatch):
-    monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)
-    ticks = np.sort(np.random.default_rng(4).integers(0, 5000, 1000))  # shared ticks too
-    ds = DetectionSet(ticks=ticks, detector=np.zeros(ticks.size, dtype=np.int8),
-                      tdc_resolution_s=81e-12)
-    # one edge exactly on a detection's time, and edges before and past them all
-    edges = np.array([-1.0, 0.0, ticks[500] * 81e-12, 2e-7, 1e-6])
-    assert np.count_nonzero(ds.times_s == edges[2]) >= 1
-    assert np.array_equal(ds.searchsorted(edges), np.searchsorted(ds.times_s, edges))
-
-
 def test_detection_set_select_keeps_resolution_and_drops_truth():
     ds = DetectionSet(ticks=np.array([5, 9, 12], dtype=np.int64),
                       detector=np.array([H, A, D], dtype=np.int8), tdc_resolution_s=81e-12,

@@ -256,6 +256,16 @@ def _gaussian_hist(sigma_s, n=200_000, mu=10e-9, baseline_rate=0.0, seed=4,
     return histogram(f, DELTA_Q, bins)
 
 
+def test_baseline_is_the_bits_of_the_25th_percentile():
+    # random count vectors of 5-400 bins, from all-distinct to mostly ties
+    gen = np.random.default_rng(6)
+    for _ in range(10_000):
+        n = int(gen.integers(5, 401))
+        counts = gen.integers(0, int(gen.choice([2, 5, 100, 10**6])), n)
+        expected = np.percentile(counts.astype(np.float64), 25)
+        assert np.float64(ArrivalHistogram(counts, DELTA_Q).baseline).tobytes() == expected.tobytes()
+
+
 def test_fit_recovers_sigma_within_two_percent():
     sigma = 435e-12
     fit = fit_gaussian(_gaussian_hist(sigma))
