@@ -3,7 +3,7 @@
 The source emits one polarization-encoded photon candidate per 20 ns
 slot (50 MHz), locked to the same master clock as the classical stream.
 The channel thins the train (transmittance x detector efficiency) and
-adds background/dark events — both sampled by `simulate.sample_detections`
+adds background/dark events — both sampled by `simulate.detection_stream`
 from the loss and noise keys of a resolved config; the receiver measures
 in a random basis (passive beam-splitter), adds detection-chain jitter,
 and time-tags with a TDC on a fixed-resolution grid.
@@ -147,46 +147,29 @@ def time_tag(
 ) -> DetectionSet:
     """Detection-chain jitter plus TDC quantization, sorted by ticks.
 
-    arrival_time_s is one array of arrival times, or an iterable of its
-    consecutive blocks, so no caller need hold it whole; detector (and
-    origin and slot) hold one value per event, and a length that differs
-    raises ValueError.  Jitter and quantization run `rng.BLOCK_EVENTS`
-    events at a time in event order, so any split gives the same ticks.
-    Events jittered before t = 0 are dropped and counted in
-    `dropped_before_epoch`.
-
-    The sort holds one int64 order beside the ticks and the inputs:
-    detector and origin are gathered through it first, and then the
-    order itself is overwritten, block by block, with `slot[order]` and
-    returned as the sorted slots.
+    arrival_time_s is one array of arrival times; detector (and origin
+    and slot) hold one value per event, and a length that differs raises
+    ValueError.  Jitter is drawn in event order.  Events jittered before
+    t = 0 are dropped and counted in `dropped_before_epoch`.
 
     No dead time: events closer than one tick may share a tick value.
     """
     if chain_jitter_sigma_s < 0:
         raise ValueError(f"chain_jitter_sigma_s must be >= 0, got {chain_jitter_sigma_s}")
+    t = np.asarray(arrival_time_s, dtype=np.float64)
     detector = np.asarray(detector, dtype=np.int8)
     for name, truth in (("origin", origin), ("slot", slot)):
         if truth is not None and np.size(truth) != detector.size:
             raise ValueError(f"{np.size(truth)} {name} values for {detector.size} detector codes")
-    parts = (arrival_time_s,) if isinstance(arrival_time_s, np.ndarray) else arrival_time_s
-    ticks = np.empty(detector.size, dtype=np.int64)
-    lo = 0
-    for part in parts:
-        part = np.asarray(part, dtype=np.float64)
-        for start in range(0, part.size, rng.BLOCK_EVENTS):
-            t = part[start:start + rng.BLOCK_EVENTS]
-            lo += t.size
-            if lo > ticks.size:
-                continue  # more times than codes: counted for the error below
-            if chain_jitter_sigma_s > 0:
-                jit = generator.standard_normal(t.size)
-                jit *= chain_jitter_sigma_s
-                t = np.add(jit, t, out=jit)  # t + jit, written into the fresh draw
-            out = ticks[lo - t.size:lo]
-            out[:] = quantize(np.maximum(t, 0.0), tdc_resolution_s)
-            out[t < 0] = -1  # before the TDC epoch: sorts first and is cut off below
-    if lo != ticks.size:
-        raise ValueError(f"{lo} arrival times for {ticks.size} detector codes")
+    if t.size != detector.size:
+        raise ValueError(f"{t.size} arrival times for {detector.size} detector codes")
+    if chain_jitter_sigma_s > 0:
+        jit = generator.standard_normal(t.size)
+        jit *= chain_jitter_sigma_s
+        jit += t  # t + jit, written into the fresh draw
+        t = jit
+    ticks = quantize(np.maximum(t, 0.0), tdc_resolution_s)
+    ticks[t < 0] = -1  # before the TDC epoch: sorts first and is cut off below
     order = np.argsort(ticks, kind="stable")
     ticks.sort(kind="stable")  # the fastest sort here: signals arrive nearly sorted
     dropped = int(np.searchsorted(ticks, 0))
@@ -195,11 +178,7 @@ def time_tag(
     if origin is not None:
         origin = np.asarray(origin, dtype=np.int8)[order]
     if slot is not None:
-        slot = np.asarray(slot, dtype=np.int64)
-        for start in range(0, order.size, rng.BLOCK_EVENTS):
-            block = order[start:start + rng.BLOCK_EVENTS]
-            block[:] = slot[block]
-        slot = order
+        slot = np.asarray(slot, dtype=np.int64)[order]
     return DetectionSet(
         ticks=ticks[dropped:],
         detector=detector,

@@ -16,11 +16,10 @@ Two kinds of generators are used throughout the simulator:
   (`tests/dense_reference.py`, checked in `tests/test_sampling.py`).
 
 Counter-based draws, like the per-event stages of `simulate`,
-`quantum_link.time_tag`, `classical_link.synthesize_sync_train`,
-`sync_recovery.fold_histogram` and `qkd_analysis`, run `BLOCK_EVENTS`
-events at a time.  Every step is elementwise (or draws a sequential
-stream in order), and counts over blocks of sorted events add, so
-blocks give the bits of one whole-array pass.
+`classical_link.synthesize_sync_train` and `qkd_analysis`, run
+`BLOCK_EVENTS` events at a time.  Every step is elementwise (or draws a
+sequential stream in order), and counts over blocks of sorted events
+add, so blocks give the bits of one whole-array pass.
 
 A draw computes each block in place, in the order of the whole-array
 expressions (`tests/test_rng.py` pins the bits), in the result block

@@ -16,9 +16,9 @@ pass that thins every slot; `tests/dense_reference.py` is that pass and
 `detection_stream` hands the detections out in time order, a batch of
 `rng.BLOCK_EVENTS` slots at a time, with the bits of one pass over the
 whole run.  The blocking runner splits it at its QBER bins and the
-arrival runner folds each part as it comes, so their memory holds the
-sync trains, the noise and one part of the stream, not the run;
-`sample_detections` collects it into one set for the other runners.
+other runners fold each part as it comes (`fold_histogram`), so their
+memory holds the sync trains, the noise and one part of the stream, not
+the run; `sample_detections` collects it into one set.
 """
 
 from __future__ import annotations
@@ -185,7 +185,8 @@ def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
         for lo in range(0, n_sig, rng.BLOCK_EVENTS):
             noise_jitter.standard_normal(min(rng.BLOCK_EVENTS, n_sig - lo))
     n_noise = sum(t.size for t in times)
-    noise = time_tag(times, np.concatenate(dets or [np.empty(0, np.int8)]),
+    noise = time_tag(np.concatenate(times or [np.empty(0)]),
+                     np.concatenate(dets or [np.empty(0, np.int8)]),
                      chain_jitter_sigma_s=sigma_s, tdc_resolution_s=tdc_s,
                      generator=noise_jitter,
                      origin=np.concatenate(origins or [np.empty(0, np.int8)]),
@@ -311,10 +312,6 @@ def make_sync_train(
     )
 
 
-def _fold_and_bin(detections, sync: SyncPulseTrain, cfg: dict) -> ArrivalHistogram:
-    return fold_histogram(detections, sync, 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"])
-
-
 @dataclass(frozen=True)
 class ArrivalVariant:
     """One arm of the arrival-time comparison."""
@@ -365,15 +362,8 @@ def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
     tx, rx = build_clocks(cfg)
     trains = make_sync_train(tx, rx, cfg, readouts=("cdr", "cable"))
     dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
-    counts = np.zeros((len(trains), bins), dtype=np.int64)
-    n_detections = 0
-    for part in detection_stream(tx, rx, cfg)[1]:  # about one batch: folded as one block
-        n_detections += len(part)
-        times_s = part.times_s
-        for row, sync in zip(counts, trains):
-            row += histogram(fold(rescale(times_s, sync).q_prime, dq), dq, bins).counts
-    cdr, cable = (_arrival_variant(name, ArrivalHistogram(row, dq))
-                  for name, row in zip(("cdr", "cable"), counts))
+    hists, n_detections = fold_histogram(detection_stream(tx, rx, cfg)[1], trains, dq, bins)
+    cdr, cable = (_arrival_variant(name, h) for name, h in zip(("cdr", "cable"), hists))
     result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, n_detections)
     if out_dir is not None:
         result.write(out_dir)
@@ -397,10 +387,9 @@ class DecimationResult:
 def run_decimation_experiment(cfg: dict, out_dir=None) -> DecimationResult:
     """FWHM-vs-N sweep of the same detections at increasing decimation."""
     tx, rx = build_clocks(cfg)
-    det = sample_detections(tx, rx, cfg)
     (sync,) = make_sync_train(tx, rx, cfg)
-    table = decimation_sweep(det, sync, cfg["n_values"], delta_q_s=1.0 / cfg["qubit_rate_hz"],
-                             bin_count=cfg["histogram_bins"])
+    table = decimation_sweep(detection_stream(tx, rx, cfg)[1], sync, cfg["n_values"],
+                             delta_q_s=1.0 / cfg["qubit_rate_hz"], bin_count=cfg["histogram_bins"])
     result = DecimationResult(table, table.growth_point(2.0))
     if out_dir is not None:
         result.write(out_dir)
@@ -438,17 +427,18 @@ def run_doppler_check(cfg: dict, out_dir=None) -> DopplerResult:
     """
     betas = [float(b) for b in cfg["beta_values"]]
     tx, rx = build_clocks(cfg)
+    dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
     base = {**cfg, "doppler_beta": 0.0}
     (sync0,) = make_sync_train(tx, rx, base)
-    fwhm0 = fit_or_equivalent(_fold_and_bin(sample_detections(tx, rx, base), sync0, cfg))[0]
+    (h0,), _ = fold_histogram(detection_stream(tx, rx, base)[1], (sync0,), dq, bins)
+    fwhm0 = fit_or_equivalent(h0)[0]
 
     fwhm, control = np.full(len(betas), fwhm0), np.full(len(betas), fwhm0)
     for i in np.flatnonzero(betas):
         arm = {**cfg, "doppler_beta": betas[i]}
-        det = sample_detections(tx, rx, arm)
         (sync,) = make_sync_train(tx, rx, arm)
-        fwhm[i] = fit_or_equivalent(_fold_and_bin(det, sync, cfg))[0]
-        control[i] = fit_or_equivalent(_fold_and_bin(det, sync0, cfg))[0]
+        hists, _ = fold_histogram(detection_stream(tx, rx, arm)[1], (sync, sync0), dq, bins)
+        fwhm[i], control[i] = (fit_or_equivalent(h)[0] for h in hists)
     result = DopplerResult(np.asarray(betas), fwhm, control, fwhm0)
     if out_dir is not None:
         result.write(out_dir)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .classical_link import SyncPulseTrain
 
 # finest bin count that divides the 20 ns slot while staying within one
@@ -64,8 +63,8 @@ def rescale(times_s, sync: SyncPulseTrain) -> RescaledArrivals:
 
     For q in [s_i, s_{i+1}): q' = (q - s_i)/(s_{i+1} - s_i) * delta_s,
     with delta_s = sync.step_spacing_s.  times_s is a sorted array of
-    receiver seconds, such as the `times_s` of one `DetectionSet.select`
-    block.
+    receiver seconds, such as the `times_s` of one part of the detection
+    stream.
 
     Detections before s_0 or at or after the last pulse are dropped;
     since times_s is sorted, the kept ones are one contiguous run.  The
@@ -165,19 +164,25 @@ def histogram(folded, delta_q: float, bin_count: int) -> ArrivalHistogram:
     return ArrivalHistogram(counts.astype(np.int64), delta_q)
 
 
-def fold_histogram(detections, sync: SyncPulseTrain, delta_q_s: float,
-                   bin_count: int) -> ArrivalHistogram:
-    """Rescale, fold and histogram a `DetectionSet`.
+def fold_histogram(parts, trains: tuple, delta_q_s: float,
+                   bin_count: int) -> tuple[tuple[ArrivalHistogram, ...], int]:
+    """(one histogram per sync train, count of detections folded): each
+    part rescaled against each train, folded and histogrammed in one pass.
 
-    Its ticks are turned into seconds `rng.BLOCK_EVENTS` detections at a
-    time (see `rng` on blocks), so no full-length float copy of them is
-    made.
+    parts yields `DetectionSet`s in time order, as the stream of
+    `simulate.detection_stream` does; a part's ticks are turned into
+    seconds once, whatever the number of trains.  Counts over parts add,
+    so any split of the detections gives the same counts.
     """
-    counts = np.zeros(bin_count, dtype=np.int64)
-    for lo in range(0, len(detections), rng.BLOCK_EVENTS):
-        r = rescale(detections.select(slice(lo, lo + rng.BLOCK_EVENTS)).times_s, sync)
-        counts += histogram(fold(r.q_prime, delta_q_s), delta_q_s, bin_count).counts
-    return ArrivalHistogram(counts, delta_q_s)
+    counts = np.zeros((len(trains), bin_count), dtype=np.int64)
+    n = 0
+    for part in parts:
+        n += len(part)
+        times_s = part.times_s
+        for row, sync in zip(counts, trains):
+            row += histogram(fold(rescale(times_s, sync).q_prime, delta_q_s),
+                             delta_q_s, bin_count).counts
+    return tuple(ArrivalHistogram(row, delta_q_s) for row in counts), n
 
 
 @dataclass(frozen=True)
@@ -378,7 +383,7 @@ class SweepTable:
 
 
 def decimation_sweep(
-    detections,
+    parts,
     base_sync: SyncPulseTrain,
     n_values,
     *,
@@ -387,9 +392,10 @@ def decimation_sweep(
 ) -> SweepTable:
     """Rescale/fold/fit the same detections at each sync decimation N.
 
-    detections is a `DetectionSet`.  Rows where the Gaussian fit fails
-    fall back to the Gaussian-equivalent width and are flagged
-    fit_ok=false, never dropped.
+    parts yields time-ordered `DetectionSet`s, folded against every
+    decimated train in one pass (`fold_histogram`).  Rows where the
+    Gaussian fit fails fall back to the Gaussian-equivalent width and are
+    flagged fit_ok=false, never dropped.
     """
     n_values = [int(v) for v in n_values]
     if any(v < 1 for v in n_values):
@@ -400,8 +406,9 @@ def decimation_sweep(
     fwhm = np.empty(len(n_values))
     resid = np.empty(len(n_values))
     ok = np.zeros(len(n_values), dtype=bool)
-    for k, nv in enumerate(n_values):
-        h = fold_histogram(detections, base_sync.decimate(nv), delta_q_s, bin_count)
+    hists, _ = fold_histogram(parts, tuple(base_sync.decimate(nv) for nv in n_values),
+                              delta_q_s, bin_count)
+    for k, h in enumerate(hists):
         try:
             fwhm[k], resid[k], ok[k], _ = fit_or_equivalent(h)
         except FitError:

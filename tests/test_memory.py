@@ -1,5 +1,5 @@
 """Traced allocation peaks of the per-detection and per-pulse stages,
-of whole blocking and arrival runs, and of the anchor scan.
+of whole blocking, arrival and Doppler runs, and of the anchor scan.
 
 tracemalloc counts numpy's array buffers exactly, so the peaks are
 deterministic for a given numpy.  The stages walk their events in
@@ -13,14 +13,16 @@ stream), 33 and 12.4.
 
 A whole run holds its sync trains, the noise and one window of the
 detection stream (a QBER bin for blocking, a released batch for
-arrival), with the anchor scan's working blocks on top: on this config
-about 34 bytes per detection for blocking and 31 for arrival, against
-37 each when the run held every detection and the sampler sorted them
-all at once.  A run twice as long then adds only its trains' and its
-noise's bytes: blocking grows ~0.96 MB from 10 to 20 s and arrival
-~1.77 MB, where whole-run sampling grew 4.6 and 5.4 MB.  The anchor
-scan scores its shifts x pairs in blocks, so its peak stays flat in
-the search width; scored at once it grew ~0.11 MB per shift.
+arrival and Doppler), with the anchor scan's working blocks on top:
+on this config about 34 bytes per detection for blocking and 31 for
+arrival, against 37 each when the run held every detection and the
+sampler sorted them all at once.  A run twice as long then adds only
+its trains' and its noise's bytes: blocking grows ~0.96 MB from 10 to
+20 s, arrival ~1.77 MB and Doppler (each arm's train beside the
+beta = 0 train) ~1.88 MB, where whole-run sampling grew 4.6, 5.4 and
+9.2 MB.  The anchor scan scores its shifts x pairs in blocks, so its
+peak stays flat in the search width; scored at once it grew ~0.11 MB
+per shift.
 
 The first run in a process imports numpy submodules that numpy loads
 lazily (its random generators' modules), which a first traced blocking
@@ -101,9 +103,13 @@ def test_whole_arrival_run_peak_stays_within_a_per_detection_budget():
     assert peak / result.n_detections < ARRIVAL_RUN_BYTES_PER_DETECTION
 
 
+# decimation stays out: its receiver clock's frequency-walk table spans the
+# run (`timebase._walk_table`), so its peak grows with duration_s beyond the
+# trains and the noise until the walk is drawn per segment (ROADMAP item 10)
 @pytest.mark.parametrize("scenario, run, readouts", [
     ("blocking", simulate.run_blocking_experiment, 1),
     ("arrival", simulate.run_arrival_experiment, 2),
+    ("doppler", simulate.run_doppler_check, 2),  # an arm's train and the beta = 0 train
 ])
 def test_whole_run_peak_grows_only_by_the_sync_trains_and_noise(scenario, run, readouts):
     peaks = []

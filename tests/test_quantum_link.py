@@ -162,20 +162,6 @@ def test_time_tag_drops_pre_epoch_events():
         assert np.all(ds.ticks >= 0)
 
 
-def test_time_tag_in_parts_equals_one_pass_and_counts_drops():
-    truth = np.sort(np.random.default_rng(1).random(5000)) * 1e-8
-    det = np.arange(5000, dtype=np.int8) % 4
-    kw = dict(chain_jitter_sigma_s=2e-9, tdc_resolution_s=81e-12, slot=np.arange(5000))
-    whole = time_tag(truth, det, generator=np.random.default_rng(3), **kw)
-    parts = time_tag(iter(np.split(truth, [7, 1000, 1001])), det,
-                     generator=np.random.default_rng(3), **kw)
-    assert whole.dropped_before_epoch > 0
-    assert len(whole) + whole.dropped_before_epoch == truth.size
-    assert parts.dropped_before_epoch == whole.dropped_before_epoch
-    for name in ("ticks", "detector", "slot"):
-        assert np.array_equal(getattr(parts, name), getattr(whole, name)), name
-
-
 def test_time_tag_carries_ground_truth():
     gen = np.random.default_rng(5)
     ds = time_tag(
@@ -218,9 +204,6 @@ def test_time_tag_rejects_more_arrival_times_than_detector_codes():
               generator=np.random.default_rng(3))
     with pytest.raises(ValueError, match="5 arrival times for 4 detector codes"):
         time_tag(np.arange(5) * 1e-9, np.zeros(4, dtype=np.int8), **kw)
-    with pytest.raises(ValueError, match="5 arrival times for 4 detector codes"):
-        time_tag(iter([np.arange(3) * 1e-9, np.arange(2) * 1e-9]),
-                 np.zeros(4, dtype=np.int8), **kw)
 
 
 @pytest.mark.parametrize("name", ["origin", "slot"])

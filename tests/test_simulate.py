@@ -7,8 +7,8 @@ from qkdsync import rng
 from qkdsync.config import defaults
 from qkdsync.quantum_link import ORIGIN_SIGNAL
 from qkdsync.simulate import (
-    _fold_and_bin,
     build_clocks,
+    detection_stream,
     make_sync_train,
     pattern_from_config,
     run_arrival_experiment,
@@ -17,6 +17,7 @@ from qkdsync.simulate import (
     run_doppler_check,
     sample_detections,
 )
+from qkdsync.sync_recovery import fold_histogram
 
 TDC_BIN_S = 81e-12
 
@@ -158,19 +159,24 @@ def test_both_readouts_of_one_emission_equal_one_readout_calls(duration_s, block
 def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
     cfg = defaults("arrival", seed=12, duration_s=0.5)
     tx, rx = build_clocks(cfg)
-    (sync,) = make_sync_train(tx, rx, cfg)
+    trains = make_sync_train(tx, rx, cfg, readouts=("cdr", "cable"))
+    dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
+    det = sample_detections(tx, rx, cfg)
+    whole, n = fold_histogram([det], trains, dq, bins)  # the run folded as one part
+    assert n == len(det) > 5 * 997
 
-    def run():
-        det = sample_detections(tx, rx, cfg)
-        return det, _fold_and_bin(det, sync, cfg).counts
-
-    det, counts = run()
-    assert len(det) > 5 * 997
     monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
-    small_det, small_counts = run()
+    small_det = sample_detections(tx, rx, cfg)
     for name in ("ticks", "detector", "origin", "slot"):
         assert getattr(small_det, name).tobytes() == getattr(det, name).tobytes(), name
-    assert np.array_equal(small_counts, counts)
+    parts = list(detection_stream(tx, rx, cfg)[1])
+    assert len(parts) > 5
+    small, n_small = fold_histogram(parts, trains, dq, bins)
+    assert n_small == n and len(small) == len(whole) == 2
+    for h, h_small in zip(whole, small):
+        assert h_small.counts.tobytes() == h.counts.tobytes()
+    # the two trains fold the same detections into different counts
+    assert not np.array_equal(whole[0].counts, whole[1].counts)
 
 
 @pytest.mark.parametrize("overrides", [
