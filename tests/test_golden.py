@@ -25,7 +25,11 @@ SEED = 42
 # case -> (scenario, config-file lines); arrival, decimation and doppler
 # run at their defaults, blocking is shortened to 12 s with the block at
 # 4-8 s, and blocking-at-start to 8 s with the block at 0-3 s, so its
-# first bins have no phase and are never matched
+# first bins have no phase and are never matched.  The drift cases run
+# the clocks 4e-5 apart, so the pulses drift ~4e-5 x t from their nominal
+# times (400 us, four pulse spacings, by 10 s) and a sync window cut at a
+# nominal pulse index, not where the pulses are read, loses detections
+DRIFT = ["tx_fractional_offset = 2e-5", "rx_fractional_offset = -2e-5"]
 SCENARIOS = {
     "arrival": ("arrival", []),
     "decimation": ("decimation", []),
@@ -33,6 +37,9 @@ SCENARIOS = {
     "blocking": ("blocking", ["duration_s = 12", "block_start_s = 4", "block_end_s = 8"]),
     "blocking-at-start": ("blocking", ["duration_s = 8", "block_start_s = 0",
                                        "block_end_s = 3"]),
+    "blocking-drift": ("blocking", ["duration_s = 12", "block_start_s = 4", "block_end_s = 8",
+                                    *DRIFT]),
+    "arrival-drift": ("arrival", ["duration_s = 10", *DRIFT]),
 }
 
 
