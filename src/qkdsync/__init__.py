@@ -31,6 +31,7 @@ from .classical_link import (
     SyncPulseTrain,
     block_channel,
     cdr_track,
+    check_mean_spacing,
     derive_sync_pulses,
     modulate_ook,
     prbs31_bits,
@@ -88,6 +89,7 @@ from .simulate import (
     run_doppler_check,
     sample_detections,
     split_at,
+    sync_windows,
 )
 
 __version__ = "0.1.0"

@@ -17,8 +17,10 @@ Two levels of fidelity coexist here:
 * `synthesize_sync_train` produces only the divided-down pulses (10 kHz
   scale), placing each pulse on the transmitter chain's true symbol
   boundary as read through the receiver clock, plus a configurable
-  residual tracking jitter standing in for the CDR loop noise, and
-  scales to minutes.  With the residual at zero it matches `cdr_track`
+  residual tracking jitter standing in for the CDR loop noise.  It
+  synthesizes any range of a run's pulses from the last locked reading
+  before the range, so a run of any length is synthesized a range at a
+  time.  With the residual at zero it matches `cdr_track`
   + `derive_sync_pulses` boundary for boundary, within the pulses' own
   emit and read jitter (tests/test_classical_link.py compares the two
   over 4 M symbols).  One emission gives several readouts, as the CDR
@@ -62,6 +64,21 @@ SYNC_SPACING_TOLERANCE = 100e-6  # mean pulse spacing sanity bound, relative
 
 class NoLockError(RuntimeError):
     """The clock-recovery loop never reached (or lost) lock where needed."""
+
+
+def check_mean_spacing(first_s: float, last_s: float, steps: int, step_spacing_s: float) -> None:
+    """Raise ValueError unless the mean spacing of a run's sync pulses, its
+    first pulse at first_s and its last steps boundary steps later at
+    last_s, lies within SYNC_SPACING_TOLERANCE (relative) of step_spacing_s.
+
+    It checks whole runs only: a relock jump moves a window of a run
+    further from nominal than the run, which passes.
+    """
+    mean = (last_s - first_s) / steps
+    if abs(mean - step_spacing_s) > SYNC_SPACING_TOLERANCE * step_spacing_s:
+        raise ValueError(
+            f"mean sync spacing {mean:g} s per boundary step deviates from "
+            f"nominal {step_spacing_s:g} s by more than {SYNC_SPACING_TOLERANCE:g} relative")
 
 
 def prbs31_bits(seed_register: int, count: int) -> np.ndarray:
@@ -355,7 +372,8 @@ class SyncPulseTrain:
     rescaling and decimation work from that grid.  step_spacing_s is
     the nominal time between adjacent pulses.  locked is False for
     pulses generated while the recovery loop was free-running on the
-    local oscillator.
+    local oscillator.  A train may be a window of a run's pulses, which
+    first_pulse places in the run.
     """
 
     pulses: EdgeTrain
@@ -369,17 +387,8 @@ class SyncPulseTrain:
             raise ValueError("step_spacing_s must be > 0")
         if self.boundary_step < 1:
             raise ValueError("boundary_step must be >= 1")
-        n = len(self.pulses)
-        if len(self.locked) != n:
+        if len(self.locked) != len(self.pulses):
             raise ValueError("locked length mismatch")
-        if n >= 2:
-            t, step_s = self.times_s, self.step_spacing_s
-            mean = float(t[-1] - t[0]) / (n - 1)
-            if abs(mean - step_s) > SYNC_SPACING_TOLERANCE * step_s:
-                raise ValueError(
-                    f"mean sync spacing {mean:g} s per boundary step deviates from "
-                    f"nominal {step_s:g} s by more than {SYNC_SPACING_TOLERANCE:g} relative"
-                )
 
     @property
     def times_s(self) -> np.ndarray:
@@ -430,9 +439,12 @@ def derive_sync_pulses(rc: RecoveredClock, divisor: int) -> SyncPulseTrain:
     if not np.all(rc.locked[j] & rc.locked[j_next]):
         raise NoLockError("requested sync pulses fall in an unlocked region")
     times = rc.boundary_phase_s[j] + (targets - rc.boundary_index[j]) * rc.period_s[j]
+    spacing_s = divisor * rc.symbol_period_nominal_s
+    if times.size >= 2:
+        check_mean_spacing(times[0], times[-1], times.size - 1, spacing_s)
     return SyncPulseTrain(
         pulses=EdgeTrain(times),
-        step_spacing_s=divisor * rc.symbol_period_nominal_s,
+        step_spacing_s=spacing_s,
         first_pulse=k_first,
         boundary_step=divisor,
         locked=np.ones(targets.size, dtype=bool),
@@ -452,6 +464,8 @@ def synthesize_sync_train(
     doppler_beta: float = 0.0,
     blocks: tuple = (),
     relock_delay_s: float = 1e-5,
+    pulses: range | None = None,
+    last_locked: tuple = (-1, ()),
 ) -> tuple[SyncPulseTrain, ...]:
     """Scenario-scale sync trains without per-symbol simulation.
 
@@ -468,10 +482,15 @@ def synthesize_sync_train(
     pulse's place on the train's grid gives, so `SyncPulseTrain.decimate`
     keeps each pulse's own timing.
 
-    The pulses run in blocks of an eighth of `rng.BLOCK_EVENTS` (a
-    pulse's chain holds ~130 bytes of temporaries, a train 9) into
-    trains allocated once; a free-running pulse finds its anchor among
-    the pulses already written.
+    The trains hold the run's pulses in `pulses` (all of them by
+    default), with first_pulse = pulses.start.  A free-running pulse
+    extrapolates from the last locked pulse before it among them or,
+    failing that, from last_locked: (index of the last locked pulse
+    before pulses.start, its reading in each readout), or (-1, ()) if
+    none.  So the pulses synthesized in consecutive ranges, each with
+    the last locked reading of the ranges before it, are the bits of
+    one pass over the run; `simulate.sync_windows` synthesizes a run so,
+    holding one range's temporaries (some 130 bytes a pulse) at a time.
     """
     n_pulses = int(np.floor(duration_s * symbol_rate_hz / divisor))
     if n_pulses < 2:
@@ -479,42 +498,38 @@ def synthesize_sync_train(
     for bs, be in blocks:
         if not bs < be:
             raise ValueError(f"blocking interval is inverted: [{bs}, {be})")
+    pulses = range(n_pulses) if pulses is None else pulses
     spacing_nom = divisor / symbol_rate_hz
+    idx = np.arange(pulses.start, pulses.stop, dtype=np.int64)
+    b = idx * divisor
+    emit = local_time(tx_clock, b / symbol_rate_hz, jitter_index=b, jitter_stream="sync-emit")
+    arrival = (emit + propagation_delay_s) * (1.0 + doppler_beta)
+    locked = np.ones(idx.size, dtype=bool)
+    for bs, be in blocks:
+        locked &= ~((arrival >= bs) & (arrival < be + relock_delay_s))
+    read = slice(None) if locked.all() else locked  # only locked pulses are read
+    if read is locked:  # the free-running ones extrapolate from the last locked pulse
+        last, last_read = last_locked
+        anchor = np.maximum.accumulate(np.where(locked, idx, last))
+        free = ~locked & (anchor >= 0)
+        at = anchor[free]
+        inside = at >= pulses.start  # anchored in this range, not on last_locked
     key = rng.derive_key(seed, "cdr-residual")
-    readings = [np.empty(n_pulses) for _ in readouts]
-    locked = np.ones(n_pulses, dtype=bool)
-    last = -1  # index of the last locked pulse so far, -1 before the first
-    pulses_per_block = max(rng.BLOCK_EVENTS // 8, 1)
-    for lo in range(0, n_pulses, pulses_per_block):
-        hi = min(lo + pulses_per_block, n_pulses)
-        b = np.arange(lo, hi, dtype=np.int64) * divisor
-        emit = local_time(tx_clock, b / symbol_rate_hz, jitter_index=b,
-                          jitter_stream="sync-emit")
-        arrival = (emit + propagation_delay_s) * (1.0 + doppler_beta)
-        lk = locked[lo:hi]
-        for bs, be in blocks:
-            lk &= ~((arrival >= bs) & (arrival < be + relock_delay_s))
-        whole = bool(lk.all())  # every pulse locked: the block is read whole
-        if not whole:  # only locked pulses are read; the free-running ones are set below
-            arrival, b, idx = arrival[lk], b[lk], np.arange(lo, hi)
-            anchor = np.maximum.accumulate(np.where(lk, idx, last))
-            free = ~lk & (anchor >= 0)
-        last = hi - 1 if whole else int(anchor[-1])
-        for (stream, sigma_s), reading in zip(readouts, readings):
-            read = reading_time(rx_clock, arrival, jitter_index=b, jitter_stream=stream)
-            if sigma_s > 0:
-                read += sigma_s * rng.normal_at(key, b)
-            out = reading[lo:hi]
-            out[slice(None) if whole else lk] = read
-            if not whole:
-                out[free] = reading[anchor[free]] + (idx[free] - anchor[free]) * spacing_nom
-                # never locked yet: free-run from the receiver's own time zero
-                out[anchor < 0] = idx[anchor < 0] * spacing_nom
-
-    return tuple(SyncPulseTrain(
-        pulses=EdgeTrain(reading),
-        step_spacing_s=spacing_nom,
-        first_pulse=0,
-        boundary_step=divisor,
-        locked=locked,
-    ) for reading in readings)
+    trains = []
+    for r, (stream, sigma_s) in enumerate(readouts):
+        reading = np.empty(idx.size)
+        reading[read] = reading_time(rx_clock, arrival[read], jitter_index=b[read],
+                                     jitter_stream=stream)
+        if sigma_s > 0:
+            reading[read] += sigma_s * rng.normal_at(key, b[read])
+        if read is locked:
+            base = reading[np.where(inside, at - pulses.start, 0)]
+            if not inside.all():
+                base[~inside] = last_read[r]
+            reading[free] = base + (idx[free] - at) * spacing_nom
+            # never locked yet: free-run from the receiver's own time zero
+            reading[anchor < 0] = idx[anchor < 0] * spacing_nom
+        trains.append(SyncPulseTrain(pulses=EdgeTrain(reading), step_spacing_s=spacing_nom,
+                                     first_pulse=pulses.start, boundary_step=divisor,
+                                     locked=locked))
+    return tuple(trains)

@@ -15,11 +15,13 @@ Two kinds of generators are used throughout the simulator:
   slot exactly the state and timing of a dense pass over every slot
   (`tests/dense_reference.py`, checked in `tests/test_sampling.py`).
 
-Counter-based draws, like the per-event stages of `simulate`,
-`classical_link.synthesize_sync_train` and `qkd_analysis`, run
-`BLOCK_EVENTS` events at a time.  Every step is elementwise (or draws a
-sequential stream in order), and counts over blocks of sorted events
-add, so blocks give the bits of one whole-array pass.
+Counter-based draws, like the per-event stages of `simulate` and
+`qkd_analysis`, run `BLOCK_EVENTS` events at a time, and the sync
+pulses are synthesized an eighth of that at a time, into windows of a
+run's trains (`simulate.sync_windows`).  Every step is elementwise (or
+draws a sequential stream in order, or carries the last locked pulse's
+reading forward), and counts over blocks of sorted events add, so
+blocks give the bits of one whole-array pass.
 
 A draw computes each block in place, in the order of the whole-array
 expressions (`tests/test_rng.py` pins the bits), in the result block

@@ -15,21 +15,25 @@ pass that thins every slot; `tests/dense_reference.py` is that pass and
 
 `detection_stream` hands the detections out in time order, a batch of
 `rng.BLOCK_EVENTS` slots at a time, with the bits of one pass over the
-whole run.  The blocking runner splits it at its QBER bins and the
-other runners fold each part as it comes (`fold_histogram`), so their
-memory holds the sync trains, the noise and one part of the stream, not
-the run; `sample_detections` collects it into one set.
+whole run, and `sync_windows` the sync trains, a window of pulses for
+each span the stream is split into (`split_at`), with the bits of the
+whole trains.  The blocking runner matches each QBER bin against its
+window and the other runners fold each span against theirs
+(`fold_histogram`), so their memory holds the noise and one window of
+detections and of pulses, not the run; `sample_detections` and
+`make_sync_train` collect the stream and the windows whole.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .classical_link import SyncPulseTrain, synthesize_sync_train
+from .classical_link import SyncPulseTrain, check_mean_spacing, synthesize_sync_train
 from .qkd_analysis import (
     PhaseOffset,
     QberSeries,
@@ -60,7 +64,7 @@ from .sync_recovery import (
     require_peak,
     rescale,
 )
-from .timebase import ClockModel, local_time, reading_time
+from .timebase import ClockModel, EdgeTrain, local_time, reading_time
 
 MIN_DETECTIONS_PER_FIT = 50
 
@@ -281,6 +285,86 @@ def split_at(parts, edges_s):
         held = []
 
 
+def _pulse_grid(cfg: dict) -> tuple[int, float]:
+    """(sync pulses in the run, their nominal spacing in s)."""
+    divisor, rate = cfg["sync_divisor"], cfg["symbol_rate_hz"]
+    return int(math.floor(cfg["duration_s"] * rate / divisor)), divisor / rate
+
+
+def _range_pulses() -> int:
+    """Pulses synthesized at a time: a pulse's chain holds ~130 bytes of
+    temporaries, its place in a window 8 per readout and a lock flag."""
+    return max(rng.BLOCK_EVENTS // 8, 1)
+
+
+def _span_edges(cfg: dict) -> np.ndarray:
+    """Edges of spans of one synthesis range's nominal time from t = 0 over
+    the run, at which make_sync_train and the fold runners cut."""
+    span_s = _range_pulses() * _pulse_grid(cfg)[1]
+    return np.arange(1, math.ceil(cfg["duration_s"] / span_s)) * span_s
+
+
+def sync_windows(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, edges_s, *,
+                 readouts: tuple = ("cdr",), blocks: tuple = (), pad: int = 1):
+    """Windows of the sync trains `make_sync_train` returns, one for each
+    set `split_at(parts, edges_s)` cuts the detections into.
+
+    A window is a tuple of `SyncPulseTrain`s, one per readout, whose
+    first_pulse places it in the run.  It holds every pulse read (in any
+    readout) in its span, plus pad pulses on each side, and at least
+    2 * pad pulses (all of them in a shorter run).  So it brackets each
+    detection of its span that the whole trains bracket, and so does its
+    decimation by any N <= pad.  The spans are cut where the pulses are
+    read, not at a nominal pulse index: the pulses drift from nominal
+    (4e-5 x t at clock offsets of +-2e-5), so an index cut would drop
+    the detections next to an edge.
+
+    The pulses are synthesized once, in order, `rng.BLOCK_EVENTS // 8`
+    at a time, each range carrying forward the last locked reading
+    before it (`synthesize_sync_train`), so the windows give the bits of
+    the whole trains, and the generator holds one window and one range.
+    Windows overlap, so pulses that step back fail a window's
+    `EdgeTrain` check, as they fail the whole train's.  Once the last
+    pulse is synthesized, the run's mean spacing from its first pulse to
+    its last is checked (`check_mean_spacing`).
+    """
+    streams = {"cdr": ("sync-read", cfg["cdr_residual_jitter_ps"] * 1e-12),
+               "cable": ("cable-read", 0.0)}
+    synthesize = functools.partial(
+        synthesize_sync_train, tx_clock, rx_clock, cfg["duration_s"], cfg["symbol_rate_hz"],
+        cfg["sync_divisor"], seed=cfg["seed"], readouts=tuple(streams[r] for r in readouts),
+        propagation_delay_s=cfg["propagation_delay_s"], doppler_beta=cfg["doppler_beta"],
+        blocks=blocks, relock_delay_s=cfg["relock_delay_s"])
+    n, spacing_s = _pulse_grid(cfg)
+    step = _range_pulses()
+    held = [np.empty(0) for _ in readouts]  # each readout's pulses base, base + 1, ...
+    locked = np.empty(0, dtype=bool)
+    base = lo = 0  # the first pulse held, and the first of the window being cut
+    first, last_locked = (), (-1, ())
+    for edge in (*np.asarray(edges_s, dtype=np.float64), np.inf):
+        while True:  # synthesize until every pulse read before edge, and pad more, is held
+            top = base + locked.size
+            cut = [base + int(np.searchsorted(h, edge)) for h in held]  # pulses read before edge
+            hi = min(max(max(cut) + pad, lo + 2 * pad), n)
+            if top >= hi and (top == n or all(h[-1] >= edge for h in held)):
+                break
+            chunk = synthesize(pulses=range(top, min(top + step, n)), last_locked=last_locked)
+            first = first or tuple(t.times_s[0] for t in chunk)
+            k = np.flatnonzero(chunk[0].locked)
+            if k.size:
+                last_locked = (top + int(k[-1]), tuple(t.times_s[k[-1]] for t in chunk))
+            held = [np.concatenate((h, t.times_s)) for h, t in zip(held, chunk)]
+            locked = np.concatenate((locked, chunk[0].locked))
+            if base + locked.size == n:
+                for t0, h in zip(first, held):
+                    check_mean_spacing(t0, h[-1], n - 1, spacing_s)
+        w = slice(lo - base, hi - base)
+        yield tuple(SyncPulseTrain(EdgeTrain(h[w]), spacing_s, lo, cfg["sync_divisor"], locked[w])
+                    for h in held)
+        lo = max(lo, min(min(cut) - pad, n - 2 * pad))
+        held, locked, base = [h[lo - base:] for h in held], locked[lo - base:], lo
+
+
 def make_sync_train(
     tx_clock: ClockModel,
     rx_clock: ClockModel,
@@ -293,23 +377,30 @@ def make_sync_train(
 
     The cable train carries the same transmitter pulses with no recovery
     residual — only the receiver TDC's own jitter — and is the reference
-    the CDR path is compared against.
+    the CDR path is compared against.  The windows of `sync_windows`
+    are copied into trains allocated once, so beside the result this
+    holds one window and one range of synthesis.
     """
-    streams = {"cdr": ("sync-read", cfg["cdr_residual_jitter_ps"] * 1e-12),
-               "cable": ("cable-read", 0.0)}
-    return synthesize_sync_train(
-        tx_clock,
-        rx_clock,
-        cfg["duration_s"],
-        cfg["symbol_rate_hz"],
-        cfg["sync_divisor"],
-        seed=cfg["seed"],
-        readouts=tuple(streams[r] for r in readouts),
-        propagation_delay_s=cfg["propagation_delay_s"],
-        doppler_beta=cfg["doppler_beta"],
-        blocks=blocks,
-        relock_delay_s=cfg["relock_delay_s"],
-    )
+    n, spacing_s = _pulse_grid(cfg)
+    times, locked = [np.empty(n) for _ in readouts], np.empty(n, dtype=bool)
+    edges = _span_edges(cfg)
+    for window in sync_windows(tx_clock, rx_clock, cfg, edges, readouts=readouts, blocks=blocks):
+        w = slice(window[0].first_pulse, window[0].first_pulse + len(window[0]))
+        for t, train in zip(times, window):
+            t[w] = train.times_s
+        locked[w] = window[0].locked
+    return tuple(SyncPulseTrain(EdgeTrain(t), spacing_s, 0, cfg["sync_divisor"], locked)
+                 for t in times)
+
+
+def _in_spans(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, *train_cfgs, **sync):
+    """The fold runners' `fold_histogram` input: for each span of
+    `_span_edges`, (its detections at cfg, the windows of the sync trains
+    at each of train_cfgs, in one tuple)."""
+    edges = _span_edges(cfg)
+    windows = zip(*(sync_windows(tx_clock, rx_clock, c, edges, **sync) for c in train_cfgs))
+    parts = split_at(detection_stream(tx_clock, rx_clock, cfg)[1], edges)
+    return ((part, sum(w, ())) for part, w in zip(parts, windows))
 
 
 @dataclass(frozen=True)
@@ -355,14 +446,14 @@ def _arrival_variant(name, hist: ArrivalHistogram) -> ArrivalVariant:
 def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
     """Folded arrival peak with CDR sync and with ideal cable sync.
 
-    Both trains are synthesized first; each part of `detection_stream`
-    is then folded into both trains' counts, so the run holds the trains,
-    the noise and one part of the stream.
+    The detections of each span (`_span_edges`) are folded into both
+    trains' counts against the trains' windows over the span, so the run
+    holds the noise, one window of the trains and one span of the stream.
     """
     tx, rx = build_clocks(cfg)
-    trains = make_sync_train(tx, rx, cfg, readouts=("cdr", "cable"))
     dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
-    hists, n_detections = fold_histogram(detection_stream(tx, rx, cfg)[1], trains, dq, bins)
+    hists, n_detections = fold_histogram(_in_spans(tx, rx, cfg, cfg, readouts=("cdr", "cable")),
+                                         dq, bins)
     cdr, cable = (_arrival_variant(name, h) for name, h in zip(("cdr", "cable"), hists))
     result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, n_detections)
     if out_dir is not None:
@@ -385,10 +476,14 @@ class DecimationResult:
 
 
 def run_decimation_experiment(cfg: dict, out_dir=None) -> DecimationResult:
-    """FWHM-vs-N sweep of the same detections at increasing decimation."""
+    """FWHM-vs-N sweep of the same detections at increasing decimation.
+
+    Each span's window of the train holds max(n_values) pulses on each
+    side of the span, so its decimation by every N brackets the span.
+    """
     tx, rx = build_clocks(cfg)
-    (sync,) = make_sync_train(tx, rx, cfg)
-    table = decimation_sweep(detection_stream(tx, rx, cfg)[1], sync, cfg["n_values"],
+    spans = _in_spans(tx, rx, cfg, cfg, pad=max(cfg["n_values"]))
+    table = decimation_sweep(((part, sync) for part, (sync,) in spans), cfg["n_values"],
                              delta_q_s=1.0 / cfg["qubit_rate_hz"], bin_count=cfg["histogram_bins"])
     result = DecimationResult(table, table.growth_point(2.0))
     if out_dir is not None:
@@ -423,21 +518,21 @@ def run_doppler_check(cfg: dict, out_dir=None) -> DopplerResult:
     and the width must not move.  The control applies the same beta to
     the quantum stream only, which smears the fold and demonstrates why
     co-propagation matters.  At beta = 0 both arms are the baseline, which
-    is folded and fitted once.
+    is folded and fitted once.  Each arm folds its detections against
+    windows of its own train and of the beta = 0 train, synthesized again
+    beside it, so the run holds one window of each, not the trains.
     """
     betas = [float(b) for b in cfg["beta_values"]]
     tx, rx = build_clocks(cfg)
     dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
     base = {**cfg, "doppler_beta": 0.0}
-    (sync0,) = make_sync_train(tx, rx, base)
-    (h0,), _ = fold_histogram(detection_stream(tx, rx, base)[1], (sync0,), dq, bins)
+    (h0,), _ = fold_histogram(_in_spans(tx, rx, base, base), dq, bins)
     fwhm0 = fit_or_equivalent(h0)[0]
 
     fwhm, control = np.full(len(betas), fwhm0), np.full(len(betas), fwhm0)
     for i in np.flatnonzero(betas):
         arm = {**cfg, "doppler_beta": betas[i]}
-        (sync,) = make_sync_train(tx, rx, arm)
-        hists, _ = fold_histogram(detection_stream(tx, rx, arm)[1], (sync, sync0), dq, bins)
+        hists, _ = fold_histogram(_in_spans(tx, rx, arm, arm, base), dq, bins)
         fwhm[i], control[i] = (fit_or_equivalent(h)[0] for h in hists)
     result = DopplerResult(np.asarray(betas), fwhm, control, fwhm0)
     if out_dir is not None:
@@ -476,30 +571,31 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     the last bin are counted as never offered to the match.  cfg is
     resolved by `config`, which keeps the block inside the run.
 
-    The sync train is synthesized first; `detection_stream` is then
-    split at the bin edges, so the run holds the train, the noise and
-    one bin of detections, whatever its duration.
+    `detection_stream` is split at the bin edges, and each bin is
+    matched against its own window of the sync train (`sync_windows`),
+    so the run holds the noise and one bin of detections and of pulses,
+    whatever its duration.
     """
     bs, be = cfg["block_start_s"], cfg["block_end_s"]
     blocks = ((bs, be),) if be > bs else ()
 
     tx, rx = build_clocks(cfg)
     pattern = pattern_from_config(cfg)
-    (sync,) = make_sync_train(tx, rx, cfg, blocks=blocks)
     dq = 1.0 / cfg["qubit_rate_hz"]
     bin_s = cfg["qber_bin_s"]
     n_bins = int(math.ceil(cfg["duration_s"] / bin_s))
     match_kwargs = dict(qubit_rate_hz=cfg["qubit_rate_hz"], window_s=cfg["match_window_s"])
 
     bin_edges = np.arange(n_bins + 1) * bin_s
-    bins = split_at(detection_stream(tx, rx, cfg)[1], bin_edges)
-    n_detections = len(next(bins))  # none: detections start at t = 0
+    bins = zip(split_at(detection_stream(tx, rx, cfg)[1], bin_edges),
+               sync_windows(tx, rx, cfg, bin_edges, blocks=blocks))
+    n_detections = len(next(bins)[0])  # none: detections start at t = 0
     counts = np.zeros((4, n_bins), dtype=np.int64)  # n_z, e_z, n_x, e_x per bin
     phase_ok = np.zeros(n_bins, dtype=bool)
     phase: PhaseOffset | None = None
     slot_origin: int | None = None
     n_matched = n_unmatched = n_offered = 0
-    for b, sub in zip(range(n_bins), bins):
+    for b, (sub, (sync,)) in zip(range(n_bins), bins):
         n_detections += len(sub)
         rescaled = None  # the bin's rescale, shared by its fold and its match
         if len(sub) >= MIN_DETECTIONS_PER_FIT:
@@ -523,7 +619,8 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
         n_matched, n_unmatched = n_matched + len(pairs), n_unmatched + pairs.n_unmatched
         n_offered += len(sub)
 
-    n_detections += len(next(bins))  # past the last bin: never offered
+    # past the last bin: never offered.  Its window synthesizes the last pulses
+    n_detections += len(next(bins)[0])
     series = QberSeries.from_counts(bin_edges[:-1], bin_s, *counts)
     result = BlockingResult(series, bs, be, phase_ok, slot_origin, n_detections,
                             n_matched, n_unmatched, n_detections - n_offered)

@@ -17,6 +17,7 @@ effective interval and exposing nonlinear clock drift.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,24 +165,27 @@ def histogram(folded, delta_q: float, bin_count: int) -> ArrivalHistogram:
     return ArrivalHistogram(counts.astype(np.int64), delta_q)
 
 
-def fold_histogram(parts, trains: tuple, delta_q_s: float,
+def fold_histogram(pairs, delta_q_s: float,
                    bin_count: int) -> tuple[tuple[ArrivalHistogram, ...], int]:
     """(one histogram per sync train, count of detections folded): each
-    part rescaled against each train, folded and histogrammed in one pass.
+    part rescaled against each of its trains, folded and histogrammed in
+    one pass.
 
-    parts yields `DetectionSet`s in time order, as the stream of
-    `simulate.detection_stream` does; a part's ticks are turned into
-    seconds once, whatever the number of trains.  Counts over parts add,
-    so any split of the detections gives the same counts.
+    pairs yields at least one (part, trains): a `DetectionSet` and a
+    tuple of sync trains that bracket it as the run's trains do, such as
+    the windows `simulate.sync_windows` gives each set `simulate.split_at`
+    cuts the stream into, train k of every pair a window of the run's
+    train k.  A part's ticks are turned into seconds once, whatever the
+    number of trains.  Counts over parts add, so any split of the
+    detections gives the same counts.
     """
-    counts = np.zeros((len(trains), bin_count), dtype=np.int64)
-    n = 0
-    for part in parts:
+    counts, n = 0, 0
+    for part, trains in pairs:
         n += len(part)
         times_s = part.times_s
-        for row, sync in zip(counts, trains):
-            row += histogram(fold(rescale(times_s, sync).q_prime, delta_q_s),
-                             delta_q_s, bin_count).counts
+        counts = counts + np.stack([
+            histogram(fold(rescale(times_s, sync).q_prime, delta_q_s), delta_q_s,
+                      bin_count).counts for sync in trains])
     return tuple(ArrivalHistogram(row, delta_q_s) for row in counts), n
 
 
@@ -383,8 +387,7 @@ class SweepTable:
 
 
 def decimation_sweep(
-    parts,
-    base_sync: SyncPulseTrain,
+    pairs,
     n_values,
     *,
     delta_q_s: float,
@@ -392,10 +395,13 @@ def decimation_sweep(
 ) -> SweepTable:
     """Rescale/fold/fit the same detections at each sync decimation N.
 
-    parts yields time-ordered `DetectionSet`s, folded against every
-    decimated train in one pass (`fold_histogram`).  Rows where the
-    Gaussian fit fails fall back to the Gaussian-equivalent width and are
-    flagged fit_ok=false, never dropped.
+    pairs yields at least one (part, sync): a `DetectionSet` and a train
+    whose decimation by each N brackets it as the run's train does, such
+    as a window of `simulate.sync_windows` with pad max(n_values).  Each
+    part is folded against every decimation of its train in one pass
+    (`fold_histogram`).  Rows where the Gaussian fit fails fall back to
+    the Gaussian-equivalent width and are flagged fit_ok=false, never
+    dropped.
     """
     n_values = [int(v) for v in n_values]
     if any(v < 1 for v in n_values):
@@ -406,7 +412,11 @@ def decimation_sweep(
     fwhm = np.empty(len(n_values))
     resid = np.empty(len(n_values))
     ok = np.zeros(len(n_values), dtype=bool)
-    hists, _ = fold_histogram(parts, tuple(base_sync.decimate(nv) for nv in n_values),
+    pairs = iter(pairs)
+    first = next(pairs)
+    step_spacing_s = first[1].step_spacing_s
+    hists, _ = fold_histogram(((part, tuple(sync.decimate(nv) for nv in n_values))
+                               for part, sync in itertools.chain([first], pairs)),
                               delta_q_s, bin_count)
     for k, h in enumerate(hists):
         try:
@@ -415,7 +425,7 @@ def decimation_sweep(
             fwhm[k], resid[k], ok[k] = float("nan"), float("nan"), False
     return SweepTable(
         n=np.asarray(n_values, dtype=np.int64),
-        delta_s_eff_s=np.asarray(n_values, dtype=np.float64) * base_sync.step_spacing_s,
+        delta_s_eff_s=np.asarray(n_values, dtype=np.float64) * step_spacing_s,
         fwhm_s=fwhm,
         fit_residual=resid,
         fit_ok=ok,

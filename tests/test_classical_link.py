@@ -21,6 +21,7 @@ from qkdsync.classical_link import (
     derive_sync_pulses,
     modulate_ook,
     prbs31_bits,
+    check_mean_spacing,
     recovered_fractional_offset,
     synthesize_sync_train,
 )
@@ -305,12 +306,14 @@ def test_derive_sync_pulses_needs_lock():
 
 
 def test_sync_train_spacing_invariant_enforced():
+    # a run's mean spacing is checked from its first pulse to its last
     nominal = 1e-4
     good = np.arange(50) * nominal * (1 + 5e-5)   # 50 ppm off: fine
-    pulse_train(good[1:], nominal)
+    check_mean_spacing(good[1], good[-1], good.size - 2, nominal)
     bad = np.arange(50) * nominal * (1 + 5e-4)    # 500 ppm off: rejected
-    with pytest.raises(ValueError):
-        pulse_train(bad[1:], nominal)
+    with pytest.raises(ValueError, match="mean sync spacing"):
+        check_mean_spacing(bad[1], bad[-1], bad.size - 2, nominal)
+    pulse_train(bad[1:], nominal)  # a train may be a window of a run, which strays further
     with pytest.raises(ValueError, match="boundary_step"):
         SyncPulseTrain(EdgeTrain(good), nominal, first_pulse=1, boundary_step=0,
                        locked=np.ones(good.size, dtype=bool))
@@ -420,23 +423,34 @@ def test_synthesize_reads_only_locked_pulses_with_the_same_bits(block):
 
 @pytest.mark.parametrize("block", [(0.0, 0.02), (0.0131, 0.0457)],
                          ids=["from-start", "across-blocks"])
-def test_synthesize_in_small_blocks_gives_the_same_arrays(block, monkeypatch):
+def test_synthesize_in_small_blocks_gives_the_same_arrays(block):
     tx = make_clock(offset=5e-7, jitter=30e-12, seed=1, rate=FULL_RATE)
     rx = make_clock(offset=-5e-7, jitter=30e-12, seed=2, rate=FULL_RATE)
 
-    def run():
+    def run(pulses=None, last_locked=(-1, ())):
         return synthesize_sync_train(tx, rx, 0.06135, FULL_RATE, FULL_DIVISOR, seed=5,
-                                     propagation_delay_s=3e-6, blocks=(block,))[0]
+                                     readouts=(("sync-read", 90e-12), ("cable-read", 0.0)),
+                                     propagation_delay_s=3e-6, blocks=(block,),
+                                     pulses=pulses, last_locked=last_locked)
 
     whole = run()
-    monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)  # 12 pulses a block
-    small = run()
-    # 613 pulses; the free run starts at t = 0 (no anchor) or inside a
-    # block and goes on through later ones (anchor carried over)
-    assert len(whole) == 613 and not whole.locked[int(block[0] * 1e4) + 1]
-    for name in ("times_s", "locked"):
-        assert getattr(small, name).tobytes() == getattr(whole, name).tobytes(), name
-    assert (small.first_pulse, small.boundary_step) == (whole.first_pulse, whole.boundary_step)
+    # 613 pulses in ranges of 12, each carrying the last locked reading
+    # forward; the free run starts at t = 0 (no anchor) or inside a range
+    # and goes on through later ones (anchor carried over)
+    ranges, last_locked = [], (-1, ())
+    for lo in range(0, 613, 12):
+        trains = run(range(lo, min(lo + 12, 613)), last_locked)
+        k = np.flatnonzero(trains[0].locked)
+        if k.size:
+            last_locked = (lo + k[-1], tuple(t.times_s[k[-1]] for t in trains))
+        assert all(t.first_pulse == lo for t in trains)
+        ranges.append(trains)
+    assert len(whole[0]) == 613 and not whole[0].locked[int(block[0] * 1e4) + 1]
+    for r, train in enumerate(whole):
+        times = np.concatenate([trains[r].times_s for trains in ranges])
+        locked = np.concatenate([trains[r].locked for trains in ranges])
+        assert times.tobytes() == train.times_s.tobytes() and np.array_equal(locked, train.locked)
+    assert (whole[0].first_pulse, whole[0].boundary_step) == (0, FULL_DIVISOR)
 
 
 def test_synthesize_doppler_scales_times():

@@ -136,6 +136,22 @@ def test_no_peak_is_runtime_error(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "runtime"
 
 
+def test_a_relock_that_steps_the_pulses_back_fails_with_no_csv(tmp_path, capsys):
+    # the config passes its checks, but the receiver free-runs 4e-5 fast
+    # across the 4 s block, so its first pulse after relock reads ~160 us
+    # early, behind the last free-running one: the train steps back.  The
+    # window holding the relock fails mid-run, after bins were matched;
+    # the run must still exit as a runtime error and write no CSV
+    cfg = write_cfg(tmp_path, seed=1, duration_s=12, block_start_s=4, block_end_s=8,
+                    tx_fractional_offset=-2e-5, rx_fractional_offset=2e-5)
+    out = tmp_path / "back"
+    assert main(["blocking", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "runtime"
+    assert "not strictly increasing" in payload["message"]
+    assert not list(out.glob("*.csv"))
+
+
 def test_block_interval_past_the_run_is_config_error(tmp_path, capsys):
     # the default 20-40 s block does not fit a 10 s run
     cfg = write_cfg(tmp_path, seed=1, duration_s=10.0)

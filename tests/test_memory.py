@@ -9,20 +9,22 @@ pairs, 9 per pulse for the sync train: its times and lock flags).  On
 this config whole-array passes peak at about 114 bytes per detection
 when sampling, 94 when matching and 85 per pulse when synthesizing
 sync; blocks give about 35 (the set plus one batch of the detection
-stream), 33 and 12.4.
+stream), 33 and 14 (the train plus one window and one range of
+synthesis).
 
-A whole run holds its sync trains, the noise and one window of the
-detection stream (a QBER bin for blocking, a released batch for
-arrival and Doppler), with the anchor scan's working blocks on top:
-on this config about 34 bytes per detection for blocking and 31 for
-arrival, against 37 each when the run held every detection and the
-sampler sorted them all at once.  A run twice as long then adds only
-its trains' and its noise's bytes: blocking grows ~0.96 MB from 10 to
-20 s, arrival ~1.77 MB and Doppler (each arm's train beside the
-beta = 0 train) ~1.88 MB, where whole-run sampling grew 4.6, 5.4 and
-9.2 MB.  The anchor scan scores its shifts x pairs in blocks, so its
-peak stays flat in the search width; scored at once it grew ~0.11 MB
-per shift.
+A whole run holds the noise and one window of the detection stream (a
+QBER bin for blocking, a fold span of `rng.BLOCK_EVENTS // 8` pulses'
+nominal time for arrival and Doppler) and of the sync trains, with the
+anchor scan's working blocks on top: on this config about 29 bytes per
+detection for blocking and 21 for arrival, against 32 and 30 when the
+run held its whole sync trains.  A run twice as long then adds only its
+noise's bytes, and a window's where the longer run's peak falls in a
+fuller window: blocking grows ~0.46 MB from 10 to 20 s (~0.16 from 20 to
+40 s), arrival ~0.08 MB and Doppler ~0.09 MB, where whole-run trains
+grew 0.97, 1.78 and 1.88 MB, and whole-run sampling 4.6, 5.4 and 9.2
+MB.  The anchor scan scores its shifts x pairs in blocks, so its peak
+stays flat in the search width; scored at once it grew ~0.11 MB per
+shift.
 
 The first run in a process imports numpy submodules that numpy loads
 lazily (its random generators' modules), which a first traced blocking
@@ -36,7 +38,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkdsync import config, simulate
+from qkdsync import config, rng, simulate
 from qkdsync.qkd_analysis import PhaseOffset, match_detections, refine_anchor
 
 SAMPLING_BYTES_PER_DETECTION = 47
@@ -45,7 +47,7 @@ SYNC_PEAK_BYTES_PER_PULSE = 16
 BLOCKING_RUN_BYTES_PER_DETECTION = 50
 ARRIVAL_RUN_BYTES_PER_DETECTION = 40
 ANCHOR_PEAK_WIDTH_RATIO = 1.5  # peak at +-2000 shifts over the peak at +-50
-RUN_PEAK_GROWTH_RATIO = 1.25  # 20 s minus 10 s, over the train and noise bytes added
+RUN_PEAK_GROWTH_RATIO = 1.25  # 20 s minus 10 s, over the noise and window bytes
 
 
 def _traced_peak(run):
@@ -105,7 +107,7 @@ def test_whole_arrival_run_peak_stays_within_a_per_detection_budget():
 
 # decimation stays out: its receiver clock's frequency-walk table spans the
 # run (`timebase._walk_table`), so its peak grows with duration_s beyond the
-# trains and the noise until the walk is drawn per segment (ROADMAP item 10)
+# noise until the walk is drawn per segment (ROADMAP item 10)
 @pytest.mark.parametrize("scenario, run, readouts", [
     ("blocking", simulate.run_blocking_experiment, 1),
     ("arrival", simulate.run_arrival_experiment, 2),
@@ -117,12 +119,18 @@ def test_whole_run_peak_grows_only_by_the_sync_trains_and_noise(scenario, run, r
         blocks = {"block_start_s": 3.0, "block_end_s": 6.0} if scenario == "blocking" else {}
         cfg = config.resolve(scenario, {"duration_s": duration_s, **blocks}, 11)
         peaks.append(_traced_peak(lambda: run(cfg))[1])
-    # 10 s more adds pulses of 8 bytes per readout plus a shared lock flag,
-    # and noise events tagged as 18 bytes each; detections add nothing
-    pulses = 10.0 * cfg["symbol_rate_hz"] / cfg["sync_divisor"]
-    noise = 10.0 * 4 * (cfg["background_rate_hz"] + cfg["dark_rate_hz"])
-    added = pulses * (8 * readouts + 1) + noise * 18
-    assert peaks[1] - peaks[0] < RUN_PEAK_GROWTH_RATIO * added
+    # 10 s more adds noise events tagged as 18 bytes each; the sync trains
+    # and the detections add nothing, but the peak may fall in a window (a
+    # QBER bin or a fold span) holding more detections, at 18 bytes each,
+    # and pulses, at 8 bytes per readout plus a lock flag, than the shorter
+    # run's largest
+    noise_hz = 4 * (cfg["background_rate_hz"] + cfg["dark_rate_hz"])
+    pulse_hz = cfg["symbol_rate_hz"] / cfg["sync_divisor"]
+    detection_hz = cfg["qubit_rate_hz"] * cfg["transmittance"] * cfg["detector_efficiency"]
+    window_s = (cfg["qber_bin_s"] if scenario == "blocking"
+                else rng.BLOCK_EVENTS // 8 / pulse_hz)
+    window = window_s * ((detection_hz + noise_hz) * 18 + pulse_hz * (8 * readouts + 1))
+    assert peaks[1] - peaks[0] < RUN_PEAK_GROWTH_RATIO * (10.0 * noise_hz * 18 + window)
 
 
 def test_anchor_scan_peak_stays_flat_in_the_search_width():

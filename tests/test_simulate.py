@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qkdsync import rng
+from qkdsync import rng, simulate
 from qkdsync.config import defaults
 from qkdsync.quantum_link import ORIGIN_SIGNAL
 from qkdsync.simulate import (
@@ -16,8 +16,9 @@ from qkdsync.simulate import (
     run_decimation_experiment,
     run_doppler_check,
     sample_detections,
+    split_at,
 )
-from qkdsync.sync_recovery import fold_histogram
+from qkdsync.sync_recovery import fold_histogram, rescale
 
 TDC_BIN_S = 81e-12
 
@@ -162,7 +163,7 @@ def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
     trains = make_sync_train(tx, rx, cfg, readouts=("cdr", "cable"))
     dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
     det = sample_detections(tx, rx, cfg)
-    whole, n = fold_histogram([det], trains, dq, bins)  # the run folded as one part
+    whole, n = fold_histogram([(det, trains)], dq, bins)  # the run folded as one part
     assert n == len(det) > 5 * 997
 
     monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
@@ -171,7 +172,7 @@ def test_sampling_and_folding_in_small_blocks_give_the_same_bits(monkeypatch):
         assert getattr(small_det, name).tobytes() == getattr(det, name).tobytes(), name
     parts = list(detection_stream(tx, rx, cfg)[1])
     assert len(parts) > 5
-    small, n_small = fold_histogram(parts, trains, dq, bins)
+    small, n_small = fold_histogram(((part, trains) for part in parts), dq, bins)
     assert n_small == n and len(small) == len(whole) == 2
     for h, h_small in zip(whole, small):
         assert h_small.counts.tobytes() == h.counts.tobytes()
@@ -230,3 +231,66 @@ def test_blocking_in_small_blocks_gives_the_same_bits(monkeypatch):
     assert np.array_equal(small.phase_ok, whole.phase_ok) and whole.phase_ok.any()
     for name in ("slot_origin", "n_detections", "n_matched", "n_unmatched", "n_not_offered"):
         assert getattr(small, name) == getattr(whole, name), name
+
+
+def _files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("scenario, run, overrides", [
+    ("arrival", run_arrival_experiment, {}),  # 10 s: 806 windows of 124 pulses
+    ("decimation", run_decimation_experiment, {"duration_s": 3.0}),  # n_values up to 500
+    ("doppler", run_doppler_check, {"duration_s": 2.0}),  # 4 passes of 162 windows
+])
+def test_fold_runners_in_small_windows_write_the_same_bytes(scenario, run, overrides,
+                                                            tmp_path, monkeypatch):
+    cfg = defaults(scenario, seed=13, **overrides)
+    (tmp_path / "default").mkdir()
+    run(cfg, tmp_path / "default")
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
+    assert len(simulate._span_edges(cfg)) + 1 > 150
+    (tmp_path / "small").mkdir()
+    run(cfg, tmp_path / "small")
+    assert _files(tmp_path / "small") == _files(tmp_path / "default")
+
+
+@pytest.mark.parametrize("scenario, edges, pad", [
+    # the blocking drift golden: a 4 s block, clocks 4e-5 apart, bins of 1 s
+    ("blocking", np.arange(13.0), 1),
+    # the fold spans, each window padded by the largest decimation N
+    ("arrival", None, 500),
+], ids=["blocking-bins", "decimation-spans"])
+def test_each_window_is_the_whole_train_at_its_first_pulse_and_brackets_its_part(
+        scenario, edges, pad, monkeypatch):
+    monkeypatch.setattr(rng, "BLOCK_EVENTS", 997)
+    cfg = defaults(scenario, seed=3, duration_s=12.0, block_start_s=4.0, block_end_s=8.0,
+                   tx_fractional_offset=2e-5, rx_fractional_offset=-2e-5)
+    blocks = ((4.0, 8.0),) if scenario == "blocking" else ()
+    edges = simulate._span_edges(cfg) if edges is None else edges
+    tx, rx = build_clocks(cfg)
+    (whole,) = make_sync_train(tx, rx, cfg, blocks=blocks)
+    assert blocks == () or not whole.locked.all()
+    # the pulses are read 4e-5 x t after their nominal times: 4.8 spacings
+    # by 12 s, so a window cut at a nominal pulse index would miss pulses
+    late = whole.times_s[-1] - (len(whole) - 1) * whole.step_spacing_s
+    assert late > 4 * whole.step_spacing_s
+    factors = (1, 2, 500) if pad == 500 else (1,)
+    decimated = {n: whole.decimate(n) for n in factors}
+    pieces = split_at(detection_stream(tx, rx, cfg)[1], edges)
+    windows = simulate.sync_windows(tx, rx, cfg, edges, blocks=blocks, pad=pad)
+    n_windows = 0
+    for piece, (window,) in zip(pieces, windows, strict=True):
+        n_windows += 1
+        at = slice(window.first_pulse, window.first_pulse + len(window))
+        assert window.times_s.tobytes() == whole.times_s[at].tobytes()
+        assert np.array_equal(window.locked, whole.locked[at])
+        for n, train in decimated.items():
+            mine, run_wide = rescale(piece.times_s, window.decimate(n)), rescale(piece.times_s,
+                                                                                  train)
+            # it drops only what the whole train drops: detections outside the run's pulses
+            assert (mine.dropped_before, mine.dropped_after) == (run_wide.dropped_before,
+                                                                 run_wide.dropped_after)
+            assert mine.q_prime.tobytes() == run_wide.q_prime.tobytes()
+            shift = window.decimate(n).first_pulse - train.first_pulse
+            assert np.array_equal(mine.interval_index + shift, run_wide.interval_index)
+    assert n_windows == len(edges) + 1 > 10

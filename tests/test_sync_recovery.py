@@ -415,9 +415,9 @@ def test_decimation_sweep_validates_n_values():
     q = _picosecond_detections(np.sort(
         np.random.default_rng(3).uniform(sync.times_s[0], sync.times_s[-1], 100)))
     with pytest.raises(ValueError):
-        decimation_sweep([q], sync, [5, 1], delta_q_s=DELTA_Q)
+        decimation_sweep([(q, sync)], [5, 1], delta_q_s=DELTA_Q)
     with pytest.raises(ValueError):
-        decimation_sweep([q], sync, [0, 1], delta_q_s=DELTA_Q)
+        decimation_sweep([(q, sync)], [0, 1], delta_q_s=DELTA_Q)
 
 
 def test_decimation_sweep_rows_and_csv(tmp_path):
@@ -427,7 +427,7 @@ def test_decimation_sweep_rows_and_csv(tmp_path):
     slots = gen.integers(0, 5000 * 59, 30_000)
     q = _picosecond_detections(np.sort(
         sync.times_s[0] + slots * DELTA_Q + 5e-9 + gen.normal(0, 4e-10, slots.size)))
-    table = decimation_sweep([q], sync, [1, 2, 5], delta_q_s=DELTA_Q, bin_count=247)
+    table = decimation_sweep([(q, sync)], [1, 2, 5], delta_q_s=DELTA_Q, bin_count=247)
     assert np.array_equal(table.n, [1, 2, 5])
     assert np.allclose(table.delta_s_eff_s, [1e-4, 2e-4, 5e-4])
     assert np.all(table.fit_ok)
