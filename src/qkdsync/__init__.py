@@ -31,7 +31,6 @@ from .classical_link import (
     SyncPulseTrain,
     block_channel,
     cdr_track,
-    check_mean_spacing,
     derive_sync_pulses,
     modulate_ook,
     prbs31_bits,
