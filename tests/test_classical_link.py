@@ -18,10 +18,10 @@ from qkdsync.classical_link import (
     _pi_loop,
     block_channel,
     cdr_track,
+    check_mean_spacing,
     derive_sync_pulses,
     modulate_ook,
     prbs31_bits,
-    check_mean_spacing,
     recovered_fractional_offset,
     synthesize_sync_train,
 )
