@@ -396,9 +396,10 @@ def make_sync_train(
 def _in_spans(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, *train_cfgs, **sync):
     """The fold runners' `fold_histogram` input: for each span of
     `_span_edges`, (its detections at cfg, the windows of the sync trains
-    at each of train_cfgs, in one tuple)."""
+    at each of train_cfgs, or at cfg if none, in one tuple)."""
     edges = _span_edges(cfg)
-    windows = zip(*(sync_windows(tx_clock, rx_clock, c, edges, **sync) for c in train_cfgs))
+    windows = zip(*(sync_windows(tx_clock, rx_clock, c, edges, **sync)
+                    for c in train_cfgs or (cfg,)))
     parts = split_at(detection_stream(tx_clock, rx_clock, cfg)[1], edges)
     return ((part, sum(w, ())) for part, w in zip(parts, windows))
 
@@ -452,7 +453,7 @@ def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
     """
     tx, rx = build_clocks(cfg)
     dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
-    hists, n_detections = fold_histogram(_in_spans(tx, rx, cfg, cfg, readouts=("cdr", "cable")),
+    hists, n_detections = fold_histogram(_in_spans(tx, rx, cfg, readouts=("cdr", "cable")),
                                          dq, bins)
     cdr, cable = (_arrival_variant(name, h) for name, h in zip(("cdr", "cable"), hists))
     result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, n_detections)
@@ -482,7 +483,7 @@ def run_decimation_experiment(cfg: dict, out_dir=None) -> DecimationResult:
     side of the span, so its decimation by every N brackets the span.
     """
     tx, rx = build_clocks(cfg)
-    spans = _in_spans(tx, rx, cfg, cfg, pad=max(cfg["n_values"]))
+    spans = _in_spans(tx, rx, cfg, pad=max(cfg["n_values"]))
     table = decimation_sweep(((part, sync) for part, (sync,) in spans), cfg["n_values"],
                              delta_q_s=1.0 / cfg["qubit_rate_hz"], bin_count=cfg["histogram_bins"])
     result = DecimationResult(table, table.growth_point(2.0))
@@ -526,7 +527,7 @@ def run_doppler_check(cfg: dict, out_dir=None) -> DopplerResult:
     tx, rx = build_clocks(cfg)
     dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
     base = {**cfg, "doppler_beta": 0.0}
-    (h0,), _ = fold_histogram(_in_spans(tx, rx, base, base), dq, bins)
+    (h0,), _ = fold_histogram(_in_spans(tx, rx, base), dq, bins)
     fwhm0 = fit_or_equivalent(h0)[0]
 
     fwhm, control = np.full(len(betas), fwhm0), np.full(len(betas), fwhm0)
