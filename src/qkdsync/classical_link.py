@@ -59,26 +59,9 @@ SCAN_MAX_PASSES = 4
 SCAN_MAX_ERROR_FRACTION = 0.4
 SCAN_CLAMP_MARGIN = 0.999
 
-SYNC_SPACING_TOLERANCE = 100e-6  # mean pulse spacing sanity bound, relative
-
 
 class NoLockError(RuntimeError):
     """The clock-recovery loop never reached (or lost) lock where needed."""
-
-
-def check_mean_spacing(first_s: float, last_s: float, steps: int, step_spacing_s: float) -> None:
-    """Raise ValueError unless the mean spacing of a run's sync pulses, its
-    first pulse at first_s and its last steps boundary steps later at
-    last_s, lies within SYNC_SPACING_TOLERANCE (relative) of step_spacing_s.
-
-    It checks whole runs only: a relock jump moves a window of a run
-    further from nominal than the run, which passes.
-    """
-    mean = (last_s - first_s) / steps
-    if abs(mean - step_spacing_s) > SYNC_SPACING_TOLERANCE * step_spacing_s:
-        raise ValueError(
-            f"mean sync spacing {mean:g} s per boundary step deviates from "
-            f"nominal {step_spacing_s:g} s by more than {SYNC_SPACING_TOLERANCE:g} relative")
 
 
 def prbs31_bits(seed_register: int, count: int) -> np.ndarray:
@@ -370,7 +353,9 @@ class SyncPulseTrain:
     the receiver's own count of recovered boundaries, so the pulses lie
     on an evenly spaced boundary grid with no gap; slot matching,
     rescaling and decimation work from that grid.  step_spacing_s is
-    the nominal time between adjacent pulses.  locked is False for
+    the nominal time between adjacent pulses; the pulses may stray from
+    it as far as the clocks and the Doppler shift put them, as rescaling
+    reads each interval from its own two pulses.  locked is False for
     pulses generated while the recovery loop was free-running on the
     local oscillator.  A train may be a window of a run's pulses, which
     first_pulse places in the run.
@@ -439,12 +424,9 @@ def derive_sync_pulses(rc: RecoveredClock, divisor: int) -> SyncPulseTrain:
     if not np.all(rc.locked[j] & rc.locked[j_next]):
         raise NoLockError("requested sync pulses fall in an unlocked region")
     times = rc.boundary_phase_s[j] + (targets - rc.boundary_index[j]) * rc.period_s[j]
-    spacing_s = divisor * rc.symbol_period_nominal_s
-    if times.size >= 2:
-        check_mean_spacing(times[0], times[-1], times.size - 1, spacing_s)
     return SyncPulseTrain(
         pulses=EdgeTrain(times),
-        step_spacing_s=spacing_s,
+        step_spacing_s=divisor * rc.symbol_period_nominal_s,
         first_pulse=k_first,
         boundary_step=divisor,
         locked=np.ones(targets.size, dtype=bool),

@@ -12,11 +12,9 @@ beside the outputs for reproducibility.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import rng
-from .classical_link import SYNC_SPACING_TOLERANCE
 from .timebase import MAX_FRACTIONAL_OFFSET
 
 MAX_DOPPLER_BETA = 1e-4
@@ -189,31 +187,6 @@ def _validate(cfg: dict, scenario: str) -> None:
                        ("beta_values", cfg["beta_values"])):
         if any(abs(beta) >= MAX_DOPPLER_BETA for beta in betas):
             raise ConfigError(f"config key {key!r} must satisfy |beta| < {MAX_DOPPLER_BETA:g}")
-    tx, rx = cfg["tx_fractional_offset"], cfg["rx_fractional_offset"]
-    drift = (cfg["tx_drift_per_s"] - cfg["rx_drift_per_s"]) * cfg["duration_s"] / 2
-    pulses = cfg["duration_s"] * cfg["symbol_rate_hz"] / cfg["sync_divisor"]
-    jump = 0.0  # a block over the first pulse, relative to the train's span
-    if scenario == "blocking" and be > bs and pulses >= 2:
-        # a receiver blocked from its first pulse free-runs from its own time
-        # zero, so once the block clears its pulses jump by the path delay
-        stretch = 1 + cfg["doppler_beta"]
-        span_s = (math.floor(pulses) - 1) * cfg["sync_divisor"] / cfg["symbol_rate_hz"]
-        first = cfg["propagation_delay_s"] * stretch
-        last = (span_s * (1 + tx) + cfg["propagation_delay_s"]) * stretch
-        blocked = [bs <= t < be + cfg["relock_delay_s"] for t in (first, last)]
-        if blocked == [True, False]:
-            jump = first / span_s
-    doppler_arms = (0.0, *cfg["beta_values"]) if scenario == "doppler" else ()
-    for beta in (cfg["doppler_beta"], *doppler_arms):  # every beta a run synthesizes at
-        spacing = (1 + tx) * (1 + beta) / (1 + rx) - 1 + drift + jump  # relative mean spacing
-        if not abs(spacing) <= SYNC_SPACING_TOLERANCE:
-            raise ConfigError(
-                f"tx_fractional_offset, rx_fractional_offset, doppler_beta or beta_values "
-                f"({beta:g}), tx_drift_per_s and rx_drift_per_s over duration_s"
-                + (f", and a block over the first sync pulse (the receiver's jump by "
-                   f"propagation_delay_s once it clears)," if jump else "")
-                + f" put the mean sync spacing {spacing:.3g} off nominal, beyond "
-                f"{SYNC_SPACING_TOLERANCE:g}")
     if cfg["match_window_s"] > 1.0 / cfg["qubit_rate_hz"]:
         raise ConfigError(
             f"config key 'match_window_s' must not exceed the qubit slot "
@@ -225,6 +198,7 @@ def _validate(cfg: dict, scenario: str) -> None:
             f"(got {slots_per_pulse:g} qubit slots per sync pulse)")
     # the sync train holds floor(pulses) pulses, and floor(x) >= k iff x >= k
     # for an integer k; decimating by N keeps ceil(floor(pulses) / N) of them
+    pulses = cfg["duration_s"] * cfg["symbol_rate_hz"] / cfg["sync_divisor"]
     fits = f"duration_s * symbol_rate_hz / sync_divisor = {pulses:g} sync pulses"
     if not pulses >= 2:
         raise ConfigError(f"{fits}; a run needs at least 2")

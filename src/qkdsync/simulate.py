@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .classical_link import SyncPulseTrain, check_mean_spacing, synthesize_sync_train
+from .classical_link import SyncPulseTrain, synthesize_sync_train
 from .qkd_analysis import (
     PhaseOffset,
     QberSeries,
@@ -324,9 +324,7 @@ def sync_windows(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, edges_s,
     before it (`synthesize_sync_train`), so the windows give the bits of
     the whole trains, and the generator holds one window and one range.
     Windows overlap, so pulses that step back fail a window's
-    `EdgeTrain` check, as they fail the whole train's.  Once the last
-    pulse is synthesized, the run's mean spacing from its first pulse to
-    its last is checked (`check_mean_spacing`).
+    `EdgeTrain` check, as they fail the whole train's.
     """
     streams = {"cdr": ("sync-read", cfg["cdr_residual_jitter_ps"] * 1e-12),
                "cable": ("cable-read", 0.0)}
@@ -340,7 +338,7 @@ def sync_windows(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, edges_s,
     held = [np.empty(0) for _ in readouts]  # each readout's pulses base, base + 1, ...
     locked = np.empty(0, dtype=bool)
     base = lo = 0  # the first pulse held, and the first of the window being cut
-    first, last_locked = (), (-1, ())
+    last_locked = (-1, ())
     for edge in (*np.asarray(edges_s, dtype=np.float64), np.inf):
         while True:  # synthesize until every pulse read before edge, and pad more, is held
             top = base + locked.size
@@ -349,15 +347,11 @@ def sync_windows(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, edges_s,
             if top >= hi and (top == n or all(h[-1] >= edge for h in held)):
                 break
             chunk = synthesize(pulses=range(top, min(top + step, n)), last_locked=last_locked)
-            first = first or tuple(t.times_s[0] for t in chunk)
             k = np.flatnonzero(chunk[0].locked)
             if k.size:
                 last_locked = (top + int(k[-1]), tuple(t.times_s[k[-1]] for t in chunk))
             held = [np.concatenate((h, t.times_s)) for h, t in zip(held, chunk)]
             locked = np.concatenate((locked, chunk[0].locked))
-            if base + locked.size == n:
-                for t0, h in zip(first, held):
-                    check_mean_spacing(t0, h[-1], n - 1, spacing_s)
         w = slice(lo - base, hi - base)
         yield tuple(SyncPulseTrain(EdgeTrain(h[w]), spacing_s, lo, cfg["sync_divisor"], locked[w])
                     for h in held)

@@ -133,7 +133,6 @@ def test_criterion_5_rescaling_formula_oracle(report):
     n = 1000
     delta_s = 1e-4
     gaps = delta_s * (1.0 + rng.uniform(-3e-3, 3e-3, n))
-    gaps += delta_s - gaps.mean()  # keep the train's mean spacing nominal
     s = np.concatenate([[0.05], 0.05 + np.cumsum(gaps)])
     q = s[:-1] + rng.uniform(0.0, 1.0, n) * gaps
     q.sort()
