@@ -5,7 +5,9 @@ OOK-modulated PRBS-31 stream whose transmitter timescale is off by
 10 ppm, and plots the phase error and the recovered period converging.  The loop
 declares lock when the rolling RMS phase error drops below a fraction of
 the symbol period; afterwards a linear fit of tracked boundary phase vs
-boundary index reads back the transmitter's frequency offset to ~1e-10.
+boundary index reads back the transmitter's frequency offset, at the
+default 200 k symbols within 3.7e-9, 6.1e-9 and 5.5e-9 at seeds 1, 42
+and 7.
 
 Writes cdr_lock.png into --out.
 """

@@ -11,9 +11,11 @@ Two levels of fidelity coexist here:
 * `cdr_track` follows each transition edge individually.  It is the
   honest model, used for loop-level behavior (lock acquisition,
   frequency transfer, dropout/relock).  It runs as a blocked prefix
-  scan at a few million edges per second, so a few milliseconds of the
-  1.25 Gb/s line (millions of edges) take about a second; minutes of
-  link remain out of its reach.
+  scan at about 3.5 M edges per second on one core and, like the
+  modulator before it, holds its outputs (33 bytes per edge) and one
+  block of edges.  The 1.25 Gb/s line makes ~625 M edges per second of
+  link, so a few milliseconds of it take about a second and some
+  100 MB; minutes of link remain out of its reach.
 * `synthesize_sync_train` produces only the divided-down pulses (10 kHz
   scale), placing each pulse on the transmitter chain's true symbol
   boundary as read through the receiver clock, plus a configurable
@@ -105,10 +107,12 @@ def modulate_ook(bits, tx_clock: ClockModel) -> EdgeTrain:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size == 0:
         raise ValueError("cannot modulate an empty bit sequence")
-    levels = np.concatenate([[0], bits])
-    boundary = np.flatnonzero(levels[1:] != levels[:-1]).astype(np.int64)
-    sched = boundary / tx_clock.nominal_frequency_hz
-    times = local_time(tx_clock, sched, jitter_index=boundary, jitter_stream="ook-edges")
+    boundary = np.flatnonzero(np.diff(bits, prepend=np.uint8(0)))
+    times = np.empty(boundary.size)
+    for lo in range(0, boundary.size, SCAN_BLOCK_EDGES):
+        b = boundary[lo:lo + SCAN_BLOCK_EDGES]
+        times[lo:lo + b.size] = local_time(tx_clock, b / tx_clock.nominal_frequency_hz,
+                                           jitter_index=b, jitter_stream="ook-edges")
     return EdgeTrain(times)
 
 
@@ -134,8 +138,8 @@ class RecoveredClock:
     @property
     def lock_index(self) -> int:
         """Index of the first locked edge, or -1 if lock was never reached."""
-        hits = np.flatnonzero(self.locked)
-        return int(hits[0]) if hits.size else -1
+        first = int(np.argmax(self.locked))
+        return first if self.locked[first] else -1
 
 
 def cdr_track(
@@ -159,18 +163,21 @@ def cdr_track(
 
     Once each edge's symbol gap m is known, the update is an affine map
     of the loop state, so `_scan_block` tracks the edges SCAN_BLOCK_EDGES
-    at a time as a prefix scan of those maps.  The scan's working memory
-    is a few blocks whatever the stream length; the outputs take a few
-    arrays of one value per edge, and `_lock_flags` about ten temporary
-    arrays of that length.  A block the scan cannot reproduce (the
-    period clamp would fire, m does not settle, or a phase error comes
-    within reach of half a period, where rounding could pick another m)
-    runs whole through the per-edge loop `_pi_loop`, from the state the
-    block before it left.  Scan and loop agree to rounding: the same
-    boundary counts and lock flags, and phases within 0.01 ps on streams
-    near t = 0 (the loop rounds in absolute seconds, 0.007 ps per step
-    at 50 s, the scan in offsets from the nominal grid).  Lock flags
-    come from a cumulative sum of squared phase errors.
+    at a time as a prefix scan of those maps.  Each block's edges are
+    read, tracked and flagged in turn, so the working memory is a few
+    blocks whatever the stream length, beside the outputs' 33 bytes per
+    edge (four arrays of 8 bytes and the lock flags).  A block the scan
+    cannot reproduce (the period clamp would fire, m does not settle,
+    or a phase error comes within reach of half a period, where rounding
+    could pick another m) runs whole through the per-edge loop
+    `_pi_loop`, from the state the block before it left.  Scan and loop
+    agree to rounding: the same boundary counts and lock flags, and
+    phases within 0.01 ps on streams near t = 0 (the loop rounds in
+    absolute seconds, 0.007 ps per step at 50 s, the scan in offsets
+    from the nominal grid).  Lock flags come from a cumulative sum of
+    squared phase errors carried from block to block, so a lock window
+    may span blocks and the flags have the bits of one pass over the
+    stream's phase errors.
 
     A stream that never locks yields a RecoveredClock with lock_index
     -1; downstream consumers refuse to derive pulses from it.
@@ -182,32 +189,54 @@ def cdr_track(
     if not 0 < loop_bandwidth_hz < rx_clock.nominal_frequency_hz / 10:
         raise ValueError("loop_bandwidth_hz must be positive and well below the symbol rate")
 
-    t_obs = reading_time(rx_clock, t_emit + propagation_delay_s,
-                         jitter_index=np.arange(n, dtype=np.int64), jitter_stream="cdr-edges")
+    def read(lo, hi):
+        return reading_time(rx_clock, t_emit[lo:hi] + propagation_delay_s,
+                            jitter_index=np.arange(lo, hi, dtype=np.int64),
+                            jitter_stream="cdr-edges")
 
     t_nom = rx_clock.period_s
     alpha, beta = _pi_gains(loop_bandwidth_hz, t_nom)
+    thr_sq = (LOCK_RMS_FRACTION * t_nom) ** 2 * LOCK_WINDOW_EDGES
 
+    t_obs = np.empty(n)
     phase = np.empty(n)
     period = np.empty(n)
     bindex = np.empty(n, dtype=np.int64)
-    err = np.empty(n)
-    phase[0], period[0], bindex[0], err[0] = t_obs[0], t_nom, 0, 0.0
+    locked = np.empty(n, dtype=bool)
+    t_obs[:1] = read(0, 1)
+    phase[0], period[0], bindex[0], locked[0] = t_obs[0], t_nom, 0, False
+    # carried between blocks: the last LOCK_WINDOW_EDGES + 1 values of the
+    # running sum of squared phase errors (0 up to edge 1) and the latest
+    # signal loss (edge 0 for the stream start), which restarts the window;
+    # edge 0 and signal-loss edges are never locked
+    sq_tail, last_reset = np.zeros(LOCK_WINDOW_EDGES + 1), 0
 
     for lo in range(1, n, SCAN_BLOCK_EDGES):
         hi = min(lo + SCAN_BLOCK_EDGES, n)
+        t_obs[lo:hi] = read(lo, hi)
         state = (phase[lo - 1], period[lo - 1], bindex[lo - 1])
         block = _scan_block(t_obs[lo:hi], t_obs[0], t_nom, alpha, beta, *state)
         if block is None:
             block = _pi_loop(t_obs[lo:hi], *state, t_nom, alpha, beta)
-        phase[lo:hi], period[lo:hi], bindex[lo:hi], err[lo:hi] = block
+        phase[lo:hi], period[lo:hi], bindex[lo:hi], err = block
+
+        # the cumulative sum restarts from the carried value, so it has
+        # the bits of one sum over the whole stream
+        idx = np.arange(lo, hi)
+        reset = np.diff(bindex[lo - 1:hi]) > GAP_UNLOCK_SYMBOLS
+        sq_sum = np.concatenate((sq_tail[:-1], np.cumsum(
+            np.concatenate((sq_tail[-1:], np.where(reset, 0.0, err * err))))))
+        window = sq_sum[LOCK_WINDOW_EDGES + 1:] - sq_sum[1:-LOCK_WINDOW_EDGES]
+        latest = np.maximum.accumulate(np.where(reset, idx, last_reset))
+        locked[lo:hi] = (idx - latest >= LOCK_WINDOW_EDGES) & (window < thr_sq)
+        sq_tail, last_reset = sq_sum[-LOCK_WINDOW_EDGES - 1:], latest[-1]
 
     return RecoveredClock(
         edge_time_s=t_obs,
         boundary_phase_s=phase,
         boundary_index=bindex,
         period_s=period,
-        locked=_lock_flags(err, bindex, t_nom),
+        locked=locked,
         symbol_period_nominal_s=t_nom,
     )
 
@@ -314,35 +343,37 @@ def _affine_scan(m, r, alpha, beta, delta0, p0):
     return maps[0, 2], maps[1, 2]
 
 
-def _lock_flags(err, bindex, t_nom):
-    """Lock where the last LOCK_WINDOW_EDGES phase errors since the latest
-    signal loss (or the stream start) have an RMS below LOCK_RMS_FRACTION
-    of a symbol period; edge 0 and signal-loss edges are never locked."""
-    n = err.size
-    idx = np.arange(n)
-    reset = np.concatenate(([True], np.diff(bindex) > GAP_UNLOCK_SYMBOLS))
-    since = idx - np.maximum.accumulate(np.where(reset, idx, 0))
-    sq_sum = np.concatenate(([0.0], np.cumsum(np.where(reset, 0.0, err * err))))
-    window = sq_sum[idx + 1] - sq_sum[np.maximum(idx + 1 - LOCK_WINDOW_EDGES, 0)]
-    thr_sq = (LOCK_RMS_FRACTION * t_nom) ** 2 * LOCK_WINDOW_EDGES
-    return (since >= LOCK_WINDOW_EDGES) & (window < thr_sq)
-
-
 def recovered_fractional_offset(rc: RecoveredClock) -> float:
     """The fractional symbol-rate offset seen by the loop, from a linear fit.
 
     Regresses the tracked boundary phase against boundary index over the
     locked span (discarding the first quarter of locked samples, which
-    still carry the acquisition transient).
+    still carry the acquisition transient).  The least-squares slope
+    comes from two passes over SCAN_BLOCK_EDGES edges at a time: the
+    means, then the sums of centred products.
     """
-    idx = np.flatnonzero(rc.locked)
-    if idx.size < 100:
+    n_locked = int(np.count_nonzero(rc.locked))
+    if n_locked < 100:
         raise NoLockError("not enough locked samples to estimate the frequency offset")
-    idx = idx[idx.size // 4:]
-    x = rc.boundary_index[idx] * rc.symbol_period_nominal_s
-    y = rc.boundary_phase_s[idx]
-    slope = np.polyfit(x - x[0], y - y[0], 1)[0]
-    return float(slope - 1.0)
+
+    def samples():
+        skip = n_locked // 4
+        for lo in range(0, rc.locked.size, SCAN_BLOCK_EDGES):
+            i = lo + np.flatnonzero(rc.locked[lo:lo + SCAN_BLOCK_EDGES])
+            i, skip = i[skip:], max(skip - i.size, 0)
+            yield rc.boundary_index[i] * rc.symbol_period_nominal_s, rc.boundary_phase_s[i]
+
+    n = n_locked - n_locked // 4
+    x_sum = y_sum = sxy = sxx = 0.0
+    for x, y in samples():
+        x_sum += float(x.sum())
+        y_sum += float(y.sum())
+    x_mean, y_mean = x_sum / n, y_sum / n
+    for x, y in samples():
+        x -= x_mean
+        sxy += float(x @ (y - y_mean))
+        sxx += float(x @ x)
+    return sxy / sxx - 1.0
 
 
 @dataclass(frozen=True)

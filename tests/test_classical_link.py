@@ -153,11 +153,22 @@ def test_cdr_locks_quickly_on_clean_stream():
     assert np.all(rc.locked[rc.lock_index:])
 
 
-def test_cdr_recovers_fractional_offset():
+def test_cdr_recovers_fractional_offset(monkeypatch):
     for offset in (-1e-5, 0.0, 1e-5):
         rc = _tracked(tx_offset=offset, jitter=30e-12)
         measured = recovered_fractional_offset(rc)
         assert abs(measured - offset) < 1e-7
+        # the least squares over blocks is the slope of a linear fit, also
+        # when the skipped first quarter of the locked edges spans blocks
+        idx = np.flatnonzero(rc.locked)
+        idx = idx[idx.size // 4:]
+        x = rc.boundary_index[idx] * rc.symbol_period_nominal_s
+        y = rc.boundary_phase_s[idx]
+        fit = np.polyfit(x - x[0], y - y[0], 1)[0] - 1
+        assert abs(measured - fit) < 1e-12
+        with monkeypatch.context() as patched:
+            patched.setattr(classical_link, "SCAN_BLOCK_EDGES", 997)
+            assert abs(recovered_fractional_offset(rc) - fit) < 1e-12
 
 
 def test_cdr_tracking_jitter_stays_near_input_jitter():
@@ -259,6 +270,29 @@ def test_cdr_scan_falls_back_to_the_per_edge_loop(monkeypatch):
     assert np.array_equal(rc.locked, locked)
     assert np.max(np.abs(rc.boundary_phase_s - phase)) < 0.01e-12
     assert np.max(np.abs(rc.period_s - period)) < 1e-15
+
+
+@pytest.mark.parametrize("jitter", [30e-12, 5.5e-9], ids=["clean", "lock-flickers"])
+def test_cdr_block_size_moves_no_count_or_lock_flag(jitter, monkeypatch):
+    # at 5.5 ns of jitter the window's RMS error sits near the lock
+    # threshold, so the flags flip hundreds of times and most blocks
+    # run through the per-edge loop
+    gap = (2e-3, 2e-3 + 2000 / SYMBOL_RATE)
+    whole = _tracked(tx_offset=1e-5, jitter=jitter, symbols=120_000, block=gap)
+    monkeypatch.setattr(classical_link, "SCAN_BLOCK_EDGES", 997)
+    rc = _tracked(tx_offset=1e-5, jitter=jitter, symbols=120_000, block=gap)
+    # the relock's lock window straddles a boundary of the 997-edge blocks
+    # (edge 0 stands alone, block k holds edges 1 + 997k onwards)
+    relock = np.flatnonzero(rc.edge_time_s >= gap[1])[0]
+    assert (relock - 1) // 997 < (relock + LOCK_WINDOW_EDGES - 1) // 997
+    assert not rc.locked[relock:relock + LOCK_WINDOW_EDGES].any()
+    assert rc.locked[relock + LOCK_WINDOW_EDGES:].any()
+    for name in ("edge_time_s", "boundary_index", "locked"):
+        assert getattr(rc, name).tobytes() == getattr(whole, name).tobytes()
+    assert np.array_equal(rc.locked, _loop_reference(rc)[3])
+    # the scan composes its maps within a block, so the phases round differently
+    assert np.max(np.abs(rc.boundary_phase_s - whole.boundary_phase_s)) < 0.01e-12
+    assert np.max(np.abs(rc.period_s - whole.period_s)) < 1e-15
 
 
 def test_cdr_requires_two_edges():

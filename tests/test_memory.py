@@ -1,5 +1,6 @@
-"""Traced allocation peaks of the per-detection and per-pulse stages,
-of whole blocking, arrival and Doppler runs, and of the anchor scan.
+"""Traced allocation peaks of the per-detection, per-pulse and per-edge
+stages, of whole blocking, arrival and Doppler runs, and of the anchor
+scan.
 
 tracemalloc counts numpy's array buffers exactly, so the peaks are
 deterministic for a given numpy.  The stages walk their events in
@@ -11,6 +12,12 @@ when sampling, 94 when matching and 85 per pulse when synthesizing
 sync; blocks give about 35 (the set plus one batch of the detection
 stream), 33 and 14 (the train plus one window and one range of
 synthesis).
+
+The edge-level CDR chain runs `classical_link.SCAN_BLOCK_EDGES` edges
+at a time.  Over ~1 M edges `modulate_ook` peaks at about 17 bytes per
+edge (the boundary indices and the edge times), `cdr_track` at 35.5
+(its outputs take 33) and `recovered_fractional_offset` at 0.4, where
+whole-stream passes took 56, 89 and 68.
 
 A whole run holds the noise and one window of the detection stream (a
 QBER bin for blocking, a fold span of `rng.BLOCK_EVENTS // 8` pulses'
@@ -38,9 +45,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkdsync import config, rng, simulate
+from qkdsync import classical_link, config, rng, simulate
 from qkdsync.qkd_analysis import PhaseOffset, match_detections, refine_anchor
 
+MODULATION_BYTES_PER_EDGE = 20
+CDR_TRACK_BYTES_PER_EDGE = 40
+OFFSET_FIT_BYTES_PER_EDGE = 2
 SAMPLING_BYTES_PER_DETECTION = 47
 MATCHING_BYTES_PER_DETECTION = 40
 SYNC_PEAK_BYTES_PER_PULSE = 16
@@ -90,6 +100,23 @@ def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():
         qubit_rate_hz=CFG["qubit_rate_hz"], window_s=CFG["match_window_s"]))
     assert len(pairs) > 0.99 * len(det)
     assert peak / len(det) < MATCHING_BYTES_PER_DETECTION
+
+
+def test_cdr_chain_peaks_stay_within_a_per_edge_budget():
+    cfg = config.resolve("arrival", {}, 11)
+    tx, rx = simulate.build_clocks(cfg)
+    bits = classical_link.prbs31_bits(0x1234567, 2_000_000)
+    edges, peak = _traced_peak(lambda: classical_link.modulate_ook(bits, tx))
+    assert len(edges) > 900_000
+    assert peak / len(edges) < MODULATION_BYTES_PER_EDGE
+
+    rc, peak = _traced_peak(lambda: classical_link.cdr_track(
+        edges, cfg["cdr_loop_bandwidth_hz"], rx, propagation_delay_s=cfg["propagation_delay_s"]))
+    assert rc.lock_index >= 0
+    assert peak / len(edges) < CDR_TRACK_BYTES_PER_EDGE
+
+    _, peak = _traced_peak(lambda: classical_link.recovered_fractional_offset(rc))
+    assert peak / len(edges) < OFFSET_FIT_BYTES_PER_EDGE
 
 
 def test_whole_blocking_run_peak_stays_within_a_per_detection_budget():
