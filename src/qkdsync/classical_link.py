@@ -11,11 +11,12 @@ Two levels of fidelity coexist here:
 * `cdr_track` follows each transition edge individually.  It is the
   honest model, used for loop-level behavior (lock acquisition,
   frequency transfer, dropout/relock).  It runs as a blocked prefix
-  scan at about 3.5 M edges per second on one core and, like the
-  modulator before it, holds its outputs (33 bytes per edge) and one
-  block of edges.  The 1.25 Gb/s line makes ~625 M edges per second of
-  link, so a few milliseconds of it take about a second and some
-  100 MB; minutes of link remain out of its reach.
+  scan at about 3.5 M edges per second on one core.  Like
+  `modulate_ook` before it and `recovered_fractional_offset` after it,
+  it works one block of edges at a time, so it holds its outputs (33
+  bytes per edge) and one block.  The 1.25 Gb/s line makes ~625 M
+  edges per second of link, so a few milliseconds of it take about a
+  second and some 100 MB; minutes of link remain out of its reach.
 * `synthesize_sync_train` produces only the divided-down pulses (10 kHz
   scale), placing each pulse on the transmitter chain's true symbol
   boundary as read through the receiver clock, plus a configurable
