@@ -136,17 +136,54 @@ def _merged(first: DetectionSet, second: DetectionSet, dropped: int = 0) -> Dete
                         np.insert(first.slot, at, second.slot), dropped)
 
 
+def _tagged_noise(cfg: dict, jitter: np.random.Generator) -> DetectionSet:
+    """The run's background and dark events, tagged with chain jitter drawn
+    from jitter; its length plus `dropped_before_epoch` is the count drawn.
+
+    The events are drawn from the noise stream one group per noise kind
+    and detector, and each group is tagged before the next is drawn.  A
+    group is tagged in draw order and sorted stably, so one stable sort of
+    all the groups breaks ties in draw order, as tagging every draw at
+    once does.  The slot is the constant -1, held as a zero-stride view,
+    so the set holds 10 bytes per event.
+    """
+    duration_s, tdc_s = cfg["duration_s"], cfg["tdc_resolution_ps"] * 1e-12
+    gen, groups = rng.generator(cfg["seed"], "noise"), []
+    for rate, origin in ((cfg["background_rate_hz"], ORIGIN_BACKGROUND),
+                         (cfg["dark_rate_hz"], ORIGIN_DARK)):
+        if rate <= 0:
+            continue
+        for det in (H, V, D, A):
+            k = int(gen.poisson(rate * duration_s))
+            groups.append(time_tag(gen.random(k) * duration_s, np.full(k, det, np.int8),
+                                   chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
+                                   tdc_resolution_s=tdc_s, generator=jitter,
+                                   origin=np.full(k, origin, np.int8)))
+    dropped = sum(g.dropped_before_epoch for g in groups)
+    ticks, detector, origin = (
+        np.concatenate([getattr(g, name) for g in groups] or [np.empty(0, dtype)])
+        for name, dtype in (("ticks", np.int64), ("detector", np.int8), ("origin", np.int8)))
+    del groups
+    order = np.argsort(ticks, kind="stable")
+    ticks.sort(kind="stable")
+    return DetectionSet(ticks, detector[order], tdc_s, origin[order],
+                        np.broadcast_to(np.int64(-1), ticks.size), dropped)
+
+
 def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
     """(events sampled, time-ordered stream of the detections `sample_detections` returns).
 
     The stream yields `DetectionSet`s with ground truth; joined in order
     they are, array for array, the set `sample_detections` returns, and
     each carries in `dropped_before_epoch` the events dropped at t = 0
-    since the one before.  Its memory is one batch of signals, the noise
-    and the events not yet released, not the run.
+    since the one before.  Its memory is the noise, at 10 bytes per
+    event, the events not yet released and the batch being built, not the
+    run: no batch, nor the inputs it was built from, is kept across a
+    yield.
 
-    Noise events are drawn and tagged at once.  Surviving slots follow in
-    batches of `rng.BLOCK_EVENTS`: each is measured, run through the emit
+    Noise events are drawn and tagged first, one detector and noise kind
+    at a time (`_tagged_noise`).  Surviving slots follow in batches of
+    `rng.BLOCK_EVENTS`: each is measured, run through the emit
     -> arrival -> read chain and tagged, which sorts it.  Every event
     pending from earlier batches, and every noise event, whose tick lies
     below the new batch's first tick (its horizon) is then released, in
@@ -166,18 +203,6 @@ def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
     """
     seed, duration_s, qubit_rate_hz = cfg["seed"], cfg["duration_s"], cfg["qubit_rate_hz"]
     sigma_s, tdc_s = cfg["chain_jitter_ps"] * 1e-12, cfg["tdc_resolution_ps"] * 1e-12
-    noise_gen = rng.generator(seed, "noise")
-    times, dets, origins = [], [], []  # one entry per detector and noise kind
-    for rate, origin in ((cfg["background_rate_hz"], ORIGIN_BACKGROUND),
-                         (cfg["dark_rate_hz"], ORIGIN_DARK)):
-        if rate <= 0:
-            continue
-        for det in (H, V, D, A):
-            k = int(noise_gen.poisson(rate * duration_s))
-            times.append(noise_gen.random(k) * duration_s)
-            dets.append(np.full(k, det, dtype=np.int8))
-            origins.append(np.full(k, origin, dtype=np.int8))
-
     n_slots = int(math.floor(duration_s * qubit_rate_hz))
     p = cfg["transmittance"] * cfg["detector_efficiency"]
     n_sig = sum(b.size for b in _signal_slots(n_slots, p, rng.generator(seed, "signal-thinning")))
@@ -188,31 +213,27 @@ def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
     if sigma_s > 0:
         for lo in range(0, n_sig, rng.BLOCK_EVENTS):
             noise_jitter.standard_normal(min(rng.BLOCK_EVENTS, n_sig - lo))
-    n_noise = sum(t.size for t in times)
-    noise = time_tag(np.concatenate(times or [np.empty(0)]),
-                     np.concatenate(dets or [np.empty(0, np.int8)]),
-                     chain_jitter_sigma_s=sigma_s, tdc_resolution_s=tdc_s,
-                     generator=noise_jitter,
-                     origin=np.concatenate(origins or [np.empty(0, np.int8)]),
-                     slot=np.full(n_noise, -1, dtype=np.int64))
-    del times, dets, origins
+
+    noise = _tagged_noise(cfg, noise_jitter)
+    pattern = pattern_from_config(cfg)
+
+    def tagged(slots) -> DetectionSet:
+        """The batch of surviving slots measured, read and tagged."""
+        in_z = basis_gen.random(slots.size) < 0.5
+        detector = detector_codes(pattern.states(slots), in_z, coin_gen.random(slots.size))
+        emit = local_time(tx_clock, slots / qubit_rate_hz,
+                          jitter_index=slots, jitter_stream="qubit-emit")
+        read = reading_time(
+            rx_clock, (emit + cfg["propagation_delay_s"]) * (1.0 + cfg["doppler_beta"]),
+            jitter_index=slots, jitter_stream="det-read")
+        return time_tag(read, detector, chain_jitter_sigma_s=sigma_s, tdc_resolution_s=tdc_s,
+                        generator=signal_jitter,
+                        origin=np.full(slots.size, ORIGIN_SIGNAL, dtype=np.int8), slot=slots)
 
     def release():
-        pattern = pattern_from_config(cfg)
         pending = _truth_slice(noise, slice(0, 0))  # signals not yet released
         dropped, released, horizon = noise.dropped_before_epoch, 0, 0
-        for slots in _signal_slots(n_slots, p, rng.generator(seed, "signal-thinning")):
-            in_z = basis_gen.random(slots.size) < 0.5
-            detector = detector_codes(pattern.states(slots), in_z, coin_gen.random(slots.size))
-            emit = local_time(tx_clock, slots / qubit_rate_hz,
-                              jitter_index=slots, jitter_stream="qubit-emit")
-            read = reading_time(
-                rx_clock, (emit + cfg["propagation_delay_s"]) * (1.0 + cfg["doppler_beta"]),
-                jitter_index=slots, jitter_stream="det-read")
-            batch = time_tag(read, detector, chain_jitter_sigma_s=sigma_s,
-                             tdc_resolution_s=tdc_s, generator=signal_jitter,
-                             origin=np.full(slots.size, ORIGIN_SIGNAL, dtype=np.int8),
-                             slot=slots)
+        for batch in map(tagged, _signal_slots(n_slots, p, rng.generator(seed, "signal-thinning"))):
             dropped += batch.dropped_before_epoch
             if not len(batch):
                 continue
@@ -224,13 +245,16 @@ def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
             horizon = int(batch.ticks[0])
             k = int(np.searchsorted(pending.ticks, horizon))
             upto = int(np.searchsorted(noise.ticks, horizon))
-            yield _merged(_truth_slice(pending, slice(k)),
-                          _truth_slice(noise, slice(released, upto)), dropped)
+            ready = _merged(_truth_slice(pending, slice(k)),
+                            _truth_slice(noise, slice(released, upto)), dropped)
             pending = _merged(_truth_slice(pending, slice(k, None)), batch)
+            del batch
+            yield ready
+            del ready
             dropped, released = 0, upto
         yield _merged(pending, _truth_slice(noise, slice(released, None)), dropped)
 
-    return n_sig + n_noise, release()
+    return n_sig + len(noise) + noise.dropped_before_epoch, release()
 
 
 def sample_detections(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict) -> DetectionSet:
@@ -569,7 +593,8 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     `detection_stream` is split at the bin edges, and each bin is
     matched against its own window of the sync train (`sync_windows`),
     so the run holds the noise and one bin of detections and of pulses,
-    whatever its duration.
+    whatever its duration: a bin's detections, window, rescale and pairs
+    are dropped before the next bin is pulled.
     """
     bs, be = cfg["block_start_s"], cfg["block_end_s"]
     blocks = ((bs, be),) if be > bs else ()
@@ -607,12 +632,13 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
                                                 **match_kwargs)[0].slot_origin
                 phase = PhaseOffset(fit.offset_s, slot_origin)
                 phase_ok[b] = True
-        if phase is None:
-            continue
-        pairs = match_detections(sub, sync, phase, pattern, rescaled=rescaled, **match_kwargs)
-        counts[:, b] = [np.count_nonzero(mask) for mask in sift(pairs)]
-        n_matched, n_unmatched = n_matched + len(pairs), n_unmatched + pairs.n_unmatched
-        n_offered += len(sub)
+        if phase is not None:
+            pairs = match_detections(sub, sync, phase, pattern, rescaled=rescaled, **match_kwargs)
+            counts[:, b] = [np.count_nonzero(mask) for mask in sift(pairs)]
+            n_matched, n_unmatched = n_matched + len(pairs), n_unmatched + pairs.n_unmatched
+            n_offered += len(sub)
+            del pairs
+        del sub, sync, rescaled  # the next bin is built without this one's arrays
 
     # past the last bin: never offered.  Its window synthesizes the last pulses
     n_detections += len(next(bins)[0])

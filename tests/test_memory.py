@@ -1,6 +1,6 @@
 """Traced allocation peaks of the per-detection, per-pulse and per-edge
-stages, of whole blocking, arrival and Doppler runs, and of the anchor
-scan.
+stages, of the noise build, of whole blocking, arrival and Doppler runs,
+and of the anchor scan.
 
 tracemalloc counts numpy's array buffers exactly, so the peaks are
 deterministic for a given numpy.  The stages walk their events in
@@ -9,9 +9,15 @@ outputs (18 bytes per detection for the sampled set, 18 for the matched
 pairs, 9 per pulse for the sync train: its times and lock flags).  On
 this config whole-array passes peak at about 114 bytes per detection
 when sampling, 94 when matching and 85 per pulse when synthesizing
-sync; blocks give about 35 (the set plus one batch of the detection
+sync; blocks give about 34 (the set plus one batch of the detection
 stream), 33 and 14 (the train plus one window and one range of
 synthesis).
+
+The noise is drawn and tagged one detector and noise kind at a time,
+then merged by one stable sort, and held as ticks, detector and origin
+(its slot is a zero-stride -1): `detection_stream` peaks at about 20
+bytes per noise event while it builds the noise, and holds 10, where
+drawing and tagging every event at once peaked at 60 and held 18.
 
 The edge-level CDR chain runs `classical_link.SCAN_BLOCK_EDGES` edges
 at a time.  Over ~1 M edges `modulate_ook` peaks at about 17 bytes per
@@ -22,16 +28,19 @@ whole-stream passes took 56, 89 and 68.
 A whole run holds the noise and one window of the detection stream (a
 QBER bin for blocking, a fold span of `rng.BLOCK_EVENTS // 8` pulses'
 nominal time for arrival and Doppler) and of the sync trains, with the
-anchor scan's working blocks on top: on this config about 29 bytes per
-detection for blocking and 21 for arrival, against 32 and 30 when the
-run held its whole sync trains.  A run twice as long then adds only its
-noise's bytes, and a window's where the longer run's peak falls in a
-fuller window: blocking grows ~0.46 MB from 10 to 20 s (~0.16 from 20 to
-40 s), arrival ~0.08 MB and Doppler ~0.09 MB, where whole-run trains
-grew 0.97, 1.78 and 1.88 MB, and whole-run sampling 4.6, 5.4 and 9.2
-MB.  The anchor scan scores its shifts x pairs in blocks, so its peak
-stays flat in the search width; scored at once it grew ~0.11 MB per
-shift.
+anchor scan's working blocks on top: on this config about 23 bytes per
+detection for blocking and 18 for arrival.  They were 29 and 21 while
+the stream kept a batch and its inputs across a yield, blocking kept
+the last QBER bin's arrays while it built the next, and the noise was
+tagged at once, and 32 and 30 when the run held its whole sync trains.
+A run twice as long then adds only its noise's bytes, and a window's
+where the longer run's peak falls in a fuller window: blocking grows
+~0.08 MB from 10 to 20 s (~0.10 from 20 to 40 s), arrival ~0.04 MB and
+Doppler ~0.05 MB, where noise tagged at once grew 0.46, 0.08 and 0.09
+MB, whole-run trains 0.97, 1.78 and 1.88 MB, and whole-run sampling
+4.6, 5.4 and 9.2 MB.  The anchor scan scores its shifts x pairs in
+blocks, so its peak stays flat in the search width; scored at once it
+grew ~0.11 MB per shift.
 
 The first run in a process imports numpy submodules that numpy loads
 lazily (its random generators' modules), which a first traced blocking
@@ -47,14 +56,16 @@ import pytest
 
 from qkdsync import classical_link, config, rng, simulate
 from qkdsync.qkd_analysis import PhaseOffset, match_detections, refine_anchor
+from qkdsync.quantum_link import ORIGIN_SIGNAL
 
 MODULATION_BYTES_PER_EDGE = 20
 CDR_TRACK_BYTES_PER_EDGE = 40
 OFFSET_FIT_BYTES_PER_EDGE = 2
 SAMPLING_BYTES_PER_DETECTION = 47
+NOISE_BUILD_BYTES_PER_EVENT = 26
 MATCHING_BYTES_PER_DETECTION = 40
 SYNC_PEAK_BYTES_PER_PULSE = 16
-BLOCKING_RUN_BYTES_PER_DETECTION = 50
+BLOCKING_RUN_BYTES_PER_DETECTION = 26
 ARRIVAL_RUN_BYTES_PER_DETECTION = 40
 ANCHOR_PEAK_WIDTH_RATIO = 1.5  # peak at +-2000 shifts over the peak at +-50
 RUN_PEAK_GROWTH_RATIO = 1.25  # 20 s minus 10 s, over the noise and window bytes
@@ -102,6 +113,18 @@ def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():
     assert peak / len(det) < MATCHING_BYTES_PER_DETECTION
 
 
+def test_noise_build_peak_stays_within_a_per_event_budget():
+    # ~800 k noise events beside ~200 k signals: the call draws and tags
+    # the noise, and only counts the signals
+    cfg = config.resolve("arrival", {"duration_s": 10.0, "background_rate_hz": 1e4,
+                                     "dark_rate_hz": 1e4}, 11)
+    tx, rx = simulate.build_clocks(cfg)
+    (n, parts), peak = _traced_peak(lambda: simulate.detection_stream(tx, rx, cfg))
+    n_noise = n - sum(np.count_nonzero(part.origin == ORIGIN_SIGNAL) for part in parts)
+    assert n_noise > 700_000
+    assert peak / n_noise < NOISE_BUILD_BYTES_PER_EVENT
+
+
 def test_cdr_chain_peaks_stay_within_a_per_edge_budget():
     cfg = config.resolve("arrival", {}, 11)
     tx, rx = simulate.build_clocks(cfg)
@@ -146,7 +169,7 @@ def test_whole_run_peak_grows_only_by_the_sync_trains_and_noise(scenario, run, r
         blocks = {"block_start_s": 3.0, "block_end_s": 6.0} if scenario == "blocking" else {}
         cfg = config.resolve(scenario, {"duration_s": duration_s, **blocks}, 11)
         peaks.append(_traced_peak(lambda: run(cfg))[1])
-    # 10 s more adds noise events tagged as 18 bytes each; the sync trains
+    # 10 s more adds noise events tagged as 10 bytes each; the sync trains
     # and the detections add nothing, but the peak may fall in a window (a
     # QBER bin or a fold span) holding more detections, at 18 bytes each,
     # and pulses, at 8 bytes per readout plus a lock flag, than the shorter
@@ -157,7 +180,7 @@ def test_whole_run_peak_grows_only_by_the_sync_trains_and_noise(scenario, run, r
     window_s = (cfg["qber_bin_s"] if scenario == "blocking"
                 else rng.BLOCK_EVENTS // 8 / pulse_hz)
     window = window_s * ((detection_hz + noise_hz) * 18 + pulse_hz * (8 * readouts + 1))
-    assert peaks[1] - peaks[0] < RUN_PEAK_GROWTH_RATIO * (10.0 * noise_hz * 18 + window)
+    assert peaks[1] - peaks[0] < RUN_PEAK_GROWTH_RATIO * (10.0 * noise_hz * 10 + window)
 
 
 def test_anchor_scan_peak_stays_flat_in_the_search_width():

@@ -14,16 +14,16 @@ import pytest
 from qkdsync import config, rng
 from qkdsync.quantum_link import (A, D, H, V, ORIGIN_BACKGROUND, ORIGIN_DARK, ORIGIN_SIGNAL,
                                   measure_polarization, time_tag)
-from qkdsync.simulate import (build_clocks, detection_stream, pattern_from_config,
-                              sample_detections, split_at)
+from qkdsync.simulate import (_tagged_noise, build_clocks, detection_stream,
+                              pattern_from_config, sample_detections, split_at)
 from qkdsync.timebase import local_time, reading_time
 
 FIELDS = ("ticks", "detector", "origin", "slot")
 
 
-def whole_run(tx, rx, cfg):
-    seed, duration_s, rate_hz = cfg["seed"], cfg["duration_s"], cfg["qubit_rate_hz"]
-    noise_gen = rng.generator(seed, "noise")
+def noise_draws(cfg):
+    """(times, detectors, origins) of the noise, one array per noise kind and detector."""
+    duration_s, noise_gen = cfg["duration_s"], rng.generator(cfg["seed"], "noise")
     times, dets, origins = [], [], []
     for noise_rate, origin in ((cfg["background_rate_hz"], ORIGIN_BACKGROUND),
                                (cfg["dark_rate_hz"], ORIGIN_DARK)):
@@ -32,6 +32,12 @@ def whole_run(tx, rx, cfg):
             times.append(noise_gen.random(k) * duration_s)
             dets.append(np.full(k, det))
             origins.append(np.full(k, origin))
+    return times, dets, origins
+
+
+def whole_run(tx, rx, cfg):
+    seed, duration_s, rate_hz = cfg["seed"], cfg["duration_s"], cfg["qubit_rate_hz"]
+    times, dets, origins = noise_draws(cfg)
     n_slots = int(math.floor(duration_s * rate_hz))
     p = cfg["transmittance"] * cfg["detector_efficiency"]
     expect = n_slots * p
@@ -89,6 +95,29 @@ def test_stream_and_sampler_equal_one_pass_over_the_whole_run(overrides, monkeyp
     if "tdc_resolution_ps" in overrides:
         signal = reference.origin == ORIGIN_SIGNAL
         assert np.intersect1d(reference.ticks[signal], reference.ticks[~signal]).size > 100
+
+
+def test_noise_tagged_per_detector_equals_one_tagging_of_every_draw():
+    # ~0.1 noise events per 1 us tick, so detectors share ticks, and 0.1 s
+    # of chain jitter (allowed at this transmittance) moves events before t = 0
+    cfg = config.resolve("arrival", {"duration_s": 2.0, "transmittance": 1e-6,
+                                     "chain_jitter_ps": 1e11, "background_rate_hz": 2e4,
+                                     "tdc_resolution_ps": 1e6}, 5)
+    times, dets, origins = noise_draws(cfg)
+    n = sum(t.size for t in times)
+    reference = time_tag(np.concatenate(times), np.concatenate(dets),
+                         chain_jitter_sigma_s=cfg["chain_jitter_ps"] * 1e-12,
+                         tdc_resolution_s=cfg["tdc_resolution_ps"] * 1e-12,
+                         generator=rng.generator(cfg["seed"], "chain-jitter"),
+                         origin=np.concatenate(origins), slot=np.full(n, -1))
+    noise = _tagged_noise(cfg, rng.generator(cfg["seed"], "chain-jitter"))
+    assert len(noise) + noise.dropped_before_epoch == n
+    assert noise.dropped_before_epoch == reference.dropped_before_epoch > 1000
+    assert noise.tdc_resolution_s == reference.tdc_resolution_s
+    for name in FIELDS:
+        assert getattr(noise, name).tobytes() == getattr(reference, name).tobytes(), name
+    tied = (np.diff(reference.ticks) == 0) & (np.diff(reference.detector) != 0)
+    assert np.count_nonzero(tied) > 1000
 
 
 def test_split_at_cuts_where_searchsorted_puts_the_edges(monkeypatch):
