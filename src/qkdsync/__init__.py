@@ -87,7 +87,6 @@ from .simulate import (
     run_decimation_experiment,
     run_doppler_check,
     sample_detections,
-    split_at,
     sync_windows,
 )
 

@@ -17,7 +17,7 @@ materializing 5e8 emissions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,6 +133,32 @@ class DetectionSet:
         """The detections at index (a slice or an index array), without ground truth."""
         return DetectionSet(ticks=self.ticks[index], detector=self.detector[index],
                             tdc_resolution_s=self.tdc_resolution_s)
+
+    def take(self, index) -> "DetectionSet":
+        """The detections at index, with their ground truth."""
+        return DetectionSet(self.ticks[index], self.detector[index], self.tdc_resolution_s,
+                            self.origin[index], self.slot[index])
+
+    @staticmethod
+    def join(sets, dropped: int) -> "DetectionSet":
+        """The detections of sets (at least one), one after another, in one
+        set that carries dropped in `dropped_before_epoch`."""
+        sets = [d for d in sets if len(d)] or sets[:1]  # one nonempty set is not copied
+        if len(sets) == 1:
+            return replace(sets[0], dropped_before_epoch=dropped)
+        ticks, detector, origin, slot = (np.concatenate([getattr(d, name) for d in sets])
+                                         for name in ("ticks", "detector", "origin", "slot"))
+        return DetectionSet(ticks, detector, sets[0].tdc_resolution_s, origin, slot, dropped)
+
+    def merge(self, other: "DetectionSet") -> "DetectionSet":
+        """This set and other, both sorted by ticks, merged, this set first
+        among equal ticks; either set itself where the other is empty."""
+        if not len(other) or not len(self):
+            return other if len(other) else self
+        at = np.searchsorted(self.ticks, other.ticks, side="right")
+        ticks, detector, origin, slot = (np.insert(getattr(self, name), at, getattr(other, name))
+                                         for name in ("ticks", "detector", "origin", "slot"))
+        return DetectionSet(ticks, detector, self.tdc_resolution_s, origin, slot)
 
 
 def time_tag(

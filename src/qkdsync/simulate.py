@@ -13,22 +13,22 @@ and jitter lookups are counter-based, so they equal those of a dense
 pass that thins every slot; `tests/dense_reference.py` is that pass and
 `tests/test_sampling.py` checks the two against each other.
 
-`detection_stream` hands the detections out in time order, a batch of
-`rng.BLOCK_EVENTS` slots at a time, with the bits of one pass over the
-whole run, and `sync_windows` the sync trains, a window of pulses for
-each span the stream is split into (`split_at`), with the bits of the
-whole trains.  The blocking runner matches each QBER bin against its
-window and the other runners fold each span against theirs
-(`fold_histogram`), so their memory holds the noise and one window of
-detections and of pulses, not the run; `sample_detections` and
-`make_sync_train` collect the stream and the windows whole.
+`detection_stream` hands the detections out in time order, cut at the
+edges its caller gives, with the bits of one pass over the whole run,
+and `sync_windows` the sync trains, a window of pulses for each span
+between the same edges, with the bits of the whole trains.  The blocking
+runner matches each QBER bin against its window and the other runners
+fold each span against theirs (`fold_histogram`), so their memory holds
+the noise and one span of detections and of pulses, not the run;
+`sample_detections` and `make_sync_train` collect the stream and the
+windows whole.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,36 +106,6 @@ def _signal_slots(n_slots: int, p: float, gen: np.random.Generator):
         yield slots[:np.searchsorted(slots, n_slots)]  # only the last batch reaches n_slots
 
 
-def _truth_slice(det: DetectionSet, index) -> DetectionSet:
-    """The detections at index, with their ground truth."""
-    return DetectionSet(det.ticks[index], det.detector[index], det.tdc_resolution_s,
-                        det.origin[index], det.slot[index])
-
-
-def _joined(parts, tdc_resolution_s: float) -> DetectionSet:
-    """The detections of parts, one after another, in one set."""
-    if len(parts) == 1:
-        return parts[0]
-    ticks, detector, origin, slot = (
-        np.concatenate([getattr(d, name) for d in parts] or [np.empty(0, dtype)])
-        for name, dtype in (("ticks", np.int64), ("detector", np.int8),
-                            ("origin", np.int8), ("slot", np.int64)))
-    return DetectionSet(ticks, detector, tdc_resolution_s, origin, slot)
-
-
-def _merged(first: DetectionSet, second: DetectionSet, dropped: int = 0) -> DetectionSet:
-    """Two sets sorted by ticks merged into one, first's detections first
-    among equal ticks; either set itself where the other is empty."""
-    if not len(second) or not len(first):
-        return replace(second if len(second) else first, dropped_before_epoch=dropped)
-    at = np.searchsorted(first.ticks, second.ticks, side="right")
-    return DetectionSet(np.insert(first.ticks, at, second.ticks),
-                        np.insert(first.detector, at, second.detector),
-                        first.tdc_resolution_s,
-                        np.insert(first.origin, at, second.origin),
-                        np.insert(first.slot, at, second.slot), dropped)
-
-
 def _tagged_noise(cfg: dict, jitter: np.random.Generator) -> DetectionSet:
     """The run's background and dark events, tagged with chain jitter drawn
     from jitter; its length plus `dropped_before_epoch` is the count drawn.
@@ -170,16 +140,27 @@ def _tagged_noise(cfg: dict, jitter: np.random.Generator) -> DetectionSet:
                         np.broadcast_to(np.int64(-1), ticks.size), dropped)
 
 
-def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
-    """(events sampled, time-ordered stream of the detections `sample_detections` returns).
+def _checked_edges(edges_s) -> np.ndarray:
+    """edges_s in float64; ValueError if one is NaN or below the one before."""
+    edges_s = np.asarray(edges_s, dtype=np.float64)
+    if np.isnan(edges_s).any() or (np.diff(edges_s) < 0).any():
+        raise ValueError(f"edges must be non-decreasing and not NaN, got {edges_s}")
+    return edges_s
 
-    The stream yields `DetectionSet`s with ground truth; joined in order
+
+def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, edges_s):
+    """The time-ordered detections cut at the times edges_s; an edge that
+    is NaN or below the one before raises ValueError.
+
+    The stream yields len(edges_s) + 1 `DetectionSet`s with ground truth:
+    the detections before edges_s[0], those in [edges_s[k], edges_s[k + 1])
+    for each k, and those at or after edges_s[-1], cut where
+    `np.searchsorted` puts the edges in their `times_s`.  Joined in order
     they are, array for array, the set `sample_detections` returns, and
     each carries in `dropped_before_epoch` the events dropped at t = 0
-    since the one before.  Its memory is the noise, at 10 bytes per
-    event, the events not yet released and the batch being built, not the
-    run: no batch, nor the inputs it was built from, is kept across a
-    yield.
+    since the one before.  Its memory is the noise, at 10 bytes per event,
+    the events not yet released, those of the set being filled and the
+    batch being built: no batch, nor its inputs, is kept across a yield.
 
     Noise events are drawn and tagged first, one detector and noise kind
     at a time (`_tagged_noise`).  Surviving slots follow in batches of
@@ -187,11 +168,12 @@ def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
     -> arrival -> read chain and tagged, which sorts it.  Every event
     pending from earlier batches, and every noise event, whose tick lies
     below the new batch's first tick (its horizon) is then released, in
-    order of (tick, event index), signals in slot order before noise.  A
-    batch whose first tick lies below the previous horizon would reorder
-    released events and raises ValueError; only chain jitter spanning a
-    whole batch (some 100 us at transmittance 1) can cause it, and
-    `config` keeps it under a tenth of that.
+    order of (tick, event index), signals in slot order before noise, and
+    each set whose end edge is at or below the horizon's time is yielded;
+    the run's end releases the rest.  A batch starting below the horizon
+    would reorder released events and raises ValueError; only chain
+    jitter spanning a whole batch (some 100 us at transmittance 1) can
+    cause it, and `config` keeps it under a tenth of that.
 
     Four draws are sequential streams, read at the place a whole-run pass
     reads them: the thinning gaps in order; the measurement draws every
@@ -201,6 +183,7 @@ def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
     drawn n_sig normals.  n_sig comes from a counting pass over the
     thinning stream, which keeps nothing.
     """
+    edges_s = _checked_edges(edges_s)
     seed, duration_s, qubit_rate_hz = cfg["seed"], cfg["duration_s"], cfg["qubit_rate_hz"]
     sigma_s, tdc_s = cfg["chain_jitter_ps"] * 1e-12, cfg["tdc_resolution_ps"] * 1e-12
     n_slots = int(math.floor(duration_s * qubit_rate_hz))
@@ -230,8 +213,10 @@ def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
                         generator=signal_jitter,
                         origin=np.full(slots.size, ORIGIN_SIGNAL, dtype=np.int8), slot=slots)
 
-    def release():
-        pending = _truth_slice(noise, slice(0, 0))  # signals not yet released
+    def releases():
+        """Per batch, then at the run's end: (events released, a time no
+        later event lies below, events dropped since the last release)."""
+        pending = noise.take(slice(0, 0))  # signals not yet released
         dropped, released, horizon = noise.dropped_before_epoch, 0, 0
         for batch in map(tagged, _signal_slots(n_slots, p, rng.generator(seed, "signal-thinning"))):
             dropped += batch.dropped_before_epoch
@@ -245,16 +230,24 @@ def detection_stream(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict):
             horizon = int(batch.ticks[0])
             k = int(np.searchsorted(pending.ticks, horizon))
             upto = int(np.searchsorted(noise.ticks, horizon))
-            ready = _merged(_truth_slice(pending, slice(k)),
-                            _truth_slice(noise, slice(released, upto)), dropped)
-            pending = _merged(_truth_slice(pending, slice(k, None)), batch)
+            ready = pending.take(slice(k)).merge(noise.take(slice(released, upto)))
+            pending = pending.take(slice(k, None)).merge(batch)
             del batch
-            yield ready
+            yield ready, horizon * tdc_s, dropped
             del ready
             dropped, released = 0, upto
-        yield _merged(pending, _truth_slice(noise, slice(released, None)), dropped)
+        yield pending.merge(noise.take(slice(released, None))), np.inf, dropped
 
-    return n_sig + len(noise) + noise.dropped_before_epoch, release()
+    held, k, dropped = [], 0, 0  # the released pieces of set k, and its drops
+    for ready, bound_s, d in releases():
+        lo, dropped = 0, dropped + d
+        closed = edges_s[k:np.searchsorted(edges_s, bound_s, side="right")]  # no later event before
+        k += closed.size
+        for hi in np.searchsorted(ready.times_s, closed) if closed.size else ():
+            yield DetectionSet.join(held + [ready.take(slice(lo, hi))], dropped)
+            held, lo, dropped = [], int(hi), 0
+        held.append(ready.take(slice(lo, None)))
+    yield DetectionSet.join(held, dropped)
 
 
 def sample_detections(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict) -> DetectionSet:
@@ -266,47 +259,11 @@ def sample_detections(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict) -> 
     and delayed, read on the receiver clock, measured, and time-tagged
     together with uniform background/dark events.
 
-    The events of `detection_stream` are copied into arrays allocated
-    once, so beside the result the sampler holds one batch of the stream.
+    It is the one set `detection_stream` cuts at no edge, joined once at
+    the run's end, so the sampler holds the run twice and one batch.
     """
-    n, parts = detection_stream(tx_clock, rx_clock, cfg)
-    ticks, slot = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    detector, origin = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
-    lo = dropped = 0
-    for part in parts:
-        hi = lo + len(part)
-        ticks[lo:hi], detector[lo:hi] = part.ticks, part.detector
-        origin[lo:hi], slot[lo:hi] = part.origin, part.slot
-        lo, dropped = hi, dropped + part.dropped_before_epoch
-    return DetectionSet(ticks[:lo], detector[:lo], cfg["tdc_resolution_ps"] * 1e-12,
-                        origin[:lo], slot[:lo], dropped)
-
-
-def split_at(parts, edges_s):
-    """Time-ordered detections regrouped at the sorted times edges_s.
-
-    parts yields `DetectionSet`s in time order, at least one, as the
-    stream of `detection_stream` does; split_at yields len(edges_s) + 1
-    sets: the detections before edges_s[0], those in [edges_s[k],
-    edges_s[k + 1]) for each k, and those at or after edges_s[-1].  A
-    detection's time is its `times_s`, so each set is the joined parts
-    cut where `np.searchsorted` puts the edges in their `times_s`.
-    """
-    edges_s = np.asarray(edges_s, dtype=np.float64)
-    held, k = [], 0  # the pieces of the set being filled, and its index
-    for part in parts:
-        tdc_s, lo = part.tdc_resolution_s, 0
-        if not len(part):
-            continue
-        for hi in np.searchsorted(part.times_s, edges_s[k:]):
-            if hi == len(part):  # later parts may still lie before this edge
-                break
-            yield _joined(held + [_truth_slice(part, slice(lo, hi))], tdc_s)
-            held, lo, k = [], int(hi), k + 1
-        held.append(_truth_slice(part, slice(lo, None)))
-    for _ in range(k, edges_s.size + 1):
-        yield _joined(held, tdc_s)
-        held = []
+    (det,) = detection_stream(tx_clock, rx_clock, cfg, ())
+    return det
 
 
 def _pulse_grid(cfg: dict) -> tuple[int, float]:
@@ -331,7 +288,7 @@ def _span_edges(cfg: dict) -> np.ndarray:
 def sync_windows(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, edges_s, *,
                  readouts: tuple = ("cdr",), blocks: tuple = (), pad: int = 1):
     """Windows of the sync trains `make_sync_train` returns, one for each
-    set `split_at(parts, edges_s)` cuts the detections into.
+    set `detection_stream` yields at edges_s; it rejects the same edges.
 
     A window is a tuple of `SyncPulseTrain`s, one per readout, whose
     first_pulse places it in the run.  It holds every pulse read (in any
@@ -363,7 +320,7 @@ def sync_windows(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, edges_s,
     locked = np.empty(0, dtype=bool)
     base = lo = 0  # the first pulse held, and the first of the window being cut
     last_locked = (-1, ())
-    for edge in (*np.asarray(edges_s, dtype=np.float64), np.inf):
+    for edge in (*_checked_edges(edges_s), np.inf):
         while True:  # synthesize until every pulse read before edge, and pad more, is held
             top = base + locked.size
             cut = [base + int(np.searchsorted(h, edge)) for h in held]  # pulses read before edge
@@ -411,15 +368,14 @@ def make_sync_train(
                  for t in times)
 
 
-def _in_spans(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, *train_cfgs, **sync):
-    """The fold runners' `fold_histogram` input: for each span of
-    `_span_edges`, (its detections at cfg, the windows of the sync trains
-    at each of train_cfgs, or at cfg if none, in one tuple)."""
-    edges = _span_edges(cfg)
-    windows = zip(*(sync_windows(tx_clock, rx_clock, c, edges, **sync)
+def _in_spans(tx_clock: ClockModel, rx_clock: ClockModel, cfg: dict, edges_s, *train_cfgs,
+              **sync):
+    """For each span between the times edges_s, (its detections at cfg, one
+    tuple of the sync-train windows at each of train_cfgs, or at cfg if none)."""
+    windows = zip(*(sync_windows(tx_clock, rx_clock, c, edges_s, **sync)
                     for c in train_cfgs or (cfg,)))
-    parts = split_at(detection_stream(tx_clock, rx_clock, cfg)[1], edges)
-    return ((part, sum(w, ())) for part, w in zip(parts, windows))
+    return map(lambda part, w: (part, sum(w, ())),  # a map holds no span across a pull
+               detection_stream(tx_clock, rx_clock, cfg, edges_s), windows)
 
 
 @dataclass(frozen=True)
@@ -471,8 +427,8 @@ def run_arrival_experiment(cfg: dict, out_dir=None) -> ArrivalResult:
     """
     tx, rx = build_clocks(cfg)
     dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
-    hists, n_detections = fold_histogram(_in_spans(tx, rx, cfg, readouts=("cdr", "cable")),
-                                         dq, bins)
+    spans = _in_spans(tx, rx, cfg, _span_edges(cfg), readouts=("cdr", "cable"))
+    hists, n_detections = fold_histogram(spans, dq, bins)
     cdr, cable = (_arrival_variant(name, h) for name, h in zip(("cdr", "cable"), hists))
     result = ArrivalResult(cdr, cable, cdr.fwhm_s / cable.fwhm_s, n_detections)
     if out_dir is not None:
@@ -501,7 +457,7 @@ def run_decimation_experiment(cfg: dict, out_dir=None) -> DecimationResult:
     side of the span, so its decimation by every N brackets the span.
     """
     tx, rx = build_clocks(cfg)
-    spans = _in_spans(tx, rx, cfg, pad=max(cfg["n_values"]))
+    spans = _in_spans(tx, rx, cfg, _span_edges(cfg), pad=max(cfg["n_values"]))
     table = decimation_sweep(((part, sync) for part, (sync,) in spans), cfg["n_values"],
                              delta_q_s=1.0 / cfg["qubit_rate_hz"], bin_count=cfg["histogram_bins"])
     result = DecimationResult(table, table.growth_point(2.0))
@@ -545,13 +501,13 @@ def run_doppler_check(cfg: dict, out_dir=None) -> DopplerResult:
     tx, rx = build_clocks(cfg)
     dq, bins = 1.0 / cfg["qubit_rate_hz"], cfg["histogram_bins"]
     base = {**cfg, "doppler_beta": 0.0}
-    (h0,), _ = fold_histogram(_in_spans(tx, rx, base), dq, bins)
+    (h0,), _ = fold_histogram(_in_spans(tx, rx, base, _span_edges(cfg)), dq, bins)
     fwhm0 = fit_or_equivalent(h0)[0]
 
     fwhm, control = np.full(len(betas), fwhm0), np.full(len(betas), fwhm0)
     for i in np.flatnonzero(betas):
         arm = {**cfg, "doppler_beta": betas[i]}
-        hists, _ = fold_histogram(_in_spans(tx, rx, arm, arm, base), dq, bins)
+        hists, _ = fold_histogram(_in_spans(tx, rx, arm, _span_edges(cfg), arm, base), dq, bins)
         fwhm[i], control[i] = (fit_or_equivalent(h)[0] for h in hists)
     result = DopplerResult(np.asarray(betas), fwhm, control, fwhm0)
     if out_dir is not None:
@@ -590,7 +546,7 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     the last bin are counted as never offered to the match.  cfg is
     resolved by `config`, which keeps the block inside the run.
 
-    `detection_stream` is split at the bin edges, and each bin is
+    `detection_stream` is cut at the bin edges, and each bin is
     matched against its own window of the sync train (`sync_windows`),
     so the run holds the noise and one bin of detections and of pulses,
     whatever its duration: a bin's detections, window, rescale and pairs
@@ -607,8 +563,7 @@ def run_blocking_experiment(cfg: dict, out_dir=None) -> BlockingResult:
     match_kwargs = dict(qubit_rate_hz=cfg["qubit_rate_hz"], window_s=cfg["match_window_s"])
 
     bin_edges = np.arange(n_bins + 1) * bin_s
-    bins = zip(split_at(detection_stream(tx, rx, cfg)[1], bin_edges),
-               sync_windows(tx, rx, cfg, bin_edges, blocks=blocks))
+    bins = _in_spans(tx, rx, cfg, bin_edges, blocks=blocks)
     n_detections = len(next(bins)[0])  # none: detections start at t = 0
     counts = np.zeros((4, n_bins), dtype=np.int64)  # n_z, e_z, n_x, e_x per bin
     phase_ok = np.zeros(n_bins, dtype=bool)

@@ -173,11 +173,11 @@ def fold_histogram(pairs, delta_q_s: float,
 
     pairs yields at least one (part, trains): a `DetectionSet` and a
     tuple of sync trains that bracket it as the run's trains do, such as
-    the windows `simulate.sync_windows` gives each set `simulate.split_at`
-    cuts the stream into, train k of every pair a window of the run's
-    train k.  A part's ticks are turned into seconds once, whatever the
-    number of trains.  Counts over parts add, so any split of the
-    detections gives the same counts.
+    the windows `simulate.sync_windows` gives each set
+    `simulate.detection_stream` yields, train k of every pair a window of
+    the run's train k.  A part's ticks are turned into seconds once,
+    whatever the number of trains.  Counts over parts add, so any split
+    of the detections gives the same counts.
     """
     counts, n = 0, 0
     for part, trains in pairs:

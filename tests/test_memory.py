@@ -9,15 +9,17 @@ outputs (18 bytes per detection for the sampled set, 18 for the matched
 pairs, 9 per pulse for the sync train: its times and lock flags).  On
 this config whole-array passes peak at about 114 bytes per detection
 when sampling, 94 when matching and 85 per pulse when synthesizing
-sync; blocks give about 34 (the set plus one batch of the detection
-stream), 33 and 14 (the train plus one window and one range of
-synthesis).
+sync; blocks give about 36 (the stream's released pieces and the set
+joined from them at the run's end; 34 when the set was preallocated and
+filled batch by batch), 33 and 14 (the train plus one window and one
+range of synthesis).
 
 The noise is drawn and tagged one detector and noise kind at a time,
 then merged by one stable sort, and held as ticks, detector and origin
-(its slot is a zero-stride -1): `detection_stream` peaks at about 20
-bytes per noise event while it builds the noise, and holds 10, where
-drawing and tagging every event at once peaked at 60 and held 18.
+(its slot is a zero-stride -1): the stream's first set, which builds
+the noise, peaks at about 20 bytes per noise event, and the noise holds
+10, where drawing and tagging every event at once peaked at 60 and held
+18.
 
 The edge-level CDR chain runs `classical_link.SCAN_BLOCK_EDGES` edges
 at a time.  Over ~1 M edges `modulate_ook` peaks at about 17 bytes per
@@ -29,18 +31,20 @@ A whole run holds the noise and one window of the detection stream (a
 QBER bin for blocking, a fold span of `rng.BLOCK_EVENTS // 8` pulses'
 nominal time for arrival and Doppler) and of the sync trains, with the
 anchor scan's working blocks on top: on this config about 23 bytes per
-detection for blocking and 18 for arrival.  They were 29 and 21 while
-the stream kept a batch and its inputs across a yield, blocking kept
-the last QBER bin's arrays while it built the next, and the noise was
-tagged at once, and 32 and 30 when the run held its whole sync trains.
-A run twice as long then adds only its noise's bytes, and a window's
-where the longer run's peak falls in a fuller window: blocking grows
-~0.08 MB from 10 to 20 s (~0.10 from 20 to 40 s), arrival ~0.04 MB and
-Doppler ~0.05 MB, where noise tagged at once grew 0.46, 0.08 and 0.09
-MB, whole-run trains 0.97, 1.78 and 1.88 MB, and whole-run sampling
-4.6, 5.4 and 9.2 MB.  The anchor scan scores its shifts x pairs in
-blocks, so its peak stays flat in the search width; scored at once it
-grew ~0.11 MB per shift.
+detection for blocking and 17 for arrival (18 while the pairing of
+spans with their windows held the last span across a pull).  They were
+29 and 21 while the stream kept a batch and its inputs across a yield,
+blocking kept the last QBER bin's arrays while it built the next, and
+the noise was tagged at once, and 32 and 30 when the run held its whole
+sync trains.  A run twice as long then adds only its noise's bytes, and
+a window's where the longer run's peak falls in a fuller window:
+blocking grows ~0.04 MB from 10 to 20 s (~0.08 from 20 to 40 s; 0.08
+and ~0.10 while the stream was regrouped at the bin edges after it was
+made), arrival ~0.04 MB and Doppler ~0.05 MB, where noise tagged at
+once grew 0.46, 0.08 and 0.09 MB, whole-run trains 0.97, 1.78 and 1.88
+MB, and whole-run sampling 4.6, 5.4 and 9.2 MB.  The anchor scan scores
+its shifts x pairs in blocks, so its peak stays flat in the search
+width; scored at once it grew ~0.11 MB per shift.
 
 The first run in a process imports numpy submodules that numpy loads
 lazily (its random generators' modules), which a first traced blocking
@@ -114,13 +118,15 @@ def test_sampling_and_matching_peaks_stay_within_a_per_detection_budget():
 
 
 def test_noise_build_peak_stays_within_a_per_event_budget():
-    # ~800 k noise events beside ~200 k signals: the call draws and tags
-    # the noise, and only counts the signals
+    # ~800 k noise events beside ~200 k signals: the stream's first next()
+    # counts the signals, draws and tags the noise, and tags one batch of
+    # signals to yield the empty set before t = 0
     cfg = config.resolve("arrival", {"duration_s": 10.0, "background_rate_hz": 1e4,
                                      "dark_rate_hz": 1e4}, 11)
     tx, rx = simulate.build_clocks(cfg)
-    (n, parts), peak = _traced_peak(lambda: simulate.detection_stream(tx, rx, cfg))
-    n_noise = n - sum(np.count_nonzero(part.origin == ORIGIN_SIGNAL) for part in parts)
+    stream = simulate.detection_stream(tx, rx, cfg, (0.0,))
+    first, peak = _traced_peak(lambda: next(stream))
+    n_noise = sum(np.count_nonzero(s.origin != ORIGIN_SIGNAL) for s in (first, *stream))
     assert n_noise > 700_000
     assert peak / n_noise < NOISE_BUILD_BYTES_PER_EVENT
 

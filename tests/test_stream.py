@@ -3,7 +3,7 @@
 `whole_run` draws every surviving slot, measures all of them and tags
 them with the noise in one sort, each random stream read from its start
 in one call.  The stream draws the same streams in batches, so its
-parts, joined, and `sample_detections` must give its arrays bit for bit.
+sets, joined, and `sample_detections` must give its arrays bit for bit.
 """
 
 import math
@@ -15,7 +15,7 @@ from qkdsync import config, rng
 from qkdsync.quantum_link import (A, D, H, V, ORIGIN_BACKGROUND, ORIGIN_DARK, ORIGIN_SIGNAL,
                                   measure_polarization, time_tag)
 from qkdsync.simulate import (_tagged_noise, build_clocks, detection_stream,
-                              pattern_from_config, sample_detections, split_at)
+                              pattern_from_config, sample_detections, sync_windows)
 from qkdsync.timebase import local_time, reading_time
 
 FIELDS = ("ticks", "detector", "origin", "slot")
@@ -80,15 +80,17 @@ def test_stream_and_sampler_equal_one_pass_over_the_whole_run(overrides, monkeyp
     reference = whole_run(tx, rx, cfg)
     assert len(reference) + reference.dropped_before_epoch > 3 * 97
     monkeypatch.setattr(rng, "BLOCK_EVENTS", 97)
-    n, parts = detection_stream(tx, rx, cfg)
-    parts = list(parts)
-    assert n == len(reference) + reference.dropped_before_epoch
-    assert sum(part.dropped_before_epoch for part in parts) == reference.dropped_before_epoch
+    # one set, and sets cut inside the run, one of them empty
+    for edges in ((), (0.004, 0.01, 0.01, 0.0155)):
+        sets = list(detection_stream(tx, rx, cfg, edges))
+        assert len(sets) == len(edges) + 1
+        assert sum(s.dropped_before_epoch for s in sets) == reference.dropped_before_epoch
+        for name in FIELDS:
+            joined = np.concatenate([getattr(s, name) for s in sets])
+            assert joined.tobytes() == getattr(reference, name).tobytes(), name
     det = sample_detections(tx, rx, cfg)
     assert det.dropped_before_epoch == reference.dropped_before_epoch
     for name in FIELDS:
-        joined = np.concatenate([getattr(part, name) for part in parts])
-        assert joined.tobytes() == getattr(reference, name).tobytes(), name
         assert getattr(det, name).tobytes() == getattr(reference, name).tobytes(), name
     if "chain_jitter_ps" in overrides and overrides["chain_jitter_ps"] > 0:
         assert reference.dropped_before_epoch > 0
@@ -120,7 +122,7 @@ def test_noise_tagged_per_detector_equals_one_tagging_of_every_draw():
     assert np.count_nonzero(tied) > 1000
 
 
-def test_split_at_cuts_where_searchsorted_puts_the_edges(monkeypatch):
+def test_detection_stream_cuts_where_searchsorted_puts_the_edges(monkeypatch):
     cfg = config.defaults("arrival", seed=4, duration_s=0.01, transmittance=0.05,
                           background_rate_hz=2e5, tdc_resolution_ps=1e6)
     tx, rx = build_clocks(cfg)
@@ -134,7 +136,7 @@ def test_split_at_cuts_where_searchsorted_puts_the_edges(monkeypatch):
     # leaves just the detections on the edge between them, and one past the end
     edges = np.array([-1.0, 0.0, 1e-9, times[3000] + 1e-12, on, on, np.nextafter(on, 1.0), 1.0])
     cuts = np.concatenate(([0], np.searchsorted(times, edges), [len(det)]))
-    windows = list(split_at(detection_stream(tx, rx, cfg)[1], edges))
+    windows = list(detection_stream(tx, rx, cfg, edges))
     assert len(windows) == edges.size + 1
     assert [len(w) for w in windows].count(0) >= 3 and len(windows[6]) > 1
     for w, lo, hi in zip(windows, cuts[:-1], cuts[1:]):
@@ -143,14 +145,27 @@ def test_split_at_cuts_where_searchsorted_puts_the_edges(monkeypatch):
             assert getattr(w, name).tobytes() == getattr(det, name)[lo:hi].tobytes(), name
 
 
-def test_split_at_an_empty_stream_yields_empty_windows():
+def test_an_empty_detection_stream_yields_empty_sets():
     cfg = config.defaults("arrival", seed=4, duration_s=0.001, transmittance=1e-12,
                           background_rate_hz=0.0, dark_rate_hz=0.0)
     tx, rx = build_clocks(cfg)
-    n, parts = detection_stream(tx, rx, cfg)
-    windows = list(split_at(parts, [0.0, 1.0]))
-    assert n == 0 and [len(w) for w in windows] == [0, 0, 0]
+    windows = list(detection_stream(tx, rx, cfg, [0.0, 1.0]))
+    assert [len(w) for w in windows] == [0, 0, 0]
+    assert all(w.dropped_before_epoch == 0 for w in windows)
     assert windows[0].tdc_resolution_s == cfg["tdc_resolution_ps"] * 1e-12
+
+
+@pytest.mark.parametrize("edges", [[0.15, 0.05], [0.05, math.nan], [math.nan]])
+def test_decreasing_or_nan_edges_raise(edges):
+    # cut at [0.15, 0.05], this run's 4,143 detections once came out as
+    # 3,093 + 0 + 3,183, counting 2,133 twice, and its sync windows started
+    # at pulses 0, 1499 and 1499
+    cfg = config.defaults("arrival", seed=4, duration_s=0.2)
+    tx, rx = build_clocks(cfg)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        next(detection_stream(tx, rx, cfg, edges))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        next(sync_windows(tx, rx, cfg, edges))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 1234567])
